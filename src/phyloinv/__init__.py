@@ -8,8 +8,9 @@ exact integer-lattice computation.
 """
 
 from .errors import (BinomialError, Cancelled, Error, FlowCapExceeded,
-                     FlowError, GroupParseError, InvalidTreeError,
-                     LatticeError, NewickParseError, OutsideSpanError)
+                     FlowError, GroupParseError, InternalError,
+                     InvalidTreeError, LatticeError, NewickParseError,
+                     OutsideSpanError)
 from .flows import (Binomial, Flow, enumerate_flows, flow_from_leaves,
                     flow_index, vertex_point)
 from .groups import Element, GroupSpec, parse_group_spec
@@ -35,6 +36,7 @@ __all__ = [
     "GenerateOptions",
     "GroupParseError",
     "GroupSpec",
+    "InternalError",
     "InvalidTreeError",
     "InvariantSet",
     "LatticeError",

@@ -45,5 +45,9 @@ class FlowCapExceeded(Error, RuntimeError):
     """The flow enumeration would exceed the configured cap."""
 
 
+class InternalError(Error, RuntimeError):
+    """An internal invariant of the construction does not hold (a bug)."""
+
+
 class Cancelled(Error, RuntimeError):
     """A long-running lattice computation was cancelled cooperatively."""

@@ -7,13 +7,6 @@ values sum to zero).  Flows are stored as the tuple of edge values in the
 tree's canonical edge order; the first ``leaf_count`` entries are the leaf
 values, and those determine the whole flow (the value on any edge is the
 sum of the leaf values below it).  Leaf values must sum to zero.
-
-Sign convention for shared-edge constructions: an edge carries its value in
-the away-from-root orientation, so reading it against that orientation
-negates.  In a join the shared edge points from the T1 side into the T2
-side, while T2's own pendant edge at v2 points the other way; two flows
-f1, f2 on the parts agree on the shared edge exactly when
-f1[v1] + f2[v2] = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .errors import BinomialError, FlowCapExceeded, FlowError
 from .groups import Element, GroupSpec
-from .trees import JoinContext, RootedTree, is_contraction
+from .trees import RootedTree, Tree
 
 # A flow is the tuple of per-edge group elements in canonical edge order.
 Flow = tuple[Element, ...]
@@ -47,30 +40,53 @@ def flow_from_leaves(rt: RootedTree, group: GroupSpec, leaf_values: Iterable[Ele
     return tuple(out)
 
 
-def leaf_values(f: Flow, rt: RootedTree) -> tuple[Element, ...]:
-    return f[: rt.leaf_count]
+def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dict[Flow, str]:
+    """Why each of ``terms`` is not a flow on ``rt``: a wrong length, a value
+    outside ``group``, or an interior node that does not conserve.  Terms
+    that are flows do not appear in the result."""
+    e = rt.edge_count
+    factors = tuple(enumerate(group.factors))
+    # per interior node: its incoming edge (None at the root), its outgoing edges
+    nodes = [(u, None if rt.parent[u] is None else rt.edge_index[(rt.parent[u], u)],
+              [rt.edge_index[(u, c)] for c in rt.children[u]])
+             for u in rt.tree.interior_nodes]
+
+    def leaking_node(f: Flow) -> int | None:
+        # residue-wise, so that no group element is built per node
+        for u, up, down in nodes:
+            for j, a in factors:
+                t = sum(f[ei][j] for ei in down)
+                if up is not None:
+                    t -= f[up][j]
+                if t % a:
+                    return u
+        return None
+
+    out: dict[Flow, str] = {}
+    for f in terms:
+        if len(f) != e:
+            out[f] = f"has {len(f)} edge values, expected {e}"
+        elif not all(map(group.is_element, f)):
+            ei = next(ei for ei, x in enumerate(f) if not group.is_element(x))
+            out[f] = f"value {f[ei]} on edge {ei} {rt.edges[ei]} is not in {group}"
+        else:
+            u = leaking_node(f)
+            if u is not None:
+                out[f] = f"values do not conserve at node {u}"
+    return out
 
 
-def is_conservative(rt: RootedTree, group: GroupSpec, f: Flow) -> bool:
-    """Check conservation at every interior node (used by tests)."""
-    if len(f) != rt.edge_count:
-        return False
-    for u in rt.tree.interior_nodes:
-        out = group.sum(f[rt.edge_index[(u, c)]] for c in rt.children[u])
-        if rt.parent[u] is None:
-            if out != group.zero():
-                return False
-        elif out != f[rt.edge_index[(rt.parent[u], u)]]:
-            return False
-    return True
+def flow_total(tree: Tree, group: GroupSpec) -> int:
+    return group.order ** (tree.leaf_count - 1)
 
 
-def _check_cap(rt: RootedTree, group: GroupSpec, cap: int):
-    total = group.order ** (rt.leaf_count - 1)
+def check_flow_cap(tree: Tree, group: GroupSpec, cap: int) -> int:
+    """The number of flows on ``tree``; raises when it exceeds ``cap``."""
+    total = flow_total(tree, group)
     if total > cap:
         raise FlowCapExceeded(
             f"{total} flows exceed the cap {cap} "
-            f"(group order {group.order}, {rt.leaf_count} leaves)"
+            f"(group order {group.order}, {tree.leaf_count} leaves)"
         )
     return total
 
@@ -84,22 +100,8 @@ def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
 
 
 def enumerate_flows(rt: RootedTree, group: GroupSpec, cap: int = DEFAULT_FLOW_CAP) -> list[Flow]:
-    _check_cap(rt, group, cap)
+    check_flow_cap(rt.tree, group, cap)
     return list(iter_flows(rt, group))
-
-
-def iter_flows_fixed_leaf(rt: RootedTree, group: GroupSpec, leaf: int,
-                          value: Element) -> Iterator[Flow]:
-    """Flows with a prescribed value at one leaf, in lexicographic order of
-    the remaining free leaves (the last free leaf is forced)."""
-    ell = rt.leaf_count
-    others = [x for x in range(1, ell + 1) if x != leaf]
-    free, forced = others[:-1], others[-1]
-    for combo in product(group.elements, repeat=len(free)):
-        vals = {leaf: value}
-        vals.update(zip(free, combo))
-        vals[forced] = group.neg(group.add(value, group.sum(combo)))
-        yield flow_from_leaves(rt, group, tuple(vals[x] for x in range(1, ell + 1)))
 
 
 def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:
@@ -145,13 +147,6 @@ class Binomial:
     def is_trivial(self) -> bool:
         return not self.lhs
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": [flow_to_json(f) for f in self.lhs],
-            "rhs": [flow_to_json(f) for f in self.rhs],
-            "degree": self.degree,
-        }
-
 
 def binomial_from_multisets(rt: RootedTree, group: GroupSpec,
                             m1: Iterable[Flow], m2: Iterable[Flow]) -> Binomial:
@@ -173,93 +168,3 @@ def binomial_from_multisets(rt: RootedTree, group: GroupSpec,
     lhs = sorted((ca - cb).elements())
     rhs = sorted((cb - ca).elements())
     return Binomial(tuple(lhs), tuple(rhs))
-
-
-def flow_to_json(f: Flow) -> list:
-    return [list(e) for e in f]
-
-
-def binomial_to_json(b: Binomial) -> dict:
-    return b.to_json()
-
-
-# -- join-related flow constructions -----------------------------------
-
-
-def _t_leaf_values(ctx: JoinContext, group: GroupSpec, pairs: dict[int, Element]) -> Flow:
-    ell = ctx.tree.leaf_count
-    vals = [group.zero()] * ell
-    for label, v in pairs.items():
-        vals[label - 1] = v
-    return flow_from_leaves(ctx.rooted, group, vals)
-
-
-def extend_from_t1(ctx: JoinContext, group: GroupSpec, f: Flow, l2: int) -> Flow:
-    """Extend a T1 flow to the join: surviving T1 leaves keep their values and
-    the v1 value is rerouted to leaf l2 of T2 (all other T2 leaves zero)."""
-    if l2 == ctx.v2 or not 1 <= l2 <= ctx.t2.leaf_count:
-        raise FlowError(f"l2={l2} must be a leaf of T2 other than v2={ctx.v2}")
-    pairs = {ctx.leaf_map1[w]: f[w - 1] for w in ctx.leaf_map1}
-    pairs[ctx.leaf_map2[l2]] = f[ctx.v1 - 1]
-    return _t_leaf_values(ctx, group, pairs)
-
-
-def extend_from_t2(ctx: JoinContext, group: GroupSpec, f: Flow, l1: int) -> Flow:
-    """Mirror image of :func:`extend_from_t1`."""
-    if l1 == ctx.v1 or not 1 <= l1 <= ctx.t1.leaf_count:
-        raise FlowError(f"l1={l1} must be a leaf of T1 other than v1={ctx.v1}")
-    pairs = {ctx.leaf_map2[w]: f[w - 1] for w in ctx.leaf_map2}
-    pairs[ctx.leaf_map1[l1]] = f[ctx.v2 - 1]
-    return _t_leaf_values(ctx, group, pairs)
-
-
-def restrict_to_t1(ctx: JoinContext, group: GroupSpec, f: Flow) -> Flow:
-    """Restrict a joined flow to T1; v1 absorbs the total of the T2 side."""
-    vals = [group.zero()] * ctx.t1.leaf_count
-    for w, lab in ctx.leaf_map1.items():
-        vals[w - 1] = f[lab - 1]
-    vals[ctx.v1 - 1] = group.sum(f[lab - 1] for lab in ctx.leaf_map2.values())
-    return flow_from_leaves(ctx.t1, group, vals)
-
-
-def restrict_to_t2(ctx: JoinContext, group: GroupSpec, f: Flow) -> Flow:
-    vals = [group.zero()] * ctx.t2.leaf_count
-    for w, lab in ctx.leaf_map2.items():
-        vals[w - 1] = f[lab - 1]
-    vals[ctx.v2 - 1] = group.sum(f[lab - 1] for lab in ctx.leaf_map1.values())
-    return flow_from_leaves(ctx.t2, group, vals)
-
-
-def join_flows(ctx: JoinContext, group: GroupSpec, f1: Flow, f2: Flow) -> Flow:
-    """Glue compatible part flows (f1[v1] + f2[v2] = 0) into a joined flow."""
-    if group.add(f1[ctx.v1 - 1], f2[ctx.v2 - 1]) != group.zero():
-        raise FlowError(
-            f"incompatible flows on the shared edge: v1 value {f1[ctx.v1 - 1]}, "
-            f"v2 value {f2[ctx.v2 - 1]}"
-        )
-    pairs = {ctx.leaf_map1[w]: f1[w - 1] for w in ctx.leaf_map1}
-    pairs.update({ctx.leaf_map2[w]: f2[w - 1] for w in ctx.leaf_map2})
-    return _t_leaf_values(ctx, group, pairs)
-
-
-def path_flow(ctx: JoinContext, group: GroupSpec, l1: int, l2: int, g0: Element) -> Flow:
-    """The joined flow carrying g0 from leaf l1 (of T1) to leaf l2 (of T2):
-    value -g0 at l1, g0 at l2, zero at every other leaf."""
-    if l1 == ctx.v1 or l1 not in ctx.leaf_map1:
-        raise FlowError(f"l1={l1} must be a leaf of T1 other than v1={ctx.v1}")
-    if l2 == ctx.v2 or l2 not in ctx.leaf_map2:
-        raise FlowError(f"l2={l2} must be a leaf of T2 other than v2={ctx.v2}")
-    return _t_leaf_values(ctx, group, {
-        ctx.leaf_map1[l1]: group.neg(g0),
-        ctx.leaf_map2[l2]: g0,
-    })
-
-
-def restrict_flow(f: Flow, rt_from: RootedTree, rt_to: RootedTree, group: GroupSpec) -> Flow:
-    """Restrict a flow across interior-edge contraction (same leaf set):
-    keep the leaf values, drop the contracted coordinates."""
-    if rt_from.leaf_count != rt_to.leaf_count:
-        raise FlowError("trees have different leaf sets")
-    if not is_contraction(rt_to.tree, rt_from.tree):
-        raise FlowError("target tree is not a contraction of the source tree")
-    return flow_from_leaves(rt_to, group, f[: rt_from.leaf_count])

@@ -61,18 +61,8 @@ class GroupSpec:
     def order(self) -> int:
         return prod(self.factors)
 
-    @property
-    def nfactors(self) -> int:
-        return len(self.factors)
-
     def zero(self) -> Element:
         return (0,) * len(self.factors)
-
-    def reduce(self, residues: Iterable[int]) -> Element:
-        t = tuple(residues)
-        if len(t) != len(self.factors):
-            raise ValueError(f"element {t} has {len(t)} residues, expected {len(self.factors)}")
-        return tuple(r % a for r, a in zip(t, self.factors))
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.factors))
@@ -105,9 +95,6 @@ class GroupSpec:
         """Position of ``el`` in the enumeration order."""
         return self._index_of[el]
 
-    def element_at(self, i: int) -> Element:
-        return self.elements[i]
-
     def is_element(self, el) -> bool:
         return el in self._index_of
 
@@ -121,10 +108,6 @@ class GroupSpec:
 
     def units(self) -> tuple[Element, ...]:
         return tuple(self.unit(j, 1) for j in range(1, len(self.factors) + 1))
-
-
-def enumerate_elements(spec: GroupSpec) -> tuple[Element, ...]:
-    return spec.elements
 
 
 def _prime_powers(n: int) -> list[int]:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from math import inf
 from typing import TYPE_CHECKING, Callable
 
-from .errors import FlowCapExceeded
-from .flows import (DEFAULT_FLOW_CAP, Binomial, flow_index, iter_flows,
-                    vertex_point, vertex_support)
+from .flows import (DEFAULT_FLOW_CAP, Binomial, check_flow_cap, flow_defects,
+                    flow_index, flow_total, iter_flows, vertex_point,
+                    vertex_support)
 from .groups import GroupSpec
 from .lattice import (Echelon, LatticeBasis, det, kernel_lattice,
                       sparse_span_certificate)
@@ -27,10 +27,6 @@ from .trees import RootedTree, Tree
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import InvariantSet
-
-
-def flow_total(tree: Tree, group: GroupSpec) -> int:
-    return group.order ** (tree.leaf_count - 1)
 
 
 def codim(tree: Tree, group: GroupSpec) -> int:
@@ -42,20 +38,11 @@ def degree_bound(group: GroupSpec) -> int:
     return max(3, max(group.factors))
 
 
-def _check_cap(tree: Tree, group: GroupSpec, cap: int):
-    total = flow_total(tree, group)
-    if total > cap:
-        raise FlowCapExceeded(
-            f"{total} flows exceed the cap {cap} "
-            f"(group order {group.order}, {tree.leaf_count} leaves)")
-    return total
-
-
 def monomial_matrix(rt: RootedTree, group: GroupSpec,
                     flow_cap: int = DEFAULT_FLOW_CAP) -> list[list[int]]:
     """The (edges * |G|) x (number of flows) 0/1 matrix whose columns are the
     vertex points, in flow enumeration order."""
-    n = _check_cap(rt.tree, group, flow_cap)
+    n = check_flow_cap(rt.tree, group, flow_cap)
     g = group.order
     rows = [[0] * n for _ in range(rt.edge_count * g)]
     for col, f in enumerate(iter_flows(rt, group)):
@@ -68,7 +55,7 @@ def monomial_matrix_rank(rt: RootedTree, group: GroupSpec,
                          flow_cap: int = DEFAULT_FLOW_CAP) -> int:
     """Exact rank of the monomial matrix, via an incremental echelon over
     the vertex-point columns (cheap even for many flows)."""
-    _check_cap(rt.tree, group, flow_cap)
+    check_flow_cap(rt.tree, group, flow_cap)
     ech = Echelon(rt.edge_count * group.order)
     for f in iter_flows(rt, group):
         ech.add(vertex_point(rt, group, f))
@@ -129,7 +116,7 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
     """Rank of the lattice spanned by vertex-point differences Q_f - Q_f0 and
     its index inside the lattice of block-degree-zero vectors (per-edge
     coordinate sums zero); the expected index is |G|^(interior nodes)."""
-    _check_cap(rt.tree, group, flow_cap)
+    check_flow_cap(rt.tree, group, flow_cap)
     g = group.order
     e = rt.edge_count
     width = e * g
@@ -172,7 +159,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return (self.count_ok and self.kernel_membership_ok
+        # every failed check adds to ``failures``, so for a report built by
+        # the verifier this is true exactly when ``failures`` is empty
+        return (not self.failures and self.count_ok and self.kernel_membership_ok
                 and self.spans_ok and self.degree_bound_ok)
 
     def to_json(self) -> dict:
@@ -197,15 +186,16 @@ def verify_complete_intersection(s: "InvariantSet",
                                  ) -> VerificationReport:
     """Certify that a binomial set cuts out the variety on the torus.
 
-    Four booleans: the count matches the codimension; every exponent vector
-    lies in the kernel of the monomial matrix; the vectors integrally span
-    that kernel; all degrees respect max(3, factor orders).  Overall pass
-    is their conjunction.
+    Four booleans: the count matches the codimension; every term is a flow
+    and every exponent vector lies in the kernel of the monomial matrix; the
+    vectors integrally span that kernel; all degrees respect max(3, factor
+    orders).  Every failed check adds to ``failures``, and the set passes
+    exactly when ``failures`` is empty.
     """
     rt = s.rooted
     group = s.group
     tree = rt.tree
-    n_flows = _check_cap(tree, group, flow_cap)
+    n_flows = check_flow_cap(tree, group, flow_cap)
     failures: list[str] = []
 
     expected = codim(tree, group)
@@ -214,8 +204,15 @@ def verify_complete_intersection(s: "InvariantSet",
     if not count_ok:
         failures.append(f"count: expected {expected} generators, found {actual}")
 
+    defects = flow_defects(rt, group, {f for b in s.binomials for f in b.lhs + b.rhs})
     membership_ok = True
     for i, b in enumerate(s.binomials):
+        bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
+        for f in bad:
+            failures.append(f"binomial {i}: term {f} is not a flow: {defects[f]}")
+        if bad:
+            membership_ok = False
+            continue
         acc: Counter = Counter()
         for f in b.lhs:
             for pos in vertex_support(rt, group, f):

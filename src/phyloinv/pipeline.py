@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
+from typing import Iterator
 
-from .errors import FlowCapExceeded, InvalidTreeError
-from .flows import (DEFAULT_FLOW_CAP, Binomial, binomial_from_multisets,
-                    extend_from_t1, extend_from_t2, flow_from_leaves,
-                    iter_flows_fixed_leaf, join_flows, path_flow,
-                    restrict_to_t1, restrict_to_t2)
+from .errors import InternalError, InvalidTreeError
+from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
+                    check_flow_cap, flow_from_leaves)
 from .groups import Element, GroupSpec
-from .oracle import codim, flow_total
+from .oracle import codim
 from .trees import (JoinContext, RootedTree, Tree, canonical_rooting,
                     decompose_at_edge, join, tree_to_json)
 
@@ -97,13 +97,34 @@ def canonical_claw(n: int) -> Tree:
     return Tree(n, [(n + 1, i) for i in range(1, n + 1)])
 
 
+def _check_codim(n: int, tree: Tree, group: GroupSpec, what: str) -> int:
+    expected = codim(tree, group)
+    if n != expected:
+        raise InternalError(f"{what}: {n} binomials, codim {expected}")
+    return expected
+
+
 def tripod_set(group: GroupSpec, mode: str = "direct-cyclic") -> InvariantSet:
     from .tripod import tripod_invariants, tripod_tree
 
     binomials = tripod_invariants(group, mode)
     rt = tripod_tree()
-    assert len(binomials) == codim(rt.tree, group)
+    _check_codim(len(binomials), rt.tree, group, "tripod set")
     return InvariantSet(rt, group, binomials, ["tripod"] * len(binomials))
+
+
+def _fixed_leaf_values(n: int, group: GroupSpec, leaf: int,
+                       value: Element) -> Iterator[tuple[Element, ...]]:
+    """Leaf values of the flows on an n-leaf tree with ``value`` at ``leaf``,
+    in lexicographic order of the remaining free leaves (the last free leaf
+    is forced)."""
+    others = [x for x in range(1, n + 1) if x != leaf]
+    free, forced = others[:-1], others[-1]
+    for combo in product(group.elements, repeat=len(free)):
+        vals = {leaf: value}
+        vals.update(zip(free, combo))
+        vals[forced] = group.neg(group.add(value, group.sum(combo)))
+        yield tuple(vals[x] for x in range(1, n + 1))
 
 
 def join_sets(ctx: JoinContext, group: GroupSpec,
@@ -111,56 +132,87 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     """Assemble the set for a joined tree from complete sets for the parts.
 
     The distinguished leaves are the lowest-labelled leaf of each part other
-    than the identified one.
+    than the identified one.  Every joined flow is built from part leaf
+    values alone: those of the surviving leaves go to their joined labels
+    (``leaf_map1``/``leaf_map2``), and the values at v1 and v2 are dropped.
+
+    Sign convention: an edge carries its value in the away-from-root
+    orientation, so reading it against that orientation negates.  The
+    shared edge points from the T1 side into the T2 side, while T2's own
+    pendant edge at v2 points the other way; two part flows f1, f2 agree on
+    the shared edge exactly when f1[v1] + f2[v2] = 0.
     """
     t1, t2 = ctx.t1, ctx.t2
     if s1.rooted.tree != t1.tree or s2.rooted.tree != t2.tree:
         raise InvalidTreeError("part sets do not match the join context trees")
-    assert len(s1.binomials) == codim(t1.tree, group)
-    assert len(s2.binomials) == codim(t2.tree, group)
-    l1 = min(x for x in range(1, t1.leaf_count + 1) if x != ctx.v1)
-    l2 = min(x for x in range(1, t2.leaf_count + 1) if x != ctx.v2)
+    _check_codim(len(s1.binomials), t1.tree, group, "part set T1")
+    _check_codim(len(s2.binomials), t2.tree, group, "part set T2")
+    k1, k2 = t1.leaf_count, t2.leaf_count
+    v1, v2 = ctx.v1, ctx.v2
+    l1 = min(x for x in range(1, k1 + 1) if x != v1)
+    l2 = min(x for x in range(1, k2 + 1) if x != v2)
     rt = ctx.rooted
+    zero = group.zero()
+    slots1 = [(w - 1, lab - 1) for w, lab in ctx.leaf_map1.items()]
+    slots2 = [(w - 1, lab - 1) for w, lab in ctx.leaf_map2.items()]
+
+    def joined(vals1, vals2) -> Flow:
+        vals = [zero] * rt.leaf_count
+        for w, lab in slots1:
+            vals[lab] = vals1[w]
+        for w, lab in slots2:
+            vals[lab] = vals2[w]
+        return flow_from_leaves(rt, group, vals)
+
+    def part(n: int, at: dict[int, Element]) -> tuple[Element, ...]:
+        """Leaf values of an n-leaf part: zero except at the given leaves."""
+        vals = [zero] * n
+        for leaf, x in at.items():
+            vals[leaf - 1] = x
+        return tuple(vals)
 
     binomials: list[Binomial] = []
     provenance: list[str] = []
 
+    # a part flow is lifted by rerouting its v-value to the other part's
+    # distinguished leaf
     for b in s1.binomials:
-        lhs = [extend_from_t1(ctx, group, f, l2) for f in b.lhs]
-        rhs = [extend_from_t1(ctx, group, f, l2) for f in b.rhs]
+        lhs = [joined(f, part(k2, {l2: f[v1 - 1]})) for f in b.lhs]
+        rhs = [joined(f, part(k2, {l2: f[v1 - 1]})) for f in b.rhs]
         binomials.append(binomial_from_multisets(rt, group, lhs, rhs))
         provenance.append("join-E1")
     for b in s2.binomials:
-        lhs = [extend_from_t2(ctx, group, f, l1) for f in b.lhs]
-        rhs = [extend_from_t2(ctx, group, f, l1) for f in b.rhs]
+        lhs = [joined(part(k1, {l1: f[v2 - 1]}), f) for f in b.lhs]
+        rhs = [joined(part(k1, {l1: f[v2 - 1]}), f) for f in b.rhs]
         binomials.append(binomial_from_multisets(rt, group, lhs, rhs))
         provenance.append("join-E2")
 
     n_quadrics = 0
     for g0 in group.elements:
-        fg0 = path_flow(ctx, group, l1, l2, g0)
-        fg0_t1 = restrict_to_t1(ctx, group, fg0)
-        fg0_t2 = restrict_to_t2(ctx, group, fg0)
-        pairs2 = [(w, join_flows(ctx, group, fg0_t1, w))
-                  for w in iter_flows_fixed_leaf(t2, group, ctx.v2, group.neg(g0))
-                  if w != fg0_t2]
-        for u in iter_flows_fixed_leaf(t1, group, ctx.v1, g0):
-            if u == fg0_t1:
+        ng0 = group.neg(g0)
+        # the path flow carrying g0 from leaf l1 to leaf l2, on each part
+        fg0_1 = part(k1, {l1: ng0, v1: g0})
+        fg0_2 = part(k2, {l2: g0, v2: ng0})
+        fg0 = joined(fg0_1, fg0_2)
+        pairs2 = [(w, joined(fg0_1, w))
+                  for w in _fixed_leaf_values(k2, group, v2, ng0) if w != fg0_2]
+        for u in _fixed_leaf_values(k1, group, v1, g0):
+            if u == fg0_1:
                 continue
-            mix1 = join_flows(ctx, group, u, fg0_t2)
+            mix1 = joined(u, fg0_2)
             for w, mix2 in pairs2:
-                f = join_flows(ctx, group, u, w)
+                f = joined(u, w)
                 binomials.append(binomial_from_multisets(
                     rt, group, [f, fg0], [mix1, mix2]))
                 provenance.append("join-edge-quadric")
                 n_quadrics += 1
 
     g = group.order
-    expected_quadrics = g * (g ** (t1.leaf_count - 2) - 1) * (g ** (t2.leaf_count - 2) - 1)
-    assert n_quadrics == expected_quadrics
-    total_codim = codim(rt.tree, group)
-    assert len(binomials) == total_codim, (
-        f"{len(binomials)} generators != codim {total_codim}")
+    expected_quadrics = g * (g ** (k1 - 2) - 1) * (g ** (k2 - 2) - 1)
+    if n_quadrics != expected_quadrics:
+        raise InternalError(
+            f"{n_quadrics} edge quadrics, expected {expected_quadrics}")
+    total_codim = _check_codim(len(binomials), rt.tree, group, "joined set")
 
     log = list(s1.join_log) + list(s2.join_log) + [{
         "tree": rt.tree.canonical_newick(),
@@ -233,7 +285,8 @@ def claw_set(n_leaves: int, group: GroupSpec, mode: str = "direct-cyclic") -> In
         restricted = binomial_from_multisets(
             claw_rt, group,
             [f[:n_leaves] for f in b.lhs], [f[:n_leaves] for f in b.rhs])
-        assert not restricted.is_trivial
+        if restricted.is_trivial:
+            raise InternalError("a T' binomial restricts to a trivial claw binomial")
         binomials.append(restricted)
         provenance.append("contracted-from-T'")
     for b in group.elements[1:]:
@@ -244,7 +297,7 @@ def claw_set(n_leaves: int, group: GroupSpec, mode: str = "direct-cyclic") -> In
         else:
             binomials.append(nonspecial_quadric(claw_rt, group, b))
             provenance.append("claw-nonspecial")
-    assert len(binomials) == codim(claw_rt.tree, group)
+    _check_codim(len(binomials), claw_rt.tree, group, "claw set")
     return InvariantSet(claw_rt, group, binomials, provenance, aux.join_log)
 
 
@@ -258,11 +311,7 @@ def generate(tree: Tree, group: GroupSpec,
     handled recursively.
     """
     opts = options or GenerateOptions()
-    total = flow_total(tree, group)
-    if total > opts.flow_cap:
-        raise FlowCapExceeded(
-            f"{total} flows exceed the cap {opts.flow_cap} "
-            f"(group order {group.order}, {tree.leaf_count} leaves)")
+    check_flow_cap(tree, group, opts.flow_cap)
     rng = random.Random(opts.seed) if opts.seed is not None else None
     return _generate(tree, group, opts, rng)
 

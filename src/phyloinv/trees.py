@@ -119,35 +119,9 @@ class Tree:
     def degree(self, u: int) -> int:
         return len(self._adj[u])
 
-    def shortest_path(self, a: int, b: int) -> tuple[Edge, ...]:
-        """The unique path from a to b as a sequence of edges."""
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in self._adj[u]:
-                    if v not in prev:
-                        prev[v] = u
-                        nxt.append(v)
-            if b in prev:
-                break
-            queue = nxt
-        path = []
-        u = b
-        while prev[u] is not None:
-            path.append((prev[u], u))
-            u = prev[u]
-        return tuple(reversed(path))
-
     def canonical_root(self) -> int:
         """The interior node adjacent to leaf 1."""
         return self._adj[1][0]
-
-    def splits(self) -> frozenset[frozenset[int]]:
-        """For each edge, the leaf set on the side not containing leaf 1."""
-        rt = root_at(self, self.canonical_root())
-        return frozenset(frozenset(rt.leaves_below[child]) for _, child in rt.edges)
 
     def canonical_newick(self) -> str:
         """Deterministic Newick form: rooted next to leaf 1, children by min leaf."""
@@ -373,10 +347,6 @@ def parse_newick(text: str) -> Tree:
     return Tree(ell, edges)
 
 
-def to_newick(tree: Tree) -> str:
-    return tree.canonical_newick()
-
-
 def tree_to_json(rt: RootedTree) -> dict:
     """JSON tree dump: nodes renumbered with leaves 1..leaf_count first, then
     interior nodes in BFS discovery order starting from the root."""
@@ -390,7 +360,7 @@ def tree_to_json(rt: RootedTree) -> dict:
     }
 
 
-# -- join / decompose / contract ---------------------------------------
+# -- join / decompose --------------------------------------------------
 
 
 @dataclass
@@ -415,12 +385,6 @@ class JoinContext:
     @property
     def tree(self) -> Tree:
         return self.rooted.tree
-
-    def side1_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.leaf_map1.values()))
-
-    def side2_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.leaf_map2.values()))
 
 
 def join(t1: Tree, v1: int, t2: Tree, v2: int) -> JoinContext:
@@ -539,30 +503,3 @@ def decompose_at_edge(rt: RootedTree, edge: Edge) -> JoinContext:
         leaf_map2=map2,
         eps=(min(u, v), max(u, v)),
     )
-
-
-def contract_interior_edge(tree: Tree, edge: Edge) -> Tree:
-    """Contract an interior edge, identifying its endpoints; leaves unchanged."""
-    u, v = min(edge), max(edge)
-    if (u, v) not in {(min(a, b), max(a, b)) for a, b in tree.edges}:
-        raise InvalidTreeError(f"{edge} is not an edge of the tree")
-    if u <= tree.leaf_count or v <= tree.leaf_count:
-        raise InvalidTreeError(f"cannot contract pendant edge {edge}")
-    survivors = [w for w in tree.interior_nodes if w != v]
-    node_map = {w: w for w in range(1, tree.leaf_count + 1)}
-    for i, w in enumerate(survivors):
-        node_map[w] = tree.leaf_count + 1 + i
-    node_map[v] = node_map[u]
-    edges = []
-    for a, b in tree.edges:
-        if (min(a, b), max(a, b)) == (u, v):
-            continue
-        edges.append((node_map[a], node_map[b]))
-    return Tree(tree.leaf_count, edges)
-
-
-def is_contraction(small: Tree, big: Tree) -> bool:
-    """True iff ``small`` arises from ``big`` by contracting interior edges."""
-    if small.leaf_count != big.leaf_count:
-        return False
-    return small.splits() <= big.splits()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import Error
+from .errors import Error, InternalError
 from .flows import Binomial, binomial_from_multisets, flow_from_leaves
 from .groups import Element, GroupSpec, prime_power_refinement
 from .trees import RootedTree, canonical_rooting, parse_newick
@@ -150,10 +150,13 @@ def cyclic_basis_matrix(g: int, i: int, j: int) -> AdmissibleMatrix:
         for s in range(1, g - i + 1):
             add_exchange(j - s, i + s - 1, 1, 0)
     out = AdmissibleMatrix(GroupSpec((g,)), tuple(tuple(row) for row in M))
-    assert out.entries[i][j] == 1
-    assert all(out.entries[a][b] == 0 for a in range(1, g) for b in range(2, g)
-               if (a, b) != (i, j))
-    assert out.degree <= g, f"degree {out.degree} exceeds {g} at ({i}, {j})"
+    if out.entries[i][j] != 1 or any(
+            out.entries[a][b] for a in range(1, g) for b in range(2, g)
+            if (a, b) != (i, j)):
+        raise InternalError(f"basis matrix ({i}, {j}) over Z{g} is not the "
+                            f"unit vector of its own index within K")
+    if out.degree > g:
+        raise InternalError(f"degree {out.degree} exceeds {g} at ({i}, {j})")
     return out
 
 
@@ -264,7 +267,8 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
     out.extend(embed_second(m) for m in basis_h)
 
     expected = (combined.order - 1) * (combined.order - 2)
-    assert len(out) == expected, f"{len(out)} matrices, expected {expected}"
+    if len(out) != expected:
+        raise InternalError(f"{len(out)} matrices, expected {expected}")
     return out
 
 

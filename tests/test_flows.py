@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from phyloinv.errors import BinomialError, FlowError
 from phyloinv.flows import (binomial_from_multisets, enumerate_flows,
-                            extend_from_t1, flow_from_leaves, flow_index,
-                            is_conservative, iter_flows_fixed_leaf, join_flows,
-                            leaf_values, path_flow, restrict_flow,
-                            restrict_to_t1, restrict_to_t2, vertex_point,
-                            vertex_support)
+                            flow_defects, flow_from_leaves, flow_index,
+                            vertex_point, vertex_support)
 from phyloinv.groups import GroupSpec
-from phyloinv.trees import canonical_rooting, decompose_at_edge, join, parse_newick
+from phyloinv.pipeline import _fixed_leaf_values, join_sets, tripod_set
+from phyloinv.trees import canonical_rooting, join, parse_newick
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -29,7 +27,7 @@ def test_flow_from_leaves_quartet(quartet):
     # pendant edges carry the leaf values, interior edge their side sum
     assert f[:4] == ((1,), (1,), (2,), (2,))
     assert f[4] == (1,)  # (2,)+(2,) on the far side
-    assert is_conservative(quartet, Z3, f)
+    assert not flow_defects(quartet, Z3, [f])
 
 
 def test_flow_needs_zero_sum(quartet):
@@ -49,14 +47,27 @@ def test_enumerate_flows_count_and_order(quartet):
     assert flows[0] == ((0,),) * 5
     for i, f in enumerate(flows):
         assert flow_index(quartet, Z3, f) == i
-        assert is_conservative(quartet, Z3, f)
+        assert not flow_defects(quartet, Z3, [f])
 
 
 def test_fixed_leaf_enumeration(quartet):
-    fixed = list(iter_flows_fixed_leaf(quartet, Z3, 2, (1,)))
+    fixed = list(_fixed_leaf_values(4, Z3, 2, (1,)))
     assert len(fixed) == 9
-    assert all(leaf_values(f, quartet)[1] == (1,) for f in fixed)
+    assert all(vals[1] == (1,) for vals in fixed)
     assert len(set(fixed)) == 9
+    # every tuple is the leaf part of a flow
+    assert all(flow_from_leaves(quartet, Z3, vals)[:4] == vals for vals in fixed)
+
+
+def test_flow_defects_name_the_fault(quartet):
+    f = flow_from_leaves(quartet, Z3, [(1,), (1,), (2,), (2,)])
+    moved = f[:4] + ((2,),)
+    outside = ((3,),) + f[1:]
+    defects = flow_defects(quartet, Z3, [f, moved, outside, f[:4]])
+    assert set(defects) == {moved, outside, f[:4]}
+    assert "conserve" in defects[moved]
+    assert "not in Z3" in defects[outside]
+    assert "4 edge values" in defects[f[:4]]
 
 
 def test_vertex_point_shape(quartet):
@@ -97,60 +108,38 @@ def test_edge_swap_binomial(quartet):
 
 
 class TestJoinCalculus:
+    """Joined flows as ``join_sets`` builds them from part leaf values."""
+
     def setup_method(self):
         t = parse_newick("(1,2,3);")
         self.ctx = join(t, 3, t, 3)
         self.g = Z3
+        self.s = join_sets(self.ctx, Z3, tripod_set(Z3), tripod_set(Z3))
 
     def test_path_flow(self):
-        # part-tree labels: leaf 1 of T1 and leaf 1 of T2 (joined label 3)
-        f = path_flow(self.ctx, self.g, 1, 1, (1,))
-        vals = leaf_values(f, self.ctx.rooted)
-        assert vals == ((2,), (0,), (1,), (0,))
-
-    def test_restrictions_are_complementary(self):
-        for f in enumerate_flows(self.ctx.rooted, self.g):
-            f1 = restrict_to_t1(self.ctx, self.g, f)
-            f2 = restrict_to_t2(self.ctx, self.g, f)
-            v1 = leaf_values(f1, self.ctx.t1)[self.ctx.v1 - 1]
-            v2 = leaf_values(f2, self.ctx.t2)[self.ctx.v2 - 1]
-            assert self.g.add(v1, v2) == self.g.zero()
-            assert join_flows(self.ctx, self.g, f1, f2) == f
-
-    def test_join_rejects_incompatible(self):
-        flows1 = enumerate_flows(self.ctx.t1, self.g)
-        f1 = flows1[1]
-        bad = next(f2 for f2 in enumerate_flows(self.ctx.t2, self.g)
-                   if self.g.add(leaf_values(f1, self.ctx.t1)[self.ctx.v1 - 1],
-                                 leaf_values(f2, self.ctx.t2)[self.ctx.v2 - 1])
-                   != self.g.zero())
-        with pytest.raises(FlowError):
-            join_flows(self.ctx, self.g, f1, bad)
+        # distinguished part leaves: leaf 1 of T1 (joined label 1) and
+        # leaf 1 of T2 (joined label 3); every edge quadric holds the path
+        # flow of some g0: -g0 at label 1, g0 at label 3, zero elsewhere
+        paths = {g0: flow_from_leaves(self.ctx.rooted, self.g,
+                                      [self.g.neg(g0), (0,), g0, (0,)])
+                 for g0 in self.g.elements}
+        assert paths[(1,)][:4] == ((2,), (0,), (1,), (0,))
+        quadrics = [b for b, tag in zip(self.s.binomials, self.s.provenance)
+                    if tag == "join-edge-quadric"]
+        assert len(quadrics) == 12
+        for b in quadrics:
+            assert any(f in paths.values() for f in b.lhs)
 
     def test_extension_keeps_t1_values(self):
-        f1 = flow_from_leaves(self.ctx.t1, self.g, [(1,), (1,), (1,)])
-        ext = extend_from_t1(self.ctx, self.g, f1, 1)
-        vals = leaf_values(ext, self.ctx.rooted)
-        assert vals[0] == (1,)
-        assert vals[1] == (1,)
-        assert vals[2] == (1,)  # rerouted through chosen far leaf
-        assert vals[3] == (0,)
-
-
-def test_restrict_flow_drops_contracted_edge():
-    big = canonical_rooting(parse_newick("((1,2),(3,4));"))
-    small = canonical_rooting(parse_newick("(1,2,3,4);"))
-    for f in enumerate_flows(big, Z3):
-        r = restrict_flow(f, big, small, Z3)
-        assert leaf_values(r, small) == leaf_values(f, big)
-
-
-def test_restrict_flow_requires_contraction():
-    a = canonical_rooting(parse_newick("((1,2),(3,4));"))
-    b = canonical_rooting(parse_newick("((1,3),(2,4));"))
-    f = enumerate_flows(a, Z2)[0]
-    with pytest.raises(FlowError):
-        restrict_flow(f, a, b, Z2)
+        # a T1 flow keeps its values at joined labels 1, 2 and reroutes its
+        # v1 value to label 3 (leaf 1 of T2); label 4 stays zero
+        lifted = [b for b, tag in zip(self.s.binomials, self.s.provenance)
+                  if tag == "join-E1"]
+        parts = tripod_set(Z3).binomials
+        assert len(lifted) == len(parts) == 2
+        for b, b1 in zip(lifted, parts):
+            assert [f[:4] for f in b.lhs] == [h[:3] + ((0,),) for h in b1.lhs]
+            assert [f[:4] for f in b.rhs] == [h[:3] + ((0,),) for h in b1.rhs]
 
 
 @given(st.sampled_from(["(1,2,3);", "((1,2),(3,4));", "(1,2,3,4,5);"]),

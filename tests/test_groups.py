@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phyloinv.errors import GroupParseError
-from phyloinv.groups import (GroupSpec, enumerate_elements, parse_group_spec,
-                             prime_power_refinement)
+from phyloinv.groups import GroupSpec, parse_group_spec, prime_power_refinement
 
 
 def test_parse_single_factor():
@@ -35,7 +34,7 @@ def test_parse_rejects(bad):
 
 def test_elements_order_and_zero_first():
     g = GroupSpec((2, 3))
-    els = enumerate_elements(g)
+    els = g.elements
     assert len(els) == 6
     assert els[0] == (0, 0)
     assert list(els) == sorted(els)  # lexicographic

@@ -2,6 +2,7 @@
 
 import pytest
 
+from phyloinv import oracle
 from phyloinv.errors import Cancelled, FlowCapExceeded
 from phyloinv.flows import Binomial, enumerate_flows
 from phyloinv.groups import GroupSpec, parse_group_spec
@@ -181,3 +182,61 @@ def test_oracle_matches_construction_across_instances():
         g = GroupSpec(factors)
         K = oracle_kernel(rt, g)
         assert K.rank == codim(rt.tree, g)
+
+
+class TestNonFlows:
+    """Negative controls: terms that are no flows must not be certified."""
+
+    def test_moved_interior_value_is_rejected(self):
+        # the same interior-edge change on one lhs and one rhs flow keeps the
+        # per-edge projections equal, but neither term is a flow any more
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        i, b = next((i, b) for i, b in enumerate(s.binomials)
+                    if any(f[4] == h[4] for f in b.lhs for h in b.rhs))
+        p, q = next((p, q) for p, f in enumerate(b.lhs)
+                    for q, h in enumerate(b.rhs) if f[4] == h[4])
+        new = Z3.add(b.lhs[p][4], (1,))
+        lhs, rhs = list(b.lhs), list(b.rhs)
+        lhs[p] = lhs[p][:4] + (new,)
+        rhs[q] = rhs[q][:4] + (new,)
+        tampered = Binomial(tuple(sorted(lhs)), tuple(sorted(rhs)))
+        binomials = list(s.binomials)
+        binomials[i] = tampered
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, binomials, list(s.provenance)))
+        assert not r.passed
+        assert not r.kernel_membership_ok
+        msgs = [m for m in r.failures if "is not a flow" in m]
+        assert len(msgs) == 2
+        assert all(m.startswith(f"binomial {i}: term ") for m in msgs)
+        assert str(lhs[p]) in msgs[0] + msgs[1]
+
+    def test_value_outside_group_is_rejected(self):
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        b = s.binomials[0]
+        bad = ((3,),) + b.lhs[0][1:]
+        foreign = Binomial((bad,) + b.lhs[1:], b.rhs)
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, [foreign] + list(s.binomials[1:]),
+                         list(s.provenance)))
+        assert not r.passed
+        assert not r.kernel_membership_ok
+        assert any(m.startswith("binomial 0: term ") and "not in Z3" in m
+                   for m in r.failures)
+
+
+def test_passed_iff_no_failures(monkeypatch):
+    # a kernel rank that disagrees with the formula fails the set even when
+    # the four booleans hold: here the span matches the (wrong) rank
+    s = generate(parse_newick("((1,2),(3,4));"), Z3)
+    dup = list(s.binomials[:-1]) + [s.binomials[0]]
+    real = oracle.monomial_matrix_rank
+    monkeypatch.setattr(oracle, "monomial_matrix_rank",
+                        lambda *a, **kw: real(*a, **kw) + 1)
+    r = verify_complete_intersection(
+        InvariantSet(s.rooted, s.group, dup, list(s.provenance)))
+    assert r.count_ok and r.kernel_membership_ok
+    assert r.spans_ok and r.degree_bound_ok
+    assert r.failures == ["kernel rank 15 differs from codimension formula 16"]
+    assert not r.passed
+    assert r.to_json()["pass"] is False

@@ -1,0 +1,67 @@
+"""Byte-for-byte output pins: refactors must keep these hashes.
+
+The instances cover every join and claw branch: seeds 0 and 1 on the
+three-cherry tree lift the 234-binomial part set across the shared edge
+from either side, the seeded Z3 tree joins unequal parts, and the claws
+go through the auxiliary-tree recursion with special and nonspecial
+quadrics in both tripod modes.  Outputs are hashed exactly as the CLI
+writes them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from phyloinv.groups import parse_group_spec
+from phyloinv.oracle import verify_complete_intersection
+from phyloinv.pipeline import GenerateOptions, algebra_text, generate
+from phyloinv.trees import parse_newick
+
+GENERATE_PINS = [
+    ("Z2xZ2", "((1,2),(3,4),(5,6));", {"seed": 0},
+     "016a027858f5058735af0b92f1915d077d63b1f706e43afa66a24eac6efe02d8",
+     "b22c60dc189a6ff7c942b35e2918f5f1ae4fef34d8eb7593bd61c1be86ba98fe"),
+    ("Z2xZ2", "((1,2),(3,4),(5,6));", {"seed": 1},
+     "8a3d487b7b2a4fe0036a1e1708012ba5bc7167201318fd7fd620d961ee0fc1fc",
+     "d348afa8046c54462a1a35b9ed6a495c26687a60b5ff92f778e29ecd09618581"),
+    ("Z3", "(((1,2),3),(4,5),6);", {"seed": 2},
+     "9b5325ce87b591a01293eb6779674e1d81a449e42e8e7e3bd3cae8c55b3c450d",
+     "998d16afd4d2a6fb7d3fd7d88735268720ea2af9c49c22a9017a7a4bc666720e"),
+    ("Z4", "(1,2,3,4,5);", {},
+     "4ccd51f950d3bd8e386110beac6f4964bf5b3fd7bd38db36ebf365efb05849f1",
+     "c8c4e093c66f989e3f6524014742c76d24f3dbb405aa484fc08e937614d6c0bf"),
+    ("Z2xZ3", "(1,2,3,4);", {"mode": "factored"},
+     "a010b60c696f018c5505b8e42546c3ea1ba4ce73a4ee11c6cbeb60a0a3a0b9a6",
+     "2d0ab4abcc4b0f923234c4f2ee8684529f47baa00921dec6d3da4c38272218bf"),
+    ("Z6", "((1,2),(3,4));", {"mode": "factored"},
+     "f68a28e380a19d104fd6d2b993103b57808f0fdc039160769df5ef6481d40cfd",
+     "2b5402fd9d347c806b891218e5279a55f8fe0b49c222de6cba8883934ea687f0"),
+]
+
+VERIFY_PIN = "4a1fbc9076d57f81b0ae5b99a93e8c1a680b65753d289108ec0f0664dc8cfa31"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def dump(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def gen(group, newick, kw):
+    return generate(parse_newick(newick), parse_group_spec(group),
+                    GenerateOptions(**kw))
+
+
+@pytest.mark.parametrize("group,newick,kw,json_pin,text_pin", GENERATE_PINS)
+def test_generate_outputs_pinned(group, newick, kw, json_pin, text_pin):
+    s = gen(group, newick, kw)
+    assert sha256(dump(s.to_json())) == json_pin
+    assert sha256(algebra_text(s)) == text_pin
+
+
+def test_verify_output_pinned():
+    s = gen("Z2xZ3", "(1,2,3,4);", {"mode": "factored"})
+    assert sha256(dump(verify_complete_intersection(s).to_json())) == VERIFY_PIN

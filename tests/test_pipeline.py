@@ -2,7 +2,7 @@
 
 import pytest
 
-from phyloinv.errors import FlowCapExceeded
+from phyloinv.errors import FlowCapExceeded, InternalError
 from phyloinv.flows import binomial_from_multisets
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.oracle import codim
@@ -61,6 +61,16 @@ class TestJoinSets:
         s = join_sets(ctx, Z2, tripod_set(Z2), generate(t2, Z2))
         (entry,) = [e for e in s.join_log if e["leaves"] == 5]
         assert entry["family_quadric"] == 2 * (2 ** 1 - 1) * (2 ** 2 - 1)
+
+    def test_short_part_set_raises_internal_error(self):
+        # a raised error, not an assert, so that python -O keeps the check
+        t = parse_newick("(1,2,3);")
+        ctx = join(t, 3, t, 3)
+        s1 = tripod_set(Z3)
+        short = InvariantSet(s1.rooted, Z3, s1.binomials[1:], s1.provenance[1:])
+        with pytest.raises(InternalError, match="1 binomials, codim 2"):
+            join_sets(ctx, Z3, short, tripod_set(Z3))
+        assert not issubclass(InternalError, ValueError)
 
 
 class TestClawSet:

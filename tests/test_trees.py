@@ -3,8 +3,7 @@
 import pytest
 
 from phyloinv.errors import InvalidTreeError, NewickParseError
-from phyloinv.trees import (Tree, canonical_rooting, contract_interior_edge,
-                            decompose_at_edge, is_contraction, join,
+from phyloinv.trees import (Tree, canonical_rooting, decompose_at_edge, join,
                             parse_newick, root_at, tree_to_json)
 
 
@@ -104,11 +103,6 @@ class TestTree:
         with pytest.raises(InvalidTreeError):
             Tree(3, [(1, 2), (1, 3), (1, 4)])
 
-    def test_splits_quartet(self):
-        t = quartet()
-        pairs = {frozenset(s) for s in t.splits() if len(s) == 2}
-        assert frozenset({1, 2}) in pairs or frozenset({3, 4}) in pairs
-
     def test_canonical_newick_roundtrip(self):
         for text in ["(1,2,3);", "((1,2),(3,4));", "((((1,2),3),4),(5,6));",
                      "(1,2,3,4,5);", "((1,2),(3,4),5);"]:
@@ -177,8 +171,8 @@ class TestJoinDecompose:
         rt = canonical_rooting(t)
         for edge in rt.interior_edges():
             ctx = decompose_at_edge(rt, edge)
-            side1 = set(ctx.side1_labels())
-            side2 = set(ctx.side2_labels())
+            side1 = set(ctx.leaf_map1.values())
+            side2 = set(ctx.leaf_map2.values())
             assert side1 | side2 == set(range(1, 7))
             assert side1.isdisjoint(side2)
             # parts are genuine trees with >= 3 leaves each
@@ -192,10 +186,3 @@ class TestJoinDecompose:
         with pytest.raises(InvalidTreeError):
             decompose_at_edge(rt, rt.edges[0])
 
-    def test_contract_and_is_contraction(self):
-        big = parse_newick("((1,2),(3,4));")
-        inner = next(e for e in big.edges if e[0] > 4 and e[1] > 4)
-        small = contract_interior_edge(big, inner)
-        assert small.is_claw
-        assert is_contraction(small, big)
-        assert not is_contraction(big, small)
