@@ -6,8 +6,8 @@ import argparse
 import json
 import sys
 
-from .errors import (FlowCapExceeded, GroupParseError, InvalidTreeError,
-                     NewickParseError)
+from .errors import (FlowCapExceeded, GroupParseError, InternalError,
+                     InvalidTreeError, NewickParseError)
 from .flows import DEFAULT_FLOW_CAP
 from .groups import parse_group_spec
 from .oracle import lattice_report, verify_complete_intersection
@@ -18,6 +18,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     except FlowCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP_EXCEEDED
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL_ERROR
     except (GroupParseError, NewickParseError, InvalidTreeError, OSError,
             ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

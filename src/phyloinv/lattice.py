@@ -21,13 +21,12 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, inf
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import Cancelled, LatticeError, OutsideSpanError
 
 Matrix = list[list[int]]
-_JSON_INT_LIMIT = 1 << 53
 
 
 def _copy(A: Sequence[Sequence[int]]) -> Matrix:
@@ -268,10 +267,6 @@ class LatticeBasis:
         basis = tuple(tuple(row) for row in H if any(row))
         return cls(ambient, basis)
 
-    def to_json(self) -> dict:
-        return {"ambient": self.ambient,
-                "vectors": [[_int_json(x) for x in v] for v in self.vectors]}
-
 
 def kernel_lattice(A: Sequence[Sequence[int]], cancel: Callable[[], bool] | None = None
                    ) -> LatticeBasis:
@@ -315,56 +310,11 @@ def spans(vectors: Iterable[Sequence[int]], L: LatticeBasis) -> bool:
     return lattice_equal(LatticeBasis.from_vectors(L.ambient, vecs), L)
 
 
-def sublattice_index(L_super: LatticeBasis, L_sub: LatticeBasis) -> int | float:
-    """The index [L_super : L_sub]; ``inf`` when the ranks differ.
-
-    Raises :class:`LatticeError` if L_sub is not contained in L_super.
-    """
-    if L_super.ambient != L_sub.ambient:
-        raise LatticeError("ambient dimensions differ")
-    sup = LatticeBasis.from_vectors(L_super.ambient, L_super.vectors)
-    ech = Echelon(sup.ambient)
-    for b in sup.vectors:
-        ech.add(b)
-    coords = []
-    for v in L_sub.vectors:
-        c = _coordinates(sup.vectors, v)
-        if c is None:
-            raise LatticeError("the second lattice is not contained in the first")
-        coords.append(c)
-    if L_sub.rank < sup.rank:
-        return inf
-    return abs(det(coords))
-
-
-def _coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
-    """Coordinates of v in an HNF basis, or None when v is not in the lattice."""
-    pivots = []
-    for row in basis:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    rem = list(v)
-    out = [0] * len(basis)
-    for k, (row, pj) in enumerate(zip(basis, pivots)):
-        if rem[pj]:
-            q, r = divmod(rem[pj], row[pj])
-            if r:
-                return None
-            out[k] = q
-            rem = [x - q * y for x, y in zip(rem, row)]
-    if any(rem):
-        return None
-    return out
-
-
 class Echelon:
     """Incremental integer row echelon accumulating a lattice.
 
     ``add`` folds a vector in with unimodular row operations (the pivot of a
-    stored row may shrink to the gcd); ``contains`` is exact membership in
-    the currently accumulated lattice.
+    stored row may shrink to the gcd).
     """
 
     def __init__(self, width: int):
@@ -408,23 +358,6 @@ class Echelon:
                 self.rows.insert(k, v)
                 self.pivcols.insert(k, j)
                 return True
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = [int(x) for x in vec]
-        if len(v) != self.width:
-            return False
-        for row, pj in zip(self.rows, self.pivcols):
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
-                return True
-            if lead < pj:
-                return False
-            if v[pj]:
-                q, r = divmod(v[pj], row[pj])
-                if r:
-                    return False
-                v = [x - q * y for x, y in zip(v, row)]
-        return not any(v)
 
     def basis(self) -> LatticeBasis:
         return LatticeBasis.from_vectors(self.width, self.rows)
@@ -517,23 +450,3 @@ def sparse_span_certificate(rows_in: Sequence[dict[int, int]],
         leftover = invariant_factors(dense)
     return pivots + len(leftover), leftover
 
-
-# -- JSON --------------------------------------------------------------
-
-
-def _int_json(x: int):
-    return x if -_JSON_INT_LIMIT < x < _JSON_INT_LIMIT else str(x)
-
-
-def matrix_to_json(A: Sequence[Sequence[int]]) -> dict:
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    return {"rows": rows, "cols": cols,
-            "entries": [[_int_json(x) for x in row] for row in A]}
-
-
-def matrix_from_json(obj: dict) -> Matrix:
-    entries = [[int(x) for x in row] for row in obj["entries"]]
-    if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
-        raise LatticeError("matrix JSON shape mismatch")
-    return entries

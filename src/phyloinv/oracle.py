@@ -179,6 +179,20 @@ class VerificationReport:
         }
 
 
+def _tuple_terms(b: Binomial) -> Binomial:
+    """``b`` with every term a tuple of element tuples.  A set rebuilt from
+    JSON has list terms, and the checks hash terms; ``b`` itself is returned
+    when it already hashes."""
+    try:
+        hash(b)
+        return b
+    except TypeError:
+        lhs, rhs = [tuple(tuple(tuple(e) if isinstance(e, list) else e
+                                for e in f) for f in side)
+                    for side in (b.lhs, b.rhs)]
+        return Binomial(lhs, rhs)
+
+
 def verify_complete_intersection(s: "InvariantSet",
                                  flow_cap: int = DEFAULT_FLOW_CAP,
                                  with_lattice_info: bool = True,
@@ -197,16 +211,17 @@ def verify_complete_intersection(s: "InvariantSet",
     tree = rt.tree
     n_flows = check_flow_cap(tree, group, flow_cap)
     failures: list[str] = []
+    binomials = [_tuple_terms(b) for b in s.binomials]
 
     expected = codim(tree, group)
-    actual = len(s.binomials)
+    actual = len(binomials)
     count_ok = actual == expected
     if not count_ok:
         failures.append(f"count: expected {expected} generators, found {actual}")
 
-    defects = flow_defects(rt, group, {f for b in s.binomials for f in b.lhs + b.rhs})
+    defects = flow_defects(rt, group, {f for b in binomials for f in b.lhs + b.rhs})
     membership_ok = True
-    for i, b in enumerate(s.binomials):
+    for i, b in enumerate(binomials):
         bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
         for f in bad:
             failures.append(f"binomial {i}: term {f} is not a flow: {defects[f]}")
@@ -226,7 +241,7 @@ def verify_complete_intersection(s: "InvariantSet",
 
     bound = degree_bound(group)
     degree_ok = True
-    for i, b in enumerate(s.binomials):
+    for i, b in enumerate(binomials):
         if b.degree > bound:
             degree_ok = False
             failures.append(f"binomial {i}: degree {b.degree} exceeds bound {bound}")
@@ -238,7 +253,7 @@ def verify_complete_intersection(s: "InvariantSet",
             f"kernel rank {kernel_rank} differs from codimension formula {expected}")
 
     if membership_ok:
-        rows = [exponent_vector(rt, group, b) for b in s.binomials]
+        rows = [exponent_vector(rt, group, b) for b in binomials]
         span_rank, leftover = sparse_span_certificate(rows, cancel=cancel)
         spans_ok = span_rank == kernel_rank and all(d == 1 for d in leftover)
         if span_rank != kernel_rank:

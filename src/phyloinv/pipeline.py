@@ -62,14 +62,15 @@ class InvariantSet:
         return out
 
     def to_json(self) -> dict:
+        # terms stay the stored tuples of element tuples, which json writes
+        # as nested arrays; copying them into lists would only cost time
         return {
             "group": str(self.group),
             "tree": tree_to_json(self.rooted),
             "codim": codim(self.rooted.tree, self.group),
             "invariants": [
                 {"degree": b.degree, "provenance": tag,
-                 "lhs": [[list(e) for e in f] for f in b.lhs],
-                 "rhs": [[list(e) for e in f] for f in b.rhs]}
+                 "lhs": b.lhs, "rhs": b.rhs}
                 for b, tag in zip(self.binomials, self.provenance)
             ],
         }

@@ -127,15 +127,14 @@ class Tree:
         """Deterministic Newick form: rooted next to leaf 1, children by min leaf."""
         if self._canon is None:
             rt = root_at(self, self.canonical_root())
-
-            def render(u: int) -> tuple[int, str]:
-                if u <= self.leaf_count:
-                    return u, str(u)
-                parts = sorted(render(c) for c in rt.children[u])
-                return parts[0][0], "(" + ",".join(p[1] for p in parts) + ")"
-
-            parts = sorted(render(c) for c in rt.children[rt.root])
-            self._canon = "(" + ",".join(p[1] for p in parts) + ");"
+            # (min leaf, text) per node, children before parents
+            rendered = {leaf: (leaf, str(leaf))
+                        for leaf in range(1, self.leaf_count + 1)}
+            for u in reversed(rt.interior_discovery):
+                parts = sorted(rendered[c] for c in rt.children[u])
+                rendered[u] = (parts[0][0],
+                               "(" + ",".join(p[1] for p in parts) + ")")
+            self._canon = rendered[rt.root][1] + ";"
         return self._canon
 
     # interior node numbers carry no meaning, so equality goes through the
@@ -188,19 +187,10 @@ class RootedTree:
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.interior_discovery = tuple(discovery)
 
-        below: dict[int, tuple[int, ...]] = {}
-
-        def fill(u: int) -> tuple[int, ...]:
-            if u <= tree.leaf_count:
-                below[u] = (u,)
-            else:
-                acc: list[int] = []
-                for c in self.children[u]:
-                    acc.extend(fill(c))
-                below[u] = tuple(sorted(acc))
-            return below[u]
-
-        fill(root)
+        # reverse discovery order visits every child before its parent
+        below = {leaf: (leaf,) for leaf in range(1, tree.leaf_count + 1)}
+        for u in reversed(discovery):
+            below[u] = tuple(sorted(x for c in self.children[u] for x in below[c]))
         self.leaves_below = below
 
     @property
@@ -263,29 +253,40 @@ class _Parser:
             self.i = m.end()
 
     def subtree(self):
-        self.skip_ws()
-        if self.peek() == "(":
-            self.i += 1
-            children = [self.subtree()]
+        """A leaf label or a parenthesised list of at least two subtrees.
+
+        Open groups live on an explicit stack, so nesting depth is not
+        bounded by the interpreter's recursion limit.
+        """
+        stack: list[list] = []  # the children read so far of each open "("
+        while True:
             self.skip_ws()
-            if self.peek() != ",":
-                self.fail("expected ',' (interior nodes need at least two children)")
-            while self.peek() == ",":
+            if self.peek() == "(":
                 self.i += 1
-                children.append(self.subtree())
-                self.skip_ws()
-            self.expect(")")
+                stack.append([])
+                continue
+            m = _LABEL_RE.match(self.text, self.i)
+            if m is None:
+                self.fail("expected a leaf label or '('")
+            label = int(m.group())
+            if label == 0:
+                self.fail("leaf labels are positive integers")
+            self.i = m.end()
             self.length_opt()
-            return children
-        m = _LABEL_RE.match(self.text, self.i)
-        if m is None:
-            self.fail("expected a leaf label or '('")
-        label = int(m.group())
-        if label == 0:
-            self.fail("leaf labels are positive integers")
-        self.i = m.end()
-        self.length_opt()
-        return label
+            node = label
+            while stack:
+                stack[-1].append(node)
+                self.skip_ws()
+                if self.peek() == ",":
+                    self.i += 1
+                    break
+                if len(stack[-1]) < 2:
+                    self.fail("expected ',' (interior nodes need at least two children)")
+                self.expect(")")
+                self.length_opt()
+                node = stack.pop()
+            else:
+                return node
 
     def parse(self):
         node = self.subtree()
@@ -302,15 +303,13 @@ def parse_newick(text: str) -> Tree:
     nested = _Parser(text).parse()
 
     labels: list[int] = []
-
-    def collect(node):
+    pending = [nested]
+    while pending:
+        node = pending.pop()
         if isinstance(node, int):
             labels.append(node)
         else:
-            for c in node:
-                collect(c)
-
-    collect(nested)
+            pending.extend(node)
     ell = len(labels)
     dupes = {x for x in labels if labels.count(x) > 1}
     if dupes:
@@ -327,14 +326,27 @@ def parse_newick(text: str) -> Tree:
     counter = ell
 
     def build(node) -> int:
+        """Number the interior nodes of ``node`` in preorder and append the
+        edge to each child once the child's subtree is complete."""
         nonlocal counter
         if isinstance(node, int):
             return node
         counter += 1
-        my = counter
-        for c in node:
-            edges.append((my, build(c)))
-        return my
+        top = counter
+        stack = [(top, iter(node))]
+        while stack:
+            my, children = stack[-1]
+            c = next(children, None)
+            if c is None:
+                stack.pop()
+                if stack:
+                    edges.append((stack[-1][0], my))
+            elif isinstance(c, int):
+                edges.append((my, c))
+            else:
+                counter += 1
+                stack.append((counter, iter(c)))
+        return top
 
     if isinstance(nested, int):
         raise InvalidTreeError("fewer than 3 leaves (got 1)")

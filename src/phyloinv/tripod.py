@@ -9,17 +9,23 @@ so a generating set of the admissible lattice gives the tripod's defining
 binomials on the dense torus orbit.
 
 For cyclic Z_g the basis is indexed by K = {(i, j) : i != 0, j not in
-{0, 1}} and built from sums of exchange matrices; each basis matrix has a
+{0, 1}} and built from sums of exchange moves; each basis matrix has a
 single 1 inside K (at its own index) and zeros at the other K positions,
 which is what makes the set a lattice basis.  For products G x H the basis
 consists of degree-3 matrices from eight families (six built from a fixed
 six-entry pattern and its transposes, plus the two embedded factor bases).
+
+Matrices are stored sparse, as their nonzero entries: a cyclic basis
+matrix has O(g) of them and a product cubic six, so building, checking and
+converting a matrix costs time in its nonzeros, not in |G|^2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Mapping
 
 from .errors import Error, InternalError
 from .flows import Binomial, binomial_from_multisets, flow_from_leaves
@@ -36,123 +42,98 @@ def tripod_tree() -> RootedTree:
     return canonical_rooting(parse_newick("(1,2,3);"))
 
 
-def admissibility_failure(entries, spec: GroupSpec) -> str | None:
-    """None when admissible, else a description of the first failing condition."""
+def admissibility_failure(entries: Mapping[tuple[int, int], int],
+                          spec: GroupSpec) -> str | None:
+    """None when admissible, else a description of the first failing condition.
+
+    ``entries`` maps (row, column) element-index pairs to values; one pass
+    over them sums the rows, the columns and the antidiagonal classes.
+    Failures are reported rows first, then columns, then classes, each in
+    element order.
+    """
     els = spec.elements
     n = len(els)
-    if len(entries) != n or any(len(row) != n for row in entries):
-        return f"matrix must be {n}x{n} for group {spec}"
-    for i, row in enumerate(entries):
-        s = sum(row)
-        if s:
-            return f"row {els[i]} sums to {s}"
-    for j in range(n):
-        s = sum(row[j] for row in entries)
-        if s:
-            return f"column {els[j]} sums to {s}"
-    class_sum: dict[Element, int] = {e: 0 for e in els}
-    for i, row in enumerate(entries):
-        for j, v in enumerate(row):
-            if v:
-                class_sum[spec.add(els[i], els[j])] += v
-    for k, s in class_sum.items():
-        if s:
-            return f"antidiagonal class i+j={k} sums to {s}"
+    rows: Counter = Counter()
+    cols: Counter = Counter()
+    classes: Counter = Counter()
+    for (a, b), v in entries.items():
+        if not (a in range(n) and b in range(n)):
+            return f"index ({a}, {b}) outside 0..{n - 1} for group {spec}"
+        rows[a] += v
+        cols[b] += v
+        classes[spec.index(spec.add(els[a], els[b]))] += v
+    for sums, name in ((rows, "row {}"), (cols, "column {}"),
+                       (classes, "antidiagonal class i+j={}")):
+        k = min((k for k, s in sums.items() if s), default=None)
+        if k is not None:
+            return f"{name.format(els[k])} sums to {sums[k]}"
     return None
-
-
-def is_admissible(entries, spec: GroupSpec) -> tuple[bool, str | None]:
-    failure = admissibility_failure(entries, spec)
-    return failure is None, failure
 
 
 @dataclass(frozen=True)
 class AdmissibleMatrix:
-    """An admissible matrix; the constructor enforces admissibility."""
+    """An admissible matrix stored sparse: ``entries`` maps (row, column)
+    element-index pairs to the nonzero values.  The constructor drops zeros
+    and enforces admissibility."""
 
     group: GroupSpec
-    entries: tuple[tuple[int, ...], ...]
+    entries: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(int(x) for x in row)
-                                                  for row in self.entries))
-        failure = admissibility_failure(self.entries, self.group)
+        entries = {k: int(v) for k, v in self.entries.items() if v}
+        object.__setattr__(self, "entries", entries)
+        failure = admissibility_failure(entries, self.group)
         if failure is not None:
             raise AdmissibilityError(f"not admissible: {failure}")
 
     @cached_property
     def degree(self) -> int:
-        return sum(x for row in self.entries for x in row if x > 0)
+        return sum(v for v in self.entries.values() if v > 0)
 
     def entry(self, a: Element, b: Element) -> int:
-        return self.entries[self.group.index(a)][self.group.index(b)]
+        return self.entries.get((self.group.index(a), self.group.index(b)), 0)
 
     def transpose(self) -> "AdmissibleMatrix":
-        n = len(self.entries)
-        return AdmissibleMatrix(self.group, tuple(
-            tuple(self.entries[i][j] for i in range(n)) for j in range(n)))
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(x for row in self.entries for x in row)
-
-    def to_json(self) -> dict:
-        return {"group": str(self.group),
-                "entries": [list(row) for row in self.entries],
-                "degree": self.degree}
+        return AdmissibleMatrix(self.group, {(b, a): v for (a, b), v
+                                             in self.entries.items()})
 
 
-def exchange_matrix(g: int, r1: int, r2: int, c1: int, c2: int) -> list[list[int]]:
-    """The g x g matrix +1 at (r1,c1),(r2,c2) and -1 at (r1,c2),(r2,c1).
-
-    This is the elementary admissible move exchanging two rows across two
-    columns; it degenerates to zero when r1 = r2 or c1 = c2, which callers
-    must exclude.
-    """
+def _add_exchange(acc: Counter, g: int, r1: int, r2: int, c1: int, c2: int):
+    """Add the exchange move +1 at (r1,c1),(r2,c2), -1 at (r1,c2),(r2,c1),
+    indices mod g.  The move exchanges two rows across two columns; it is
+    zero, and skipped, when r1 = r2 or c1 = c2."""
     r1 %= g; r2 %= g; c1 %= g; c2 %= g
     if r1 == r2 or c1 == c2:
-        raise ValueError("exchange matrix needs distinct rows and distinct columns")
-    M = [[0] * g for _ in range(g)]
-    M[r1][c1] += 1
-    M[r2][c2] += 1
-    M[r1][c2] -= 1
-    M[r2][c1] -= 1
-    return M
+        return
+    acc[r1, c1] += 1
+    acc[r2, c2] += 1
+    acc[r1, c2] -= 1
+    acc[r2, c1] -= 1
 
 
 def cyclic_basis_matrix(g: int, i: int, j: int) -> AdmissibleMatrix:
     """The admissible basis matrix for index (i, j) in K over Z_g.
 
-    Built as the exchange matrix at (i,0,j,0) plus a telescoping chain of
-    exchange matrices with column pair (1, 0); the chain runs over
-    s = 1..i when i <= g/2 and over s = 1..g-i (with the row roles of i and
-    j exchanged) otherwise.  Chain terms whose two rows coincide are zero
-    and simply dropped.  The result has a lone 1 at (i, j) within K and is
+    Built as the exchange move at (i,0,j,0) plus a telescoping chain of
+    exchange moves with column pair (1, 0); the chain runs over s = 1..i
+    when i <= g/2 and over s = 1..g-i (with the row roles of i and j
+    exchanged) otherwise.  Chain terms whose two rows coincide are zero and
+    simply dropped.  The result has a lone 1 at (i, j) within K and is
     admissible of degree <= g.
     """
     if not (0 < i < g and 1 < j < g):
         raise ValueError(f"(i, j) = ({i}, {j}) is not in K for Z_{g}")
-    M = [[0] * g for _ in range(g)]
-
-    def add_exchange(r1, r2, c1, c2):
-        r1 %= g; r2 %= g; c1 %= g; c2 %= g
-        if r1 == r2 or c1 == c2:
-            return
-        M[r1][c1] += 1
-        M[r2][c2] += 1
-        M[r1][c2] -= 1
-        M[r2][c1] -= 1
-
-    add_exchange(i, 0, j, 0)
+    acc: Counter = Counter()
+    _add_exchange(acc, g, i, 0, j, 0)
     if i <= g // 2:
         for s in range(1, i + 1):
-            add_exchange(i - s, j + s - 1, 1, 0)
+            _add_exchange(acc, g, i - s, j + s - 1, 1, 0)
     else:
         for s in range(1, g - i + 1):
-            add_exchange(j - s, i + s - 1, 1, 0)
-    out = AdmissibleMatrix(GroupSpec((g,)), tuple(tuple(row) for row in M))
-    if out.entries[i][j] != 1 or any(
-            out.entries[a][b] for a in range(1, g) for b in range(2, g)
-            if (a, b) != (i, j)):
+            _add_exchange(acc, g, j - s, i + s - 1, 1, 0)
+    out = AdmissibleMatrix(GroupSpec((g,)), acc)
+    if out.entries.get((i, j)) != 1 or any(
+            a >= 1 and b >= 2 and (a, b) != (i, j) for a, b in out.entries):
         raise InternalError(f"basis matrix ({i}, {j}) over Z{g} is not the "
                             f"unit vector of its own index within K")
     if out.degree > g:
@@ -172,7 +153,9 @@ def product_cubic(gs: GroupSpec, hs: GroupSpec, i: Element, j: Element,
 
     Six entries on the rows (i,0), (i,k), (i+j,0) and columns (0,l),
     (0,k+l), (j,l): +1 at ((i,k),(j,l)), ((i+j,0),(0,l)), ((i,0),(0,k+l))
-    and -1 at ((i+j,0),(0,k+l)), ((i,k),(0,l)), ((i,0),(j,l)).
+    and -1 at ((i+j,0),(0,k+l)), ((i,k),(0,l)), ((i,0),(j,l)).  With j and
+    k nonzero the three rows and the three columns are distinct, so the six
+    positions are too.
     """
     if j == gs.zero():
         raise ValueError("j must be a nonzero element of G")
@@ -180,7 +163,6 @@ def product_cubic(gs: GroupSpec, hs: GroupSpec, i: Element, j: Element,
         raise ValueError("k must be a nonzero element of H")
     combined = GroupSpec(gs.factors + hs.factors)
     h = hs.order
-    n = combined.order
 
     def idx(a: Element, b: Element) -> int:
         return gs.index(a) * h + hs.index(b)
@@ -188,14 +170,14 @@ def product_cubic(gs: GroupSpec, hs: GroupSpec, i: Element, j: Element,
     z_g, z_h = gs.zero(), hs.zero()
     ij = gs.add(i, j)
     kl = hs.add(k, l)
-    M = [[0] * n for _ in range(n)]
-    M[idx(i, k)][idx(j, l)] += 1
-    M[idx(ij, z_h)][idx(z_g, l)] += 1
-    M[idx(i, z_h)][idx(z_g, kl)] += 1
-    M[idx(ij, z_h)][idx(z_g, kl)] -= 1
-    M[idx(i, k)][idx(z_g, l)] -= 1
-    M[idx(i, z_h)][idx(j, l)] -= 1
-    return AdmissibleMatrix(combined, tuple(tuple(row) for row in M))
+    return AdmissibleMatrix(combined, {
+        (idx(i, k), idx(j, l)): 1,
+        (idx(ij, z_h), idx(z_g, l)): 1,
+        (idx(i, z_h), idx(z_g, kl)): 1,
+        (idx(ij, z_h), idx(z_g, kl)): -1,
+        (idx(i, k), idx(z_g, l)): -1,
+        (idx(i, z_h), idx(j, l)): -1,
+    })
 
 
 def product_basis(gs: GroupSpec, hs: GroupSpec,
@@ -205,7 +187,8 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
 
     Eight families: cubics B(i,j,k,l) with (1) all of i,j,k,l nonzero,
     (2) i = 0, (3) l = 0, (6) i = l = 0, the transposes (4) of family (2)
-    and (5) of family (3), and the two embedded factor bases (7), (8).
+    and (5) of family (3), and the two factor bases (7), (8) carried over
+    by the inclusions a -> (a, 0) and b -> (0, b).
     Family counts add up to (|G||H| - 1)(|G||H| - 2).
     """
     g_ord, h_ord = gs.order, hs.order
@@ -244,27 +227,8 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
     for j in G_nz:
         for k in H_nz:
             out.append(product_cubic(gs, hs, z_g, j, k, z_h))
-
-    def embed_first(m: AdmissibleMatrix) -> AdmissibleMatrix:
-        M = [[0] * combined.order for _ in range(combined.order)]
-        for a in gs.elements:
-            for b in gs.elements:
-                v = m.entry(a, b)
-                if v:
-                    M[gs.index(a) * h_ord][gs.index(b) * h_ord] = v
-        return AdmissibleMatrix(combined, tuple(tuple(r) for r in M))
-
-    def embed_second(m: AdmissibleMatrix) -> AdmissibleMatrix:
-        M = [[0] * combined.order for _ in range(combined.order)]
-        for a in hs.elements:
-            for b in hs.elements:
-                v = m.entry(a, b)
-                if v:
-                    M[hs.index(a)][hs.index(b)] = v
-        return AdmissibleMatrix(combined, tuple(tuple(r) for r in M))
-
-    out.extend(embed_first(m) for m in basis_g)
-    out.extend(embed_second(m) for m in basis_h)
+    out.extend(relabel_matrix(m, lambda a: a + z_h, combined) for m in basis_g)
+    out.extend(relabel_matrix(m, lambda b: z_g + b, combined) for m in basis_h)
 
     expected = (combined.order - 1) * (combined.order - 2)
     if len(out) != expected:
@@ -273,16 +237,11 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
 
 
 def relabel_matrix(m: AdmissibleMatrix, phi, target: GroupSpec) -> AdmissibleMatrix:
-    """Transport an admissible matrix through a group isomorphism ``phi``."""
-    n = target.order
-    M = [[0] * n for _ in range(n)]
-    src = m.group
-    for a in src.elements:
-        for b in src.elements:
-            v = m.entry(a, b)
-            if v:
-                M[target.index(phi(a))][target.index(phi(b))] = v
-    return AdmissibleMatrix(target, tuple(tuple(row) for row in M))
+    """Transport an admissible matrix through a group homomorphism ``phi``
+    (an isomorphism, or an inclusion of a direct factor)."""
+    to = [target.index(phi(a)) for a in m.group.elements]
+    return AdmissibleMatrix(target, {(to[a], to[b]): v
+                                     for (a, b), v in m.entries.items()})
 
 
 def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMatrix]:
@@ -340,19 +299,18 @@ def admissible_condition_matrix(spec: GroupSpec) -> list[list[int]]:
 
 
 def matrix_to_binomial(m: AdmissibleMatrix) -> Binomial:
-    """The tripod binomial of an admissible matrix: entry (a, b) with value
-    v contributes |v| copies of the flow with leaf values (a, b, -a-b) to
-    the positive side when v > 0, negative side when v < 0."""
+    """The tripod binomial of an admissible matrix: the entry of elements
+    (a, b) with value v contributes |v| copies of the flow with leaf values
+    (a, b, -a-b) to the positive side when v > 0, negative side when v < 0."""
     spec = m.group
+    els = spec.elements
     rt = tripod_tree()
     lhs: list = []
     rhs: list = []
-    for a in spec.elements:
-        for b in spec.elements:
-            v = m.entry(a, b)
-            if v:
-                f = flow_from_leaves(rt, spec, (a, b, spec.neg(spec.add(a, b))))
-                (lhs if v > 0 else rhs).extend([f] * abs(v))
+    for (a, b), v in m.entries.items():
+        x, y = els[a], els[b]
+        f = flow_from_leaves(rt, spec, (x, y, spec.neg(spec.add(x, y))))
+        (lhs if v > 0 else rhs).extend([f] * abs(v))
     return binomial_from_multisets(rt, spec, lhs, rhs)
 
 

@@ -26,8 +26,10 @@ from phyloinv.pipeline import InvariantSet, generate
 from phyloinv.trees import parse_newick
 from phyloinv.tripod import (AdmissibleMatrix, adm_basis,
                              admissible_condition_matrix, cyclic_basis,
-                             cyclic_basis_matrix, is_admissible,
-                             matrix_to_binomial, product_basis)
+                             cyclic_basis_matrix, matrix_to_binomial,
+                             product_basis)
+
+from dense import dense, flat, meets_conditions, sparse
 
 FLOW_CAP = 10 ** 5
 
@@ -101,13 +103,15 @@ def test_criterion_1_cyclic_basis(capsys):
             ok, why = False, f"count for g={g}"
             break
         for m in basis:
-            good, msg = is_admissible(m.entries, m.group)
-            if not good or m.degree > g:
-                ok, why = False, f"matrix for g={g}: {msg or 'degree'}"
+            if not meets_conditions(GroupSpec((g,)), flat(m)):
+                ok, why = False, f"matrix for g={g}: not admissible"
+                break
+            if m.degree > g:
+                ok, why = False, f"matrix for g={g}: degree"
                 break
         L = adm_lattice(GroupSpec((g,)))
         if L.rank != (g - 1) * (g - 2) or \
-                not spans([list(m.flat()) for m in basis], L):
+                not spans([flat(m) for m in basis], L):
             ok, why = False, f"span for g={g}"
         if not ok:
             break
@@ -130,7 +134,7 @@ Z4_MATRICES = {
 
 def test_criterion_2_z4_matrices(capsys):
     t0 = time.monotonic()
-    produced = {(i, j): cyclic_basis_matrix(4, i, j).entries
+    produced = {(i, j): dense(cyclic_basis_matrix(4, i, j))
                 for i in range(1, 4) for j in range(2, 4)}
     ok = produced == Z4_MATRICES
     elapsed = time.monotonic() - t0
@@ -144,14 +148,15 @@ def test_criterion_3_z3_example(capsys):
     entries = ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
     pos_side = (((0,), (1,), (2,)), ((1,), (2,), (0,)), ((2,), (0,), (1,)))
     neg_side = (((0,), (2,), (1,)), ((1,), (0,), (2,)), ((2,), (1,), (0,)))
-    m = AdmissibleMatrix(z3, entries)
+    m = AdmissibleMatrix(z3, sparse(entries))
     b = matrix_to_binomial(m)
     # the matrix convention puts its positive entries at (0,2),(1,0),(2,1);
     # the reference binomial is the same relation with the sides mirrored,
     # which the negated matrix reproduces verbatim
-    ok = m.degree == 3
+    ok = m.degree == 3 and dense(m) == entries
     ok = ok and {b.lhs, b.rhs} == {pos_side, neg_side}
-    neg = AdmissibleMatrix(z3, tuple(tuple(-x for x in r) for r in entries))
+    neg = AdmissibleMatrix(z3, sparse(tuple(tuple(-x for x in r)
+                                            for r in entries)))
     bn = matrix_to_binomial(neg)
     ok = ok and (bn.lhs, bn.rhs) == (pos_side, neg_side)
     elapsed = time.monotonic() - t0
@@ -172,12 +177,12 @@ def test_criterion_4_product_bases(capsys):
         if len(basis) != (n - 1) * (n - 2):
             ok, why = False, f"count for {gf}x{hf}"
             break
-        if any(not is_admissible(m.entries, m.group)[0] or m.degree > bound
+        if any(not meets_conditions(m.group, flat(m)) or m.degree > bound
                for m in basis):
             ok, why = False, f"matrix check for {gf}x{hf}"
             break
         L = adm_lattice(GroupSpec(gf + hf))
-        if not spans([list(m.flat()) for m in basis], L):
+        if not spans([flat(m) for m in basis], L):
             ok, why = False, f"span for {gf}x{hf}"
             break
     elapsed = time.monotonic() - t0

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from phyloinv.cli import (EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR, EXIT_OK,
-                          EXIT_VERIFY_FAILED, main)
+from phyloinv.cli import (EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR,
+                          EXIT_INTERNAL_ERROR, EXIT_OK, EXIT_VERIFY_FAILED,
+                          main)
 
 
 def run(capsys, *argv):
@@ -100,6 +101,32 @@ def test_cap_exit_code(capsys):
                        "--tree", "((((1,2),3),4),(5,6));", "--flow-cap", "10")
     assert code == EXIT_CAP_EXCEEDED
     assert "cap" in err
+
+
+def test_deep_tree_hits_cap(capsys):
+    # a 1200-leaf caterpillar nests 1199 levels deep
+    text = "(1,2)"
+    for leaf in range(3, 1201):
+        text = f"({text},{leaf})"
+    code, out, err = run(capsys, "lattice-info", "--group", "Z2",
+                         "--tree", text + ";")
+    assert code == EXIT_CAP_EXCEEDED
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceed the cap 1000000 (group order 2, 1200 leaves)" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import phyloinv.tripod as tripod_mod
+
+    real = tripod_mod.tripod_invariants
+    monkeypatch.setattr(tripod_mod, "tripod_invariants",
+                        lambda group, mode: real(group, mode)[1:])
+    code, out, err = run(capsys, "generate", "--group", "Z3",
+                         "--tree", "((1,2),(3,4));")
+    assert code == EXIT_INTERNAL_ERROR
+    assert out == ""
+    assert err == "internal error: tripod set: 1 binomials, codim 2\n"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Certification oracle: kernels, ranks, lattice diagnostics, sabotage."""
 
+import json
+
 import pytest
 
 from phyloinv import oracle
@@ -167,6 +169,19 @@ class TestVerify:
         r = verify_complete_intersection(s, with_lattice_info=False)
         assert r.lattice_info is None
         assert r.passed
+
+    def test_set_rebuilt_from_json(self):
+        # the JSON output has list terms; the verifier reads them as tuples
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        doc = json.loads(json.dumps(s.to_json()))
+        rebuilt = InvariantSet(
+            s.rooted, s.group,
+            [Binomial(inv["lhs"], inv["rhs"]) for inv in doc["invariants"]],
+            [inv["provenance"] for inv in doc["invariants"]])
+        assert isinstance(rebuilt.binomials[0].lhs[0], list)
+        want = verify_complete_intersection(s).to_json()
+        assert want["pass"]
+        assert verify_complete_intersection(rebuilt).to_json() == want
 
     def test_cancel_hook(self):
         s = generate(parse_newick("((1,2),(3,4));"), parse_group_spec("Z4"))

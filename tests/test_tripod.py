@@ -1,16 +1,23 @@
 """Admissible matrices and the tripod invariant bases."""
 
-import pytest
+from collections import Counter
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense import dense, flat, meets_conditions, sparse
 from phyloinv.flows import enumerate_flows
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.lattice import kernel_lattice, spans
-from phyloinv.tripod import (AdmissibilityError, AdmissibleMatrix, adm_basis,
+from phyloinv.tripod import (AdmissibilityError, AdmissibleMatrix,
+                             _add_exchange, adm_basis,
+                             admissibility_failure,
                              admissible_condition_matrix, cyclic_basis,
-                             cyclic_basis_matrix, exchange_matrix,
-                             is_admissible, matrix_to_binomial, product_basis,
-                             product_cubic, relabel_matrix, tripod_invariants,
-                             tripod_tree)
+                             cyclic_basis_matrix, matrix_to_binomial,
+                             product_basis, product_cubic, relabel_matrix,
+                             tripod_invariants, tripod_tree)
 
 Z3 = GroupSpec((3,))
 Z4 = GroupSpec((4,))
@@ -23,50 +30,104 @@ def adm_lattice(spec):
 
 class TestAdmissibility:
     def test_zero_is_admissible(self):
-        ok, why = is_admissible(((0, 0, 0),) * 3, Z3)
-        assert ok and why is None
+        assert admissibility_failure({}, Z3) is None
+        assert admissibility_failure(sparse(((0, 0, 0),) * 3), Z3) is None
 
     def test_row_sum_violation(self):
-        ok, why = is_admissible(((1, 0, 0), (0, 0, 0), (0, 0, 0)), Z3)
-        assert not ok
-        assert "row" in why
+        # the i+j=0 class fails too; rows are reported first
+        m = sparse(((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+        assert admissibility_failure(m, Z3) == "row (0,) sums to 1"
 
     def test_column_sum_violation(self):
         # rows balance but the first and last columns do not
-        m = ((1, -1, 0), (0, 1, -1), (0, 0, 0))
-        ok, why = is_admissible(m, Z3)
-        assert not ok
-        assert "column" in why
+        m = sparse(((1, -1, 0), (0, 1, -1), (0, 0, 0)))
+        assert admissibility_failure(m, Z3) == "column (0,) sums to 1"
 
     def test_antidiagonal_violation(self):
         # rows and columns balance but the i+j=0 class does not
-        m = ((1, -1, 0), (-1, 0, 1), (0, 1, -1))
-        ok, why = is_admissible(m, Z3)
-        assert not ok
-        assert "antidiagonal" in why
+        m = sparse(((1, -1, 0), (-1, 0, 1), (0, 1, -1)))
+        assert admissibility_failure(m, Z3) == \
+            "antidiagonal class i+j=(0,) sums to 3"
+
+    def test_index_outside_group(self):
+        assert admissibility_failure({(0, 3): 1, (0, 0): -1}, Z3) == \
+            "index (0, 3) outside 0..2 for group Z3"
+        assert admissibility_failure({(-1, 0): 1}, Z3) == \
+            "index (-1, 0) outside 0..2 for group Z3"
+        with pytest.raises(AdmissibilityError):
+            AdmissibleMatrix(Z3, {(3, 0): 1, (0, 0): -1})
 
     def test_constructor_rejects_bad(self):
         with pytest.raises(AdmissibilityError):
-            AdmissibleMatrix(Z3, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+            AdmissibleMatrix(Z3, sparse(((1, 0, 0), (0, 0, 0), (0, 0, 0))))
+
+    def test_constructor_drops_zeros(self):
+        m = AdmissibleMatrix(Z3, {(0, 0): 0, **sparse(Z3_REFERENCE_MATRIX)})
+        assert m.entries == sparse(Z3_REFERENCE_MATRIX)
 
     def test_entry_by_elements(self):
         m = cyclic_basis_matrix(3, 1, 2)
         assert m.entry((1,), (2,)) == 1
         assert m.transpose().entry((2,), (1,)) == 1
+        assert dense(m.transpose()) == tuple(zip(*dense(m)))
+
+
+PROPERTY_GROUPS = [GroupSpec((g,)) for g in range(2, 7)] + \
+    [GroupSpec((2, 2)), GroupSpec((2, 3))]
+
+
+@lru_cache(maxsize=None)
+def _basis(spec):
+    return adm_basis(spec)
+
+
+@st.composite
+def candidate_matrices(draw):
+    """A sparse matrix near the admissible lattice: an integer combination
+    of basis matrices plus nothing, one exchange move (rows and columns
+    stay balanced, classes usually do not) or a few arbitrary entries."""
+    spec = draw(st.sampled_from(PROPERTY_GROUPS))
+    n = spec.order
+    acc: Counter = Counter()
+    if _basis(spec):
+        for m in draw(st.lists(st.sampled_from(_basis(spec)), max_size=3)):
+            c = draw(st.integers(-2, 2))
+            for k, v in m.entries.items():
+                acc[k] += c * v
+    idx = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["none", "exchange", "entries"]))
+    if kind == "exchange":
+        _add_exchange(acc, n, draw(idx), draw(idx), draw(idx), draw(idx))
+    elif kind == "entries":
+        extra = draw(st.dictionaries(st.tuples(idx, idx), st.integers(-2, 2),
+                                     max_size=4))
+        for k, v in extra.items():
+            acc[k] += v
+    return spec, dict(acc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(candidate_matrices())
+def test_admissibility_matches_condition_oracle(case):
+    spec, entries = case
+    n = spec.order
+    values = [entries.get((a, b), 0) for a in range(n) for b in range(n)]
+    assert (admissibility_failure(entries, spec) is None) == \
+        meets_conditions(spec, values)
 
 
 class TestExchange:
     def test_shape(self):
-        M = exchange_matrix(4, 0, 1, 2, 3)
-        assert M[0][2] == 1 and M[1][3] == 1
-        assert M[0][3] == -1 and M[1][2] == -1
-        assert sum(sum(r) for r in M) == 0
+        acc = Counter()
+        _add_exchange(acc, 4, 0, 1, 2, 7)
+        assert acc == Counter({(0, 2): 1, (1, 3): 1, (0, 3): -1, (1, 2): -1})
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            exchange_matrix(4, 1, 1, 2, 3)
-        with pytest.raises(ValueError):
-            exchange_matrix(4, 0, 1, 2, 2)
+        # equal rows or equal columns (mod g) make a zero move: nothing added
+        acc = Counter()
+        _add_exchange(acc, 4, 1, 1, 2, 3)
+        _add_exchange(acc, 4, 0, 1, 2, 6)
+        assert acc == Counter()
 
 
 class TestCyclicBasis:
@@ -86,7 +147,7 @@ class TestCyclicBasis:
                 m = cyclic_basis_matrix(g, i, j)
                 for a in range(1, g):
                     for b in range(2, g):
-                        assert m.entries[a][b] == (1 if (a, b) == (i, j) else 0)
+                        assert dense(m)[a][b] == (1 if (a, b) == (i, j) else 0)
 
     def test_rejects_outside_k(self):
         with pytest.raises(ValueError):
@@ -98,7 +159,7 @@ class TestCyclicBasis:
     def test_spans_admissible_lattice(self, g):
         L = adm_lattice(GroupSpec((g,)))
         assert L.rank == (g - 1) * (g - 2)
-        assert spans([list(m.flat()) for m in cyclic_basis(g)], L)
+        assert spans([flat(m) for m in cyclic_basis(g)], L)
 
 
 # the six Z4 basis matrices, fixed reference values
@@ -114,7 +175,7 @@ Z4_REFERENCE = {
 
 def test_z4_reference_matrices():
     for (i, j), want in Z4_REFERENCE.items():
-        assert cyclic_basis_matrix(4, i, j).entries == want
+        assert dense(cyclic_basis_matrix(4, i, j)) == want
 
 
 # reference degree-3 matrix over Z3 and its binomial
@@ -124,14 +185,15 @@ Z3_REFERENCE_RHS = (((0,), (2,), (1,)), ((1,), (0,), (2,)), ((2,), (1,), (0,)))
 
 
 def test_z3_reference_binomial():
-    m = AdmissibleMatrix(Z3, Z3_REFERENCE_MATRIX)
+    m = AdmissibleMatrix(Z3, sparse(Z3_REFERENCE_MATRIX))
+    assert dense(m) == Z3_REFERENCE_MATRIX
     assert m.degree == 3
     b = matrix_to_binomial(m)
     # positive entries sit at (0,2), (1,0), (2,1), so the sides come out
     # with that orientation; the opposite matrix gives the mirror binomial
     assert (b.lhs, b.rhs) == (Z3_REFERENCE_RHS, Z3_REFERENCE_LHS)
-    neg = AdmissibleMatrix(Z3, tuple(tuple(-x for x in row)
-                                     for row in Z3_REFERENCE_MATRIX))
+    neg = AdmissibleMatrix(Z3, sparse(tuple(tuple(-x for x in row)
+                                            for row in Z3_REFERENCE_MATRIX)))
     bn = matrix_to_binomial(neg)
     assert (bn.lhs, bn.rhs) == (Z3_REFERENCE_LHS, Z3_REFERENCE_RHS)
 
@@ -153,15 +215,16 @@ class TestProductBasis:
             assert m.group == combined
             assert m.degree <= bound
         L = adm_lattice(combined)
-        assert spans([list(m.flat()) for m in basis], L)
+        assert spans([flat(m) for m in basis], L)
 
     def test_cubic_shape(self):
         gs = hs = GroupSpec((2,))
         m = product_cubic(gs, hs, (1,), (1,), (1,), (1,))
         assert m.degree == 3
-        flat = m.flat()
-        assert sorted(flat).count(1) == 3
-        assert sorted(flat).count(-1) == 3
+        values = flat(m)
+        assert values.count(1) == 3
+        assert values.count(-1) == 3
+        assert len(m.entries) == 6
 
     def test_cubic_rejects_zero_j_or_k(self):
         gs = hs = GroupSpec((2,))
@@ -182,7 +245,7 @@ class TestAdmBasis:
         basis = adm_basis(spec)
         assert len(basis) == 7 * 6
         L = adm_lattice(spec)
-        assert spans([list(m.flat()) for m in basis], L)
+        assert spans([flat(m) for m in basis], L)
 
     def test_factored_equals_direct_span_z6(self):
         spec = GroupSpec((6,))
@@ -190,8 +253,8 @@ class TestAdmBasis:
         factored = adm_basis(spec, "factored")
         assert len(direct) == len(factored) == 20
         L = adm_lattice(spec)
-        assert spans([list(m.flat()) for m in direct], L)
-        assert spans([list(m.flat()) for m in factored], L)
+        assert spans([flat(m) for m in direct], L)
+        assert spans([flat(m) for m in factored], L)
         # factored mode goes through the prime-power presentation, so its
         # matrices stay degree <= 3 wherever the factors allow
         assert max(m.degree for m in factored) == 3
