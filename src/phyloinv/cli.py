@@ -8,7 +8,7 @@ import sys
 
 from .errors import (FlowCapExceeded, GroupParseError, InternalError,
                      InvalidTreeError, NewickParseError)
-from .flows import DEFAULT_FLOW_CAP
+from .flows import DEFAULT_FLOW_CAP, check_flow_cap
 from .groups import parse_group_spec
 from .oracle import lattice_report, verify_complete_intersection
 from .pipeline import GenerateOptions, algebra_text, generate
@@ -102,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
         tree = parse_newick(_read_tree_arg(args.tree))
 
         if args.subcommand == "lattice-info":
+            # refuse an instance over the cap before rooting it
+            check_flow_cap(tree, group, args.flow_cap)
             info = lattice_report(canonical_rooting(tree), group,
                                   flow_cap=args.flow_cap)
             out = _dump(info.to_json()) if args.output == "json" else _lattice_text(info)

@@ -22,7 +22,8 @@ class InvalidTreeError(Error, ValueError):
 
 
 class FlowError(Error, ValueError):
-    """Leaf values do not sum to zero, or flows are incompatible."""
+    """Leaf values of the wrong count, outside the group, or not summing to
+    zero."""
 
 
 class BinomialError(Error, ValueError):
@@ -31,6 +32,10 @@ class BinomialError(Error, ValueError):
     def __init__(self, message: str, edge: int | None = None):
         super().__init__(message)
         self.edge = edge
+
+
+class AdmissibilityError(Error, ValueError):
+    """A tripod basis matrix breaks a row, column or class-sum condition."""
 
 
 class LatticeError(Error, ValueError):

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import BinomialError, FlowCapExceeded, FlowError
-from .groups import Element, GroupSpec
+from .groups import CayleyTable, Element, GroupSpec
 from .trees import RootedTree, Tree
 
 # A flow is the tuple of per-edge group elements in canonical edge order.
@@ -32,12 +32,31 @@ def flow_from_leaves(rt: RootedTree, group: GroupSpec, leaf_values: Iterable[Ele
     vals = tuple(leaf_values)
     if len(vals) != rt.leaf_count:
         raise FlowError(f"expected {rt.leaf_count} leaf values, got {len(vals)}")
-    if group.sum(vals) != group.zero():
+    table = group.table
+    idx, s = [], 0
+    for x in vals:
+        i = table.index.get(x)
+        if i is None:
+            raise FlowError(f"leaf value {x} is not in {group}")
+        idx.append(i)
+        s = table.add[s][i]
+    if s:
         raise FlowError(f"leaf values {vals} do not sum to zero")
-    out = []
-    for _, child in rt.edges:
-        out.append(group.sum(vals[leaf - 1] for leaf in rt.leaves_below[child]))
-    return tuple(out)
+    return _complete(rt, table, idx)
+
+
+def _complete(rt: RootedTree, table: CayleyTable, idx: list[int]) -> Flow:
+    """The flow whose leaf values have the indices ``idx`` (extended in
+    place): each interior edge, children before parents, gets the sum of
+    the edges below it."""
+    add = table.add
+    idx += [0] * (rt.edge_count - rt.leaf_count)
+    for ei, below in rt.bottom_up:
+        s = 0
+        for c in below:
+            s = add[s][idx[c]]
+        idx[ei] = s
+    return tuple(map(table.elements.__getitem__, idx))
 
 
 def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dict[Flow, str]:
@@ -93,10 +112,13 @@ def check_flow_cap(tree: Tree, group: GroupSpec, cap: int) -> int:
 
 def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
     """All flows in lexicographic order of the first leaf_count-1 leaf values."""
-    ell = rt.leaf_count
-    for head in product(group.elements, repeat=ell - 1):
-        last = group.neg(group.sum(head))
-        yield flow_from_leaves(rt, group, head + (last,))
+    table = group.table
+    add, neg = table.add, table.neg
+    for head in product(range(group.order), repeat=rt.leaf_count - 1):
+        s = 0
+        for i in head:
+            s = add[s][i]
+        yield _complete(rt, table, [*head, neg[s]])
 
 
 def enumerate_flows(rt: RootedTree, group: GroupSpec, cap: int = DEFAULT_FLOW_CAP) -> list[Flow]:

@@ -7,15 +7,19 @@ constructions depend on the presentation, so no invariant-factor
 normalisation happens here.  Element enumeration is lexicographic
 mixed-radix with the identity first, and that order fixes every matrix and
 flow indexing in the package.
+
+Element indices ``0..g-1`` follow that order.  Every presentation has one
+:class:`CayleyTable` (element list, index map, add and neg tables on the
+indices), built on first use and shared by all equal ``GroupSpec`` values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import GroupParseError
 
@@ -80,23 +84,21 @@ class GroupSpec:
         return acc
 
     @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        """All elements in lexicographic mixed-radix order, identity first."""
-        out = [()]
-        for a in self.factors:
-            out = [e + (r,) for e in out for r in range(a)]
-        return tuple(out)
+    def table(self) -> "CayleyTable":
+        """The Cayley table shared by every spec with these factors."""
+        return cayley_table(self.factors)
 
     @cached_property
-    def _index_of(self) -> dict[Element, int]:
-        return {e: i for i, e in enumerate(self.elements)}
+    def elements(self) -> tuple[Element, ...]:
+        """All elements in lexicographic mixed-radix order, identity first."""
+        return self.table.elements
 
     def index(self, el: Element) -> int:
         """Position of ``el`` in the enumeration order."""
-        return self._index_of[el]
+        return self.table.index[el]
 
     def is_element(self, el) -> bool:
-        return el in self._index_of
+        return el in self.table.index
 
     def unit(self, j: int, m: int = 1) -> Element:
         """The embedded element m * 1_j of the j-th factor (j is 1-based)."""
@@ -108,6 +110,36 @@ class GroupSpec:
 
     def units(self) -> tuple[Element, ...]:
         return tuple(self.unit(j, 1) for j in range(1, len(self.factors) + 1))
+
+
+class CayleyTable(NamedTuple):
+    """A presentation's elements and its group law on element indices:
+    ``elements[add[i][j]] == elements[i] + elements[j]`` and
+    ``elements[neg[i]] == -elements[i]``; index 0 is the identity."""
+
+    elements: tuple[Element, ...]
+    index: dict[Element, int]
+    add: tuple[tuple[int, ...], ...]
+    neg: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def cayley_table(factors: tuple[int, ...]) -> CayleyTable:
+    """The table of ``Z_{a1} x ... x Z_{ak}``, built once per factor tuple.
+
+    Keyed by the factors rather than stored per ``GroupSpec``: constructions
+    build many equal specs (one per cyclic basis matrix), and all of them
+    share this one table.  Its g^2 entries never outnumber the g^(l-1)
+    flows of a tree with l >= 3 leaves.
+    """
+    els = [()]
+    for a in factors:
+        els = [e + (r,) for e in els for r in range(a)]
+    index = {e: i for i, e in enumerate(els)}
+    add = tuple(tuple(index[tuple((x + y) % m for x, y, m in zip(a, b, factors))]
+                      for b in els) for a in els)
+    neg = tuple(index[tuple((-x) % m for x, m in zip(a, factors))] for a in els)
+    return CayleyTable(tuple(els), index, add, neg)
 
 
 def _prime_powers(n: int) -> list[int]:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .errors import InternalError, InvalidTreeError
+from .errors import (AdmissibilityError, BinomialError, FlowError,
+                     InternalError, InvalidTreeError, LatticeError)
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
                     check_flow_cap, flow_from_leaves)
 from .groups import Element, GroupSpec
@@ -309,12 +310,17 @@ def generate(tree: Tree, group: GroupSpec,
     Non-claw trees are decomposed at an interior edge (by default the edge
     adjacent to the canonical root whose far side holds the most leaves;
     with a seed, a uniformly random interior edge) and the parts are
-    handled recursively.
+    handled recursively.  A flow, binomial, admissibility or lattice error
+    raised inside the construction is a broken invariant, not bad input,
+    and comes out as :class:`InternalError`.
     """
     opts = options or GenerateOptions()
     check_flow_cap(tree, group, opts.flow_cap)
     rng = random.Random(opts.seed) if opts.seed is not None else None
-    return _generate(tree, group, opts, rng)
+    try:
+        return _generate(tree, group, opts, rng)
+    except (AdmissibilityError, BinomialError, FlowError, LatticeError) as exc:
+        raise InternalError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _generate(tree: Tree, group: GroupSpec, opts: GenerateOptions,
@@ -327,7 +333,8 @@ def _generate(tree: Tree, group: GroupSpec, opts: GenerateOptions,
         edge = rng.choice(interior)
     else:
         candidates = [e for e in interior if e[0] == rt.root]
-        edge = max(candidates, key=lambda e: len(rt.leaves_below[e[1]]))
+        edge = max(candidates, key=lambda e: sum(
+            1 for w in rt.nodes_below(e[1]) if w <= rt.leaf_count))
     ctx = decompose_at_edge(rt, edge)
     s1 = _generate(ctx.t1.tree, group, opts, rng)
     s2 = _generate(ctx.t2.tree, group, opts, rng)

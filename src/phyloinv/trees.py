@@ -22,6 +22,7 @@ exactly two children is suppressed (its two edges merge into one).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -156,7 +157,7 @@ class RootedTree:
     """A tree with a distinguished interior root and the canonical edge order."""
 
     __slots__ = ("tree", "root", "parent", "children", "edges", "edge_index",
-                 "leaves_below", "interior_discovery")
+                 "bottom_up", "interior_discovery")
 
     def __init__(self, tree: Tree, root: int):
         if root <= tree.leaf_count:
@@ -187,11 +188,13 @@ class RootedTree:
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.interior_discovery = tuple(discovery)
 
-        # reverse discovery order visits every child before its parent
-        below = {leaf: (leaf,) for leaf in range(1, tree.leaf_count + 1)}
-        for u in reversed(discovery):
-            below[u] = tuple(sorted(x for c in self.children[u] for x in below[c]))
-        self.leaves_below = below
+        # each interior edge with the edges leaving its lower end, children
+        # before parents (reverse discovery order): a flow's value on an
+        # edge is the sum of the values just below it
+        self.bottom_up: tuple[tuple[int, tuple[int, ...]], ...] = tuple(
+            (self.edge_index[(parent[v], v)],
+             tuple(self.edge_index[(v, c)] for c in self.children[v]))
+            for v in reversed(discovery[1:]))
 
     @property
     def leaf_count(self) -> int:
@@ -203,6 +206,16 @@ class RootedTree:
 
     def interior_edges(self) -> tuple[Edge, ...]:
         return self.edges[self.leaf_count:]
+
+    def nodes_below(self, v: int) -> set[int]:
+        """``v`` and every node under it."""
+        out = set()
+        stack = [v]
+        while stack:
+            w = stack.pop()
+            out.add(w)
+            stack.extend(self.children[w])
+        return out
 
     def __repr__(self):
         return f"RootedTree({self.tree.canonical_newick()!r}, root={self.root})"
@@ -311,7 +324,7 @@ def parse_newick(text: str) -> Tree:
         else:
             pending.extend(node)
     ell = len(labels)
-    dupes = {x for x in labels if labels.count(x) > 1}
+    dupes = [x for x, n in Counter(labels).items() if n > 1]
     if dupes:
         raise InvalidTreeError(f"duplicate leaf label {min(dupes)}")
     if ell < 3:
@@ -471,9 +484,9 @@ def decompose_at_edge(rt: RootedTree, edge: Edge) -> JoinContext:
     if u <= tree.leaf_count or v <= tree.leaf_count:
         raise InvalidTreeError(f"cannot decompose at pendant edge {edge}")
 
-    side2_leaves = set(rt.leaves_below[v])
-    side1_leaves = [x for x in range(1, tree.leaf_count + 1) if x not in side2_leaves]
-    side2_sorted = sorted(side2_leaves)
+    below_nodes = rt.nodes_below(v)
+    side1_leaves = [x for x in range(1, tree.leaf_count + 1) if x not in below_nodes]
+    side2_leaves = [x for x in range(1, tree.leaf_count + 1) if x in below_nodes]
 
     def build_part(side_leaves, attach_node, other_side_nodes):
         k = len(side_leaves)
@@ -494,16 +507,8 @@ def decompose_at_edge(rt: RootedTree, edge: Edge) -> JoinContext:
         inv = {new: old for old, new in lab.items()}
         return part, fresh, {new: inv[new] for new in inv}
 
-    below_nodes = set()
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        below_nodes.add(w)
-        for c in rt.children[w]:
-            stack.append(c)
-
     t1, v1, map1 = build_part(side1_leaves, u, below_nodes)
-    t2, v2, map2 = build_part(side2_sorted, v, set(tree._adj) - below_nodes)
+    t2, v2, map2 = build_part(side2_leaves, v, set(tree._adj) - below_nodes)
 
     return JoinContext(
         rooted=rt,

@@ -27,14 +27,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping
 
-from .errors import Error, InternalError
+from .errors import AdmissibilityError, InternalError
 from .flows import Binomial, binomial_from_multisets, flow_from_leaves
 from .groups import Element, GroupSpec, prime_power_refinement
 from .trees import RootedTree, canonical_rooting, parse_newick
-
-
-class AdmissibilityError(Error, ValueError):
-    pass
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +47,7 @@ def admissibility_failure(entries: Mapping[tuple[int, int], int],
     Failures are reported rows first, then columns, then classes, each in
     element order.
     """
-    els = spec.elements
+    els, add = spec.table.elements, spec.table.add
     n = len(els)
     rows: Counter = Counter()
     cols: Counter = Counter()
@@ -61,7 +57,7 @@ def admissibility_failure(entries: Mapping[tuple[int, int], int],
             return f"index ({a}, {b}) outside 0..{n - 1} for group {spec}"
         rows[a] += v
         cols[b] += v
-        classes[spec.index(spec.add(els[a], els[b]))] += v
+        classes[add[a][b]] += v
     for sums, name in ((rows, "row {}"), (cols, "column {}"),
                        (classes, "antidiagonal class i+j={}")):
         k = min((k for k, s in sums.items() if s), default=None)
@@ -303,13 +299,12 @@ def matrix_to_binomial(m: AdmissibleMatrix) -> Binomial:
     (a, b) with value v contributes |v| copies of the flow with leaf values
     (a, b, -a-b) to the positive side when v > 0, negative side when v < 0."""
     spec = m.group
-    els = spec.elements
+    els, add, neg = spec.table.elements, spec.table.add, spec.table.neg
     rt = tripod_tree()
     lhs: list = []
     rhs: list = []
     for (a, b), v in m.entries.items():
-        x, y = els[a], els[b]
-        f = flow_from_leaves(rt, spec, (x, y, spec.neg(spec.add(x, y))))
+        f = flow_from_leaves(rt, spec, (els[a], els[b], els[neg[add[a][b]]]))
         (lhs if v > 0 else rhs).extend([f] * abs(v))
     return binomial_from_multisets(rt, spec, lhs, rhs)
 

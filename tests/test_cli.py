@@ -129,6 +129,30 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: tripod set: 1 binomials, codim 2\n"
 
 
+def _raise_binomial_error(*args):
+    from phyloinv.errors import BinomialError
+    raise BinomialError("projections differ")
+
+
+@pytest.mark.parametrize("module,name,fake,message", [
+    ("pipeline", "binomial_from_multisets", _raise_binomial_error,
+     "BinomialError: projections differ"),
+    ("tripod", "admissibility_failure", lambda entries, spec: "forced",
+     "AdmissibilityError: not admissible: forced"),
+])
+def test_internal_value_error_exit_code(capsys, monkeypatch, module, name,
+                                        fake, message):
+    # a ValueError subclass raised inside the construction is a bug, not
+    # bad input
+    import importlib
+    monkeypatch.setattr(importlib.import_module(f"phyloinv.{module}"), name, fake)
+    code, out, err = run(capsys, "generate", "--group", "Z3",
+                         "--tree", "((1,2),(3,4));")
+    assert code == EXIT_INTERNAL_ERROR
+    assert out == ""
+    assert err == f"internal error: {message}\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import phyloinv.cli as cli_mod
 

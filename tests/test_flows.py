@@ -1,7 +1,9 @@
 """Flows on rooted trees: conservation, enumeration, vertex points, binomials."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phyloinv.errors import BinomialError, FlowError
@@ -10,7 +12,7 @@ from phyloinv.flows import (binomial_from_multisets, enumerate_flows,
                             vertex_point, vertex_support)
 from phyloinv.groups import GroupSpec
 from phyloinv.pipeline import _fixed_leaf_values, join_sets, tripod_set
-from phyloinv.trees import canonical_rooting, join, parse_newick
+from phyloinv.trees import canonical_rooting, join, parse_newick, root_at
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -31,13 +33,60 @@ def test_flow_from_leaves_quartet(quartet):
 
 
 def test_flow_needs_zero_sum(quartet):
-    with pytest.raises(FlowError):
+    with pytest.raises(FlowError, match="do not sum to zero"):
         flow_from_leaves(quartet, Z3, [(1,), (0,), (0,), (0,)])
 
 
 def test_flow_wrong_length(quartet):
-    with pytest.raises(FlowError):
+    with pytest.raises(FlowError, match="expected 4 leaf values, got 2"):
         flow_from_leaves(quartet, Z3, [(1,), (2,)])
+
+
+@pytest.mark.parametrize("bad", [(4,), (-2,), (1, 0)])
+def test_flow_value_outside_group(quartet, bad):
+    # (4,) and (-2,) are 1 mod 3: a value is refused, never reduced
+    with pytest.raises(FlowError, match=re.escape(f"leaf value {bad} is not in Z3")):
+        flow_from_leaves(quartet, Z3, [bad, (2,), (0,), (0,)])
+
+
+FLOW_GROUPS = [GroupSpec((g,)) for g in range(2, 8)] + \
+    [GroupSpec((2, 2)), GroupSpec((2, 3)), GroupSpec((2, 4))]
+
+
+@st.composite
+def rooted_flows(draw):
+    """A random tree with 3-9 leaves, rooted at a random interior node, a
+    group and leaf values summing to zero."""
+    n = draw(st.integers(3, 9))
+    items = [str(x) for x in draw(st.permutations(range(1, n + 1)))]
+    while len(items) > 3:
+        k = draw(st.integers(2, len(items) - 1))
+        items = items[k:] + ["(" + ",".join(items[:k]) + ")"]
+    tree = parse_newick("(" + ",".join(items) + ");")
+    rt = root_at(tree, draw(st.sampled_from(tree.interior_nodes)))
+    group = draw(st.sampled_from(FLOW_GROUPS))
+    head = draw(st.lists(st.sampled_from(group.elements),
+                         min_size=n - 1, max_size=n - 1))
+    return rt, group, head + [group.neg(group.sum(head))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rooted_flows())
+def test_flow_is_sum_of_leaf_values_below(case):
+    rt, group, vals = case
+
+    def below(v):
+        total, stack = group.zero(), [v]
+        while stack:
+            w = stack.pop()
+            if w <= rt.leaf_count:
+                total = group.add(total, vals[w - 1])
+            stack.extend(rt.children[w])
+        return total
+
+    f = flow_from_leaves(rt, group, vals)
+    assert f == tuple(below(child) for _, child in rt.edges)
+    assert not flow_defects(rt, group, [f])
 
 
 def test_enumerate_flows_count_and_order(quartet):

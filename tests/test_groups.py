@@ -108,3 +108,22 @@ def test_refinement_multi_factor():
     assert back(refined.zero()) == g.zero()
     images = {back(x) for x in refined.elements}
     assert len(images) == 12
+
+
+@given(groups)
+def test_cayley_table_matches_arithmetic(g):
+    t = g.table
+    assert t.elements == g.elements
+    for i, a in enumerate(t.elements):
+        assert t.index[a] == i
+        assert t.elements[t.neg[i]] == g.neg(a)
+        for j, b in enumerate(t.elements):
+            assert t.elements[t.add[i][j]] == g.add(a, b)
+
+
+def test_equal_specs_share_one_table():
+    # constructions build a fresh spec per basis matrix; the table is
+    # built once per presentation, not once per spec
+    assert GroupSpec((2, 3)) is not GroupSpec((2, 3))
+    assert GroupSpec((2, 3)).table.add is GroupSpec((2, 3)).table.add
+    assert GroupSpec((2, 3)).table is not GroupSpec((6,)).table

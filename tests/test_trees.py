@@ -118,6 +118,11 @@ class TestTree:
         assert a != c
 
 
+def test_several_duplicates_name_the_smallest():
+    with pytest.raises(InvalidTreeError, match="duplicate leaf label 2$"):
+        parse_newick("((5,5),(3,2),(2,1),3);")
+
+
 class TestRooting:
     def test_canonical_root_is_neighbor_of_leaf_one(self):
         t = quartet()
@@ -131,9 +136,21 @@ class TestRooting:
         assert len(rt.interior_edges()) == 1
 
     def test_leaves_below(self):
-        rt = canonical_rooting(parse_newick("((1,2),(3,4));"))
-        (parent, child) = rt.interior_edges()[0]
-        assert rt.leaves_below[child] in ((1, 2), (3, 4))
+        rt = canonical_rooting(parse_newick("((((1,2),3),4),(5,6));"))
+        ell = rt.leaf_count
+
+        def leaves_under(u):
+            return sorted(w for w in rt.nodes_below(u) if w <= ell)
+
+        assert leaves_under(rt.root) == list(range(1, ell + 1))
+        counts = {u: len(leaves_under(u)) for u in rt.children}
+        for u, cs in rt.children.items():
+            assert counts[u] == (sum(counts[c] for c in cs) if cs else 1)
+        assert sorted(counts[u] for u in rt.tree.interior_nodes) == [2, 3, 4, 6]
+        # the far side of a decomposition edge is exactly the leaves under it
+        for u, v in rt.interior_edges():
+            ctx = decompose_at_edge(rt, (u, v))
+            assert sorted(ctx.leaf_map2.values()) == leaves_under(v)
 
     def test_reroot_preserves_edge_set(self):
         t = parse_newick("((((1,2),3),4),(5,6));")
