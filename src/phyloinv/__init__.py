@@ -12,7 +12,7 @@ from .errors import (BinomialError, Cancelled, Error, FlowCapExceeded,
                      InvalidTreeError, LatticeError, NewickParseError,
                      OutsideSpanError)
 from .flows import (Binomial, Flow, enumerate_flows, flow_from_leaves,
-                    flow_index, vertex_point)
+                    flow_index)
 from .groups import Element, GroupSpec, parse_group_spec
 from .oracle import (LatticeInfo, VerificationReport, codim, lattice_report,
                      oracle_kernel, verify_complete_intersection)

@@ -103,10 +103,10 @@ def check_flow_cap(tree: Tree, group: GroupSpec, cap: int) -> int:
     """The number of flows on ``tree``; raises when it exceeds ``cap``."""
     total = flow_total(tree, group)
     if total > cap:
+        # as a power: in full it can pass Python's int-to-string digit limit
+        g, l = group.order, tree.leaf_count
         raise FlowCapExceeded(
-            f"{total} flows exceed the cap {cap} "
-            f"(group order {group.order}, {tree.leaf_count} leaves)"
-        )
+            f"{g}^{l - 1} flows exceed the cap {cap} (group order {g}, {l} leaves)")
     return total
 
 
@@ -134,18 +134,9 @@ def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:
     return idx
 
 
-def vertex_point(rt: RootedTree, group: GroupSpec, f: Flow) -> list[int]:
-    """The 0/1 lattice point of a flow: one block of size |G| per edge, with a
-    single 1 at the enumeration index of the edge's value."""
-    g = group.order
-    out = [0] * (rt.edge_count * g)
-    for ei, val in enumerate(f):
-        out[ei * g + group.index(val)] = 1
-    return out
-
-
 def vertex_support(rt: RootedTree, group: GroupSpec, f: Flow) -> tuple[int, ...]:
-    """Flat indices of the ones in :func:`vertex_point`."""
+    """Flat indices of the ones in a flow's 0/1 vertex point: one block of
+    size |G| per edge, with a 1 at the enumeration index of its value."""
     g = group.order
     return tuple(ei * g + group.index(val) for ei, val in enumerate(f))
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import GroupParseError
 
@@ -76,12 +76,6 @@ class GroupSpec:
 
     def sub(self, a: Element, b: Element) -> Element:
         return tuple((x - y) % m for x, y, m in zip(a, b, self.factors))
-
-    def sum(self, elems: Iterable[Element]) -> Element:
-        acc = self.zero()
-        for e in elems:
-            acc = self.add(acc, e)
-        return acc
 
     @cached_property
     def table(self) -> "CayleyTable":

@@ -6,7 +6,7 @@ point anywhere).  Matrices are lists of row lists.  Three workhorses:
 * dense row-style HNF/SNF with unimodular transforms, for small matrices
   and canonical lattice comparison;
 * an incremental row-echelon accumulator (``Echelon``) that absorbs large
-  streams of vectors cheaply, for ranks and membership;
+  streams of sparse ``{column: value}`` vectors, for ranks and lattices;
 * a sparse elimination certificate (``sparse_span_certificate``) that
   unit-pivots its way through very sparse generator matrices and returns
   the invariant factors that resisted, proving or refuting saturation
@@ -22,7 +22,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import Cancelled, LatticeError, OutsideSpanError
 
@@ -301,10 +301,10 @@ def spans(vectors: Iterable[Sequence[int]], L: LatticeBasis) -> bool:
             raise LatticeError(f"vector length {len(v)} != ambient {L.ambient}")
     ech = Echelon(L.ambient)
     for b in L.vectors:
-        ech.add(b)
+        ech.add(dict(enumerate(b)))
     base_rank = ech.rank
     for i, v in enumerate(vecs):
-        ech.add(v)
+        ech.add(dict(enumerate(v)))
         if ech.rank > base_rank:
             raise OutsideSpanError(f"vector {i} lies outside the rational span of the lattice")
     return lattice_equal(LatticeBasis.from_vectors(L.ambient, vecs), L)
@@ -313,54 +313,66 @@ def spans(vectors: Iterable[Sequence[int]], L: LatticeBasis) -> bool:
 class Echelon:
     """Incremental integer row echelon accumulating a lattice.
 
-    ``add`` folds a vector in with unimodular row operations (the pivot of a
-    stored row may shrink to the gcd).
+    Vectors and rows are sparse ``{column: value}`` maps.  ``add`` folds a
+    vector in with unimodular row operations (the pivot of a stored row may
+    shrink to the gcd).
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[int]] = []
+        self.rows: list[dict[int, int]] = []
         self.pivcols: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, vec: Sequence[int]) -> bool:
+    def add(self, vec: Mapping[int, int]) -> bool:
         """Fold in ``vec``; True iff the lattice grew or changed."""
-        v = [int(x) for x in vec]
-        if len(v) != self.width:
-            raise LatticeError(f"vector length {len(v)} != width {self.width}")
+        v = {c: int(x) for c, x in vec.items() if x}
+        if v and not 0 <= min(v) <= max(v) < self.width:
+            c = min(v) if min(v) < 0 else max(v)
+            raise LatticeError(f"column {c} outside 0..{self.width - 1}")
         changed = False
-        j = 0
-        while True:
-            while j < self.width and v[j] == 0:
-                j += 1
-            if j == self.width:
-                return changed
+        while v:
+            j = min(v)
             k = bisect_left(self.pivcols, j)
             if k < len(self.pivcols) and self.pivcols[k] == j:
                 row = self.rows[k]
                 a, b = row[j], v[j]
                 if b % a == 0:
                     q = b // a
-                    v = [x - q * y for x, y in zip(v, row)]
+                    for c, x in row.items():  # v -= q*row in place; v[j] drops
+                        y = v.get(c, 0) - q * x
+                        if y:
+                            v[c] = y
+                        else:
+                            del v[c]
                 else:
                     g, x, y = _xgcd(a, b)
                     # unimodular 2x2: (row, v) <- (x*row + y*v, -(b/g)*row + (a/g)*v)
-                    new_row = [x * p + y * q_ for p, q_ in zip(row, v)]
-                    v = [(a // g) * q_ - (b // g) * p for p, q_ in zip(row, v)]
-                    self.rows[k] = new_row
+                    self.rows[k] = _combine(row, x, v, y)
+                    v = _combine(v, a // g, row, -(b // g))
                     changed = True
             else:
                 if v[j] < 0:
-                    v = [-x for x in v]
+                    v = {c: -x for c, x in v.items()}
                 self.rows.insert(k, v)
                 self.pivcols.insert(k, j)
                 return True
+        return changed
 
-    def basis(self) -> LatticeBasis:
-        return LatticeBasis.from_vectors(self.width, self.rows)
+
+def _combine(u: dict[int, int], s: int, w: dict[int, int], t: int) -> dict[int, int]:
+    """The sparse vector s*u + t*w, without zero entries."""
+    out = {c: s * x for c, x in u.items()} if s else {}
+    for c, x in w.items():
+        y = out.get(c, 0) + t * x
+        if y:
+            out[c] = y
+        else:
+            out.pop(c, None)
+    return out
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -18,8 +18,7 @@ from math import inf
 from typing import TYPE_CHECKING, Callable
 
 from .flows import (DEFAULT_FLOW_CAP, Binomial, check_flow_cap, flow_defects,
-                    flow_index, flow_total, iter_flows, vertex_point,
-                    vertex_support)
+                    flow_index, flow_total, iter_flows, vertex_support)
 from .groups import GroupSpec
 from .lattice import (Echelon, LatticeBasis, det, kernel_lattice,
                       sparse_span_certificate)
@@ -54,11 +53,11 @@ def monomial_matrix(rt: RootedTree, group: GroupSpec,
 def monomial_matrix_rank(rt: RootedTree, group: GroupSpec,
                          flow_cap: int = DEFAULT_FLOW_CAP) -> int:
     """Exact rank of the monomial matrix, via an incremental echelon over
-    the vertex-point columns (cheap even for many flows)."""
+    the sparse vertex-point columns (cheap even for many flows)."""
     check_flow_cap(rt.tree, group, flow_cap)
     ech = Echelon(rt.edge_count * group.order)
     for f in iter_flows(rt, group):
-        ech.add(vertex_point(rt, group, f))
+        ech.add(dict.fromkeys(vertex_support(rt, group, f), 1))
     return ech.rank
 
 
@@ -119,22 +118,21 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
     check_flow_cap(rt.tree, group, flow_cap)
     g = group.order
     e = rt.edge_count
-    width = e * g
-    ech = Echelon(width)
+    ech = Echelon(e * g)
     flows = iter_flows(rt, group)
-    q0 = vertex_point(rt, group, next(flows))
+    q0 = set(vertex_support(rt, group, next(flows)))
     for f in flows:
-        qf = vertex_point(rt, group, f)
-        ech.add([a - b for a, b in zip(qf, q0)])
+        qf = set(vertex_support(rt, group, f))
+        ech.add({**dict.fromkeys(qf - q0, 1), **dict.fromkeys(q0 - qf, -1)})
     dim = ech.rank
     expected_dim = (g - 1) * e
     if dim < expected_dim:
         index: int | float = inf
     else:
-        # coordinates in the degree-zero basis {unit(edge,h) - unit(edge,0)}:
-        # drop the identity-element column of every edge block
+        # the echelon rows in the degree-zero basis {unit(edge,h) - unit(edge,0)}
+        # (no identity column per edge block); |det| is the same for any basis
         keep = [ei * g + k for ei in range(e) for k in range(1, g)]
-        C = [[row[j] for j in keep] for row in ech.basis().vectors]
+        C = [[row.get(j, 0) for j in keep] for row in ech.rows]
         index = abs(det(C))
     return LatticeInfo(
         vertex_diff_dim=dim,

@@ -122,11 +122,15 @@ def _fixed_leaf_values(n: int, group: GroupSpec, leaf: int,
     is forced)."""
     others = [x for x in range(1, n + 1) if x != leaf]
     free, forced = others[:-1], others[-1]
-    for combo in product(group.elements, repeat=len(free)):
-        vals = {leaf: value}
+    elements, index, add, neg = group.table
+    v = index[value]
+    for combo in product(range(group.order), repeat=len(free)):
+        s = v
+        for i in combo:
+            s = add[s][i]
+        vals = {leaf: v, forced: neg[s]}
         vals.update(zip(free, combo))
-        vals[forced] = group.neg(group.add(value, group.sum(combo)))
-        yield tuple(vals[x] for x in range(1, n + 1))
+        yield tuple(elements[vals[x]] for x in range(1, n + 1))
 
 
 def join_sets(ctx: JoinContext, group: GroupSpec,

@@ -116,6 +116,17 @@ def test_deep_tree_hits_cap(capsys):
     assert "exceed the cap 1000000 (group order 2, 1200 leaves)" in err
 
 
+def test_huge_flow_count_is_written_as_a_power(capsys):
+    # 2^14999 has 4,516 digits, past Python's int-to-string limit
+    leaves = ",".join(map(str, range(1, 15001)))
+    code, out, err = run(capsys, "lattice-info", "--group", "Z2",
+                         "--tree", f"({leaves});")
+    assert code == EXIT_CAP_EXCEEDED
+    assert out == ""
+    assert err == ("error: 2^14999 flows exceed the cap 1000000 "
+                   "(group order 2, 15000 leaves)\n")
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     import phyloinv.tripod as tripod_mod
 

@@ -1,6 +1,7 @@
-"""Flows on rooted trees: conservation, enumeration, vertex points, binomials."""
+"""Flows on rooted trees: conservation, enumeration, vertex supports, binomials."""
 
 import re
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from phyloinv.errors import BinomialError, FlowError
 from phyloinv.flows import (binomial_from_multisets, enumerate_flows,
                             flow_defects, flow_from_leaves, flow_index,
-                            vertex_point, vertex_support)
+                            vertex_support)
 from phyloinv.groups import GroupSpec
 from phyloinv.pipeline import _fixed_leaf_values, join_sets, tripod_set
 from phyloinv.trees import canonical_rooting, join, parse_newick, root_at
@@ -67,7 +68,7 @@ def rooted_flows(draw):
     group = draw(st.sampled_from(FLOW_GROUPS))
     head = draw(st.lists(st.sampled_from(group.elements),
                          min_size=n - 1, max_size=n - 1))
-    return rt, group, head + [group.neg(group.sum(head))]
+    return rt, group, head + [group.neg(reduce(group.add, head, group.zero()))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -119,16 +120,13 @@ def test_flow_defects_name_the_fault(quartet):
     assert "4 edge values" in defects[f[:4]]
 
 
-def test_vertex_point_shape(quartet):
+def test_vertex_support_shape(quartet):
     for f in enumerate_flows(quartet, Z2Z2):
-        q = vertex_point(quartet, Z2Z2, f)
-        assert len(q) == 5 * 4
-        assert sum(q) == 5
-        # one coordinate per edge block
-        for ei in range(5):
-            assert sum(q[ei * 4:(ei + 1) * 4]) == 1
-        assert sorted(vertex_support(quartet, Z2Z2, f)) == \
-               [i for i, c in enumerate(q) if c]
+        support = vertex_support(quartet, Z2Z2, f)
+        # one index per edge block, inside that block, at the edge's value
+        assert len(support) == 5
+        for ei, pos in enumerate(support):
+            assert divmod(pos, 4) == (ei, Z2Z2.index(f[ei]))
 
 
 def test_binomial_checks_edge_projections(quartet):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phyloinv.errors import OutsideSpanError
+from phyloinv.errors import LatticeError, OutsideSpanError
 from phyloinv.lattice import (Echelon, LatticeBasis, det, hnf,
                               invariant_factors, kernel_lattice, lattice_equal,
                               matmul, snf, spans, sparse_span_certificate)
@@ -125,27 +125,57 @@ class TestKernel:
 class TestEchelon:
     def test_incremental_rank(self):
         ech = Echelon(3)
-        assert ech.add([1, 2, 3])
-        assert ech.add([0, 1, 1])
-        assert not ech.add([1, 3, 4])  # dependent, already in span
+        assert ech.add({0: 1, 1: 2, 2: 3})
+        assert ech.add({1: 1, 2: 1})
+        assert not ech.add({0: 1, 1: 3, 2: 4})  # dependent, already in span
         assert ech.rank == 2
 
     def test_contains_respects_divisibility(self):
         # add is False exactly for vectors already in the lattice
         ech = Echelon(2)
-        ech.add([2, 0])
-        assert not ech.add([4, 0])
-        assert ech.rows == [[2, 0]]
-        assert ech.add([1, 0])
-        assert ech.rows == [[1, 0]]
-        assert ech.add([0, 1])
+        ech.add({0: 2})
+        assert not ech.add({0: 4})
+        assert ech.rows == [{0: 2}]
+        assert ech.add({0: 1})
+        assert ech.rows == [{0: 1}]
+        assert ech.add({1: 1})
 
     def test_gcd_combination(self):
         ech = Echelon(1)
-        ech.add([6])
-        changed = ech.add([10])
+        ech.add({0: 6})
+        changed = ech.add({0: 10})
         assert changed
-        assert ech.rows == [[2]]
+        assert ech.rows == [{0: 2}]
+
+    @pytest.mark.parametrize("col", [-1, 3])
+    def test_column_outside_width_raises(self, col):
+        ech = Echelon(3)
+        with pytest.raises(LatticeError, match="outside"):
+            ech.add({0: 1, col: 1})
+        assert ech.rank == 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+        st.just(w),
+        st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -6]),
+                          min_size=w, max_size=w),
+                 min_size=1, max_size=8))))
+    def test_matches_dense_hnf(self, case):
+        width, vecs = case
+        ech = Echelon(width)
+        for i, v in enumerate(vecs):
+            before = LatticeBasis.from_vectors(width, vecs[:i])
+            grew = ech.add({c: x for c, x in enumerate(v) if x})
+            after = LatticeBasis.from_vectors(width, vecs[:i + 1])
+            # False exactly for vectors already in the lattice
+            assert grew == (not lattice_equal(before, after))
+            dense = [[row.get(c, 0) for c in range(width)] for row in ech.rows]
+            assert lattice_equal(LatticeBasis.from_vectors(width, dense), after)
+            assert ech.rank == after.rank
+            assert ech.pivcols == sorted(set(ech.pivcols))
+            for row, j in zip(ech.rows, ech.pivcols):
+                assert min(row) == j and row[j] > 0
+                assert all(row.values())
 
 
 class TestSpanChecks:

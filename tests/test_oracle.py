@@ -1,6 +1,7 @@
 """Certification oracle: kernels, ranks, lattice diagnostics, sabotage."""
 
 import json
+from collections.abc import Mapping
 
 import pytest
 
@@ -8,6 +9,7 @@ from phyloinv import oracle
 from phyloinv.errors import Cancelled, FlowCapExceeded
 from phyloinv.flows import Binomial, enumerate_flows
 from phyloinv.groups import GroupSpec, parse_group_spec
+from phyloinv.lattice import Echelon
 from phyloinv.oracle import (codim, degree_bound, exponent_vector, flow_total,
                              lattice_report, monomial_matrix,
                              monomial_matrix_rank, oracle_kernel,
@@ -113,6 +115,24 @@ class TestVerify:
         assert r.spans_ok and r.degree_bound_ok
         assert r.failures == []
         assert r.kernel_rank == r.expected_codim == 16
+
+    def test_echelon_sees_only_sparse_vectors(self, monkeypatch):
+        seen = []
+        real = Echelon.add
+
+        def recording(ech, vec):
+            seen.append(vec)
+            return real(ech, vec)
+
+        monkeypatch.setattr("phyloinv.lattice.Echelon.add", recording)
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        assert verify_complete_intersection(s).passed
+        # one vertex point per flow, one difference per flow but the first
+        assert len(seen) == 2 * 27 - 1
+        e = s.rooted.edge_count
+        for vec in seen:
+            assert isinstance(vec, Mapping)
+            assert sum(1 for x in vec.values() if x) <= 2 * e
 
     def test_doubled_generator_breaks_span(self):
         s = generate(parse_newick("((1,2),(3,4));"), Z2)
