@@ -7,15 +7,13 @@ of its dense torus orbit, and certifies the result with an independent
 exact integer-lattice computation.
 """
 
-from .errors import (BinomialError, Cancelled, Error, FlowCapExceeded,
-                     FlowError, GroupParseError, InternalError,
-                     InvalidTreeError, LatticeError, NewickParseError,
-                     OutsideSpanError)
-from .flows import (Binomial, Flow, enumerate_flows, flow_from_leaves,
-                    flow_index)
+from .errors import (BinomialError, Error, FlowCapExceeded, FlowError,
+                     GroupParseError, InternalError, InvalidTreeError,
+                     LatticeError, NewickParseError, OutsideSpanError)
+from .flows import Binomial, Flow, flow_from_leaves, flow_index
 from .groups import Element, GroupSpec, parse_group_spec
 from .oracle import (LatticeInfo, VerificationReport, codim, lattice_report,
-                     oracle_kernel, verify_complete_intersection)
+                     verify_complete_intersection)
 from .pipeline import (GenerateOptions, InvariantSet, algebra_text, generate)
 from .trees import (RootedTree, Tree, canonical_rooting, join, parse_newick)
 from .tripod import (AdmissibleMatrix, cyclic_basis, product_basis,
@@ -27,7 +25,6 @@ __all__ = [
     "AdmissibleMatrix",
     "Binomial",
     "BinomialError",
-    "Cancelled",
     "Element",
     "Error",
     "Flow",
@@ -50,13 +47,11 @@ __all__ = [
     "canonical_rooting",
     "codim",
     "cyclic_basis",
-    "enumerate_flows",
     "flow_from_leaves",
     "flow_index",
     "generate",
     "join",
     "lattice_report",
-    "oracle_kernel",
     "parse_group_spec",
     "parse_newick",
     "product_basis",

@@ -52,7 +52,3 @@ class FlowCapExceeded(Error, RuntimeError):
 
 class InternalError(Error, RuntimeError):
     """An internal invariant of the construction does not hold (a bug)."""
-
-
-class Cancelled(Error, RuntimeError):
-    """A long-running lattice computation was cancelled cooperatively."""

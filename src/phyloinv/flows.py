@@ -60,9 +60,9 @@ def _complete(rt: RootedTree, table: CayleyTable, idx: list[int]) -> Flow:
 
 
 def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dict[Flow, str]:
-    """Why each of ``terms`` is not a flow on ``rt``: a wrong length, a value
-    outside ``group``, or an interior node that does not conserve.  Terms
-    that are flows do not appear in the result."""
+    """Why each of ``terms`` is not a flow on ``rt``: not a tuple, a wrong
+    length, a value outside ``group``, or an interior node that does not
+    conserve.  Terms that are flows do not appear in the result."""
     e = rt.edge_count
     factors = tuple(enumerate(group.factors))
     # per interior node: its incoming edge (None at the root), its outgoing edges
@@ -83,7 +83,9 @@ def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dic
 
     out: dict[Flow, str] = {}
     for f in terms:
-        if len(f) != e:
+        if not isinstance(f, tuple):
+            out[f] = f"is not a tuple of {e} edge values"
+        elif len(f) != e:
             out[f] = f"has {len(f)} edge values, expected {e}"
         elif not all(map(group.is_element, f)):
             ei = next(ei for ei, x in enumerate(f) if not group.is_element(x))
@@ -121,13 +123,8 @@ def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
         yield _complete(rt, table, [*head, neg[s]])
 
 
-def enumerate_flows(rt: RootedTree, group: GroupSpec, cap: int = DEFAULT_FLOW_CAP) -> list[Flow]:
-    check_flow_cap(rt.tree, group, cap)
-    return list(iter_flows(rt, group))
-
-
 def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:
-    """Position of ``f`` in ``enumerate_flows`` order (mixed radix on leaf values)."""
+    """Position of ``f`` in ``iter_flows`` order (mixed radix on leaf values)."""
     idx = 0
     for leaf in range(rt.leaf_count - 1):
         idx = idx * group.order + group.index(f[leaf])
@@ -154,7 +151,7 @@ class Binomial:
 
     @cached_property
     def degree(self) -> int:
-        return len(self.lhs)
+        return max(len(self.lhs), len(self.rhs))
 
     @property
     def is_trivial(self) -> bool:

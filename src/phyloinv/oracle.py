@@ -15,13 +15,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import inf
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .flows import (DEFAULT_FLOW_CAP, Binomial, check_flow_cap, flow_defects,
                     flow_index, flow_total, iter_flows, vertex_support)
 from .groups import GroupSpec
-from .lattice import (Echelon, LatticeBasis, det, kernel_lattice,
-                      sparse_span_certificate)
+from .lattice import Echelon, det, sparse_span_certificate
 from .trees import RootedTree, Tree
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,19 +36,6 @@ def degree_bound(group: GroupSpec) -> int:
     return max(3, max(group.factors))
 
 
-def monomial_matrix(rt: RootedTree, group: GroupSpec,
-                    flow_cap: int = DEFAULT_FLOW_CAP) -> list[list[int]]:
-    """The (edges * |G|) x (number of flows) 0/1 matrix whose columns are the
-    vertex points, in flow enumeration order."""
-    n = check_flow_cap(rt.tree, group, flow_cap)
-    g = group.order
-    rows = [[0] * n for _ in range(rt.edge_count * g)]
-    for col, f in enumerate(iter_flows(rt, group)):
-        for pos in vertex_support(rt, group, f):
-            rows[pos][col] = 1
-    return rows
-
-
 def monomial_matrix_rank(rt: RootedTree, group: GroupSpec,
                          flow_cap: int = DEFAULT_FLOW_CAP) -> int:
     """Exact rank of the monomial matrix, via an incremental echelon over
@@ -59,14 +45,6 @@ def monomial_matrix_rank(rt: RootedTree, group: GroupSpec,
     for f in iter_flows(rt, group):
         ech.add(dict.fromkeys(vertex_support(rt, group, f), 1))
     return ech.rank
-
-
-def oracle_kernel(rt: RootedTree, group: GroupSpec,
-                  flow_cap: int = DEFAULT_FLOW_CAP,
-                  cancel: Callable[[], bool] | None = None) -> LatticeBasis:
-    """The saturated integer kernel of the monomial matrix (dense Hermite
-    computation -- intended for small instances and cross-checks)."""
-    return kernel_lattice(monomial_matrix(rt, group, flow_cap), cancel=cancel)
 
 
 def exponent_vector(rt: RootedTree, group: GroupSpec, b: Binomial) -> dict[int, int]:
@@ -177,6 +155,11 @@ class VerificationReport:
         }
 
 
+def _tuples(x):
+    """``x`` with every list, at any depth, a tuple."""
+    return tuple(map(_tuples, x)) if isinstance(x, (list, tuple)) else x
+
+
 def _tuple_terms(b: Binomial) -> Binomial:
     """``b`` with every term a tuple of element tuples.  A set rebuilt from
     JSON has list terms, and the checks hash terms; ``b`` itself is returned
@@ -185,16 +168,12 @@ def _tuple_terms(b: Binomial) -> Binomial:
         hash(b)
         return b
     except TypeError:
-        lhs, rhs = [tuple(tuple(tuple(e) if isinstance(e, list) else e
-                                for e in f) for f in side)
-                    for side in (b.lhs, b.rhs)]
-        return Binomial(lhs, rhs)
+        return Binomial(_tuples(b.lhs), _tuples(b.rhs))
 
 
 def verify_complete_intersection(s: "InvariantSet",
                                  flow_cap: int = DEFAULT_FLOW_CAP,
-                                 with_lattice_info: bool = True,
-                                 cancel: Callable[[], bool] | None = None
+                                 with_lattice_info: bool = True
                                  ) -> VerificationReport:
     """Certify that a binomial set cuts out the variety on the torus.
 
@@ -252,7 +231,7 @@ def verify_complete_intersection(s: "InvariantSet",
 
     if membership_ok:
         rows = [exponent_vector(rt, group, b) for b in binomials]
-        span_rank, leftover = sparse_span_certificate(rows, cancel=cancel)
+        span_rank, leftover = sparse_span_certificate(rows)
         spans_ok = span_rank == kernel_rank and all(d == 1 for d in leftover)
         if span_rank != kernel_rank:
             failures.append(

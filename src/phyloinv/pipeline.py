@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .errors import (AdmissibilityError, BinomialError, FlowError,
-                     InternalError, InvalidTreeError, LatticeError)
+from .errors import (AdmissibilityError, BinomialError, FlowCapExceeded,
+                     FlowError, InternalError, InvalidTreeError, LatticeError)
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
                     check_flow_cap, flow_from_leaves)
 from .groups import Element, GroupSpec
-from .oracle import codim
+from .oracle import codim, degree_bound
 from .trees import (JoinContext, RootedTree, Tree, canonical_rooting,
                     decompose_at_edge, join, tree_to_json)
 
@@ -316,10 +316,18 @@ def generate(tree: Tree, group: GroupSpec,
     with a seed, a uniformly random interior edge) and the parts are
     handled recursively.  A flow, binomial, admissibility or lattice error
     raised inside the construction is a broken invariant, not bad input,
-    and comes out as :class:`InternalError`.
+    and comes out as :class:`InternalError`.  An instance over the flow cap,
+    or whose codim x degree bound exceeds 4 x the flow cap, is refused with
+    :class:`FlowCapExceeded` before anything is built.
     """
     opts = options or GenerateOptions()
     check_flow_cap(tree, group, opts.flow_cap)
+    # codim x degree bound caps the terms per side of the whole set; when
+    # every factor is at most 4 the flow cap alone keeps it under 4 x cap
+    c, d = codim(tree, group), degree_bound(group)
+    if c * d > 4 * opts.flow_cap:
+        raise FlowCapExceeded(
+            f"codim {c} x degree bound {d} exceeds 4 x the flow cap {opts.flow_cap}")
     rng = random.Random(opts.seed) if opts.seed is not None else None
     try:
         return _generate(tree, group, opts, rng)

@@ -110,10 +110,6 @@ class Tree:
     def is_claw(self) -> bool:
         return self.interior_node_count == 1
 
-    @property
-    def is_trivalent(self) -> bool:
-        return all(len(self._adj[u]) == 3 for u in self.interior_nodes)
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._adj[u]
 
@@ -127,7 +123,7 @@ class Tree:
     def canonical_newick(self) -> str:
         """Deterministic Newick form: rooted next to leaf 1, children by min leaf."""
         if self._canon is None:
-            rt = root_at(self, self.canonical_root())
+            rt = RootedTree(self, self.canonical_root())
             # (min leaf, text) per node, children before parents
             rendered = {leaf: (leaf, str(leaf))
                         for leaf in range(1, self.leaf_count + 1)}
@@ -219,10 +215,6 @@ class RootedTree:
 
     def __repr__(self):
         return f"RootedTree({self.tree.canonical_newick()!r}, root={self.root})"
-
-
-def root_at(tree: Tree, root: int) -> RootedTree:
-    return RootedTree(tree, root)
 
 
 def canonical_rooting(tree: Tree) -> RootedTree:

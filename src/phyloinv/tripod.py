@@ -267,33 +267,6 @@ def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMa
     return cur
 
 
-def admissible_condition_matrix(spec: GroupSpec) -> list[list[int]]:
-    """The 3|G| x |G|^2 matrix of the three admissibility conditions applied
-    to a flattened (row-major) matrix; its integer kernel is the admissible
-    lattice.  Used as the independent oracle in tests."""
-    els = spec.elements
-    n = len(els)
-    rows: list[list[int]] = []
-    for i in range(n):
-        row = [0] * (n * n)
-        for j in range(n):
-            row[i * n + j] = 1
-        rows.append(row)
-    for j in range(n):
-        row = [0] * (n * n)
-        for i in range(n):
-            row[i * n + j] = 1
-        rows.append(row)
-    for k in els:
-        row = [0] * (n * n)
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                if spec.add(a, b) == k:
-                    row[i * n + j] = 1
-        rows.append(row)
-    return rows
-
-
 def matrix_to_binomial(m: AdmissibleMatrix) -> Binomial:
     """The tripod binomial of an admissible matrix: the entry of elements
     (a, b) with value v contributes |v| copies of the flow with leaf values

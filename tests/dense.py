@@ -1,6 +1,217 @@
-"""Dense views of the sparse admissible matrices, for tests only."""
+"""Dense reference computations for the tests.
 
-from phyloinv.tripod import admissible_condition_matrix
+The package certifies with sparse vectors only.  These dense versions are
+the independent references the tests compare it against: a row Hermite
+normal form with its transform, saturated kernels and lattice equality,
+the 0/1 monomial matrix and its kernel, every flow as a list, the
+admissibility condition matrix, and dense views of the sparse admissible
+matrices.  Small instances only.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from phyloinv.errors import LatticeError, OutsideSpanError
+from phyloinv.flows import (DEFAULT_FLOW_CAP, check_flow_cap, iter_flows,
+                            vertex_support)
+from phyloinv.lattice import Echelon
+
+Matrix = list[list[int]]
+
+
+# -- dense integer matrices --------------------------------------------
+
+
+def identity(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
+    n, k = len(A), len(B)
+    m = len(B[0]) if k else 0
+    out = [[0] * m for _ in range(n)]
+    for i, arow in enumerate(A):
+        orow = out[i]
+        for t, a in enumerate(arow):
+            if a:
+                brow = B[t]
+                for j in range(m):
+                    orow[j] += a * brow[j]
+    return out
+
+
+def hnf(A: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """Row Hermite normal form.  Returns (H, U) with H = U*A, |det U| = 1,
+    pivots positive, entries above each pivot reduced into [0, pivot)."""
+    H = [[int(x) for x in row] for row in A]
+    m = len(H)
+    n = len(H[0]) if m else 0
+    U = identity(m)
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if H[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(H[i][c]))
+            if i0 != r:
+                H[r], H[i0] = H[i0], H[r]
+                U[r], U[i0] = U[i0], U[r]
+            if H[r][c] < 0:
+                H[r] = [-x for x in H[r]]
+                U[r] = [-x for x in U[r]]
+            p = H[r][c]
+            done = True
+            for i in range(r + 1, m):
+                if H[i][c]:
+                    q = H[i][c] // p
+                    if q:
+                        H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+                        U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+                    if H[i][c]:
+                        done = False
+            if done:
+                break
+        if H[r][c]:
+            p = H[r][c]
+            for i in range(r):
+                q = H[i][c] // p
+                if q:
+                    H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+            r += 1
+    return H, U
+
+
+# -- lattices ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LatticeBasis:
+    """A sublattice of Z^ambient given by linearly independent basis rows
+    (kept in canonical HNF when built through :meth:`from_vectors`)."""
+
+    ambient: int
+    vectors: tuple[tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.vectors)
+
+    @classmethod
+    def from_vectors(cls, ambient: int,
+                     vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
+        rows = [list(v) for v in vectors]
+        for v in rows:
+            if len(v) != ambient:
+                raise LatticeError(f"vector length {len(v)} != ambient {ambient}")
+        if not rows:
+            return cls(ambient, ())
+        H, _ = hnf(rows)
+        return cls(ambient, tuple(tuple(row) for row in H if any(row)))
+
+
+def kernel_lattice(A: Sequence[Sequence[int]]) -> LatticeBasis:
+    """The saturated lattice {x in Z^n : A x = 0} for an m x n matrix A."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    # row-HNF of [A^T | I_n]: rows whose A^T part vanished carry a kernel basis
+    T = [[A[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
+         for j in range(n)]
+    H, _ = hnf(T)
+    return LatticeBasis.from_vectors(n, [row[m:] for row in H if not any(row[:m])])
+
+
+def lattice_equal(L1: LatticeBasis, L2: LatticeBasis) -> bool:
+    if L1.ambient != L2.ambient:
+        raise LatticeError(f"ambient dimensions differ: {L1.ambient} vs {L2.ambient}")
+    c1 = LatticeBasis.from_vectors(L1.ambient, L1.vectors)
+    c2 = LatticeBasis.from_vectors(L2.ambient, L2.vectors)
+    return c1.vectors == c2.vectors
+
+
+def spans(vectors: Iterable[Sequence[int]], L: LatticeBasis) -> bool:
+    """True iff the integer span of ``vectors`` equals L.
+
+    A vector outside the *rational* span of L raises
+    :class:`OutsideSpanError`; a proper sublattice just returns False.
+    """
+    vecs = [list(v) for v in vectors]
+    for v in vecs:
+        if len(v) != L.ambient:
+            raise LatticeError(f"vector length {len(v)} != ambient {L.ambient}")
+    ech = Echelon(L.ambient)
+    for b in L.vectors:
+        ech.add(dict(enumerate(b)))
+    base_rank = ech.rank
+    for i, v in enumerate(vecs):
+        ech.add(dict(enumerate(v)))
+        if ech.rank > base_rank:
+            raise OutsideSpanError(f"vector {i} lies outside the rational span of the lattice")
+    return lattice_equal(LatticeBasis.from_vectors(L.ambient, vecs), L)
+
+
+# -- flows and the monomial matrix -------------------------------------
+
+
+def enumerate_flows(rt, group, cap: int = DEFAULT_FLOW_CAP) -> list:
+    """Every flow, in ``iter_flows`` order."""
+    check_flow_cap(rt.tree, group, cap)
+    return list(iter_flows(rt, group))
+
+
+def monomial_matrix(rt, group, flow_cap: int = DEFAULT_FLOW_CAP) -> Matrix:
+    """The (edges * |G|) x (number of flows) 0/1 matrix whose columns are the
+    vertex points, in flow enumeration order."""
+    n = check_flow_cap(rt.tree, group, flow_cap)
+    rows = [[0] * n for _ in range(rt.edge_count * group.order)]
+    for col, f in enumerate(iter_flows(rt, group)):
+        for pos in vertex_support(rt, group, f):
+            rows[pos][col] = 1
+    return rows
+
+
+def oracle_kernel(rt, group, flow_cap: int = DEFAULT_FLOW_CAP) -> LatticeBasis:
+    """The saturated integer kernel of the monomial matrix."""
+    return kernel_lattice(monomial_matrix(rt, group, flow_cap))
+
+
+def is_trivalent(tree) -> bool:
+    return all(tree.degree(u) == 3 for u in tree.interior_nodes)
+
+
+# -- admissible matrices -----------------------------------------------
+
+
+def admissible_condition_matrix(spec) -> Matrix:
+    """The 3|G| x |G|^2 matrix of the three admissibility conditions applied
+    to a flattened (row-major) matrix; its integer kernel is the admissible
+    lattice."""
+    els = spec.elements
+    n = len(els)
+    rows: Matrix = []
+    for i in range(n):
+        row = [0] * (n * n)
+        for j in range(n):
+            row[i * n + j] = 1
+        rows.append(row)
+    for j in range(n):
+        row = [0] * (n * n)
+        for i in range(n):
+            row[i * n + j] = 1
+        rows.append(row)
+    for k in els:
+        row = [0] * (n * n)
+        for i, a in enumerate(els):
+            for j, b in enumerate(els):
+                if spec.add(a, b) == k:
+                    row[i * n + j] = 1
+        rows.append(row)
+    return rows
 
 
 def dense(m):

@@ -19,17 +19,16 @@ from hypothesis import strategies as st
 from phyloinv.errors import InvalidTreeError, NewickParseError
 from phyloinv.flows import Binomial
 from phyloinv.groups import GroupSpec, parse_group_spec
-from phyloinv.lattice import kernel_lattice, spans
 from phyloinv.oracle import codim, flow_total, lattice_report, \
     verify_complete_intersection
 from phyloinv.pipeline import InvariantSet, generate
 from phyloinv.trees import parse_newick
-from phyloinv.tripod import (AdmissibleMatrix, adm_basis,
-                             admissible_condition_matrix, cyclic_basis,
+from phyloinv.tripod import (AdmissibleMatrix, adm_basis, cyclic_basis,
                              cyclic_basis_matrix, matrix_to_binomial,
                              product_basis)
 
-from dense import dense, flat, meets_conditions, sparse
+from dense import (admissible_condition_matrix, dense, flat, kernel_lattice,
+                   meets_conditions, sparse, spans)
 
 FLOW_CAP = 10 ** 5
 

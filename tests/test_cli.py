@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -125,6 +126,29 @@ def test_huge_flow_count_is_written_as_a_power(capsys):
     assert out == ""
     assert err == ("error: 2^14999 flows exceed the cap 1000000 "
                    "(group order 2, 15000 leaves)\n")
+
+
+def test_work_bound_refuses_large_cyclic_tripod(capsys):
+    # Z1000 on the tripod has exactly 10^6 flows, within the default cap,
+    # but codim 997,002 binomials of degree up to 1000
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "generate", "--group", "Z1000",
+                         "--tree", "(1,2,3);")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_CAP_EXCEEDED
+    assert out == ""
+    assert err == ("error: codim 997002 x degree bound 1000 exceeds "
+                   "4 x the flow cap 1000000\n")
+
+
+def test_work_bound_scales_with_the_flow_cap(capsys):
+    # Z30 tripod: codim 812 x degree bound 30 = 24,360 = 4 x 6,090
+    args = ("generate", "--group", "Z30", "--tree", "(1,2,3);", "--flow-cap")
+    code, _, err = run(capsys, *args, "6089")
+    assert code == EXIT_CAP_EXCEEDED
+    assert "exceeds 4 x the flow cap 6089" in err
+    code, _, err = run(capsys, *args, "6090", "--output", "algebra-text")
+    assert code == EXIT_OK and err == ""
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phyloinv.errors import BinomialError, FlowError
-from phyloinv.flows import (binomial_from_multisets, enumerate_flows,
-                            flow_defects, flow_from_leaves, flow_index,
-                            vertex_support)
+from dense import enumerate_flows
+from phyloinv.flows import (binomial_from_multisets, flow_defects,
+                            flow_from_leaves, flow_index, vertex_support)
 from phyloinv.groups import GroupSpec
 from phyloinv.pipeline import _fixed_leaf_values, join_sets, tripod_set
-from phyloinv.trees import canonical_rooting, join, parse_newick, root_at
+from phyloinv.trees import RootedTree, canonical_rooting, join, parse_newick
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -64,7 +64,7 @@ def rooted_flows(draw):
         k = draw(st.integers(2, len(items) - 1))
         items = items[k:] + ["(" + ",".join(items[:k]) + ")"]
     tree = parse_newick("(" + ",".join(items) + ");")
-    rt = root_at(tree, draw(st.sampled_from(tree.interior_nodes)))
+    rt = RootedTree(tree, draw(st.sampled_from(tree.interior_nodes)))
     group = draw(st.sampled_from(FLOW_GROUPS))
     head = draw(st.lists(st.sampled_from(group.elements),
                          min_size=n - 1, max_size=n - 1))

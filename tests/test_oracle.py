@@ -5,14 +5,14 @@ from collections.abc import Mapping
 
 import pytest
 
+from dense import enumerate_flows, monomial_matrix, oracle_kernel
 from phyloinv import oracle
-from phyloinv.errors import Cancelled, FlowCapExceeded
-from phyloinv.flows import Binomial, enumerate_flows
-from phyloinv.groups import GroupSpec, parse_group_spec
+from phyloinv.errors import FlowCapExceeded
+from phyloinv.flows import Binomial
+from phyloinv.groups import GroupSpec
 from phyloinv.lattice import Echelon
 from phyloinv.oracle import (codim, degree_bound, exponent_vector, flow_total,
-                             lattice_report, monomial_matrix,
-                             monomial_matrix_rank, oracle_kernel,
+                             lattice_report, monomial_matrix_rank,
                              verify_complete_intersection)
 from phyloinv.pipeline import InvariantSet, generate
 from phyloinv.trees import canonical_rooting, parse_newick
@@ -203,11 +203,6 @@ class TestVerify:
         assert want["pass"]
         assert verify_complete_intersection(rebuilt).to_json() == want
 
-    def test_cancel_hook(self):
-        s = generate(parse_newick("((1,2),(3,4));"), parse_group_spec("Z4"))
-        with pytest.raises(Cancelled):
-            verify_complete_intersection(s, cancel=lambda: True)
-
 
 def test_oracle_matches_construction_across_instances():
     # two fully independent computations of the kernel rank
@@ -258,6 +253,35 @@ class TestNonFlows:
         assert not r.kernel_membership_ok
         assert any(m.startswith("binomial 0: term ") and "not in Z3" in m
                    for m in r.failures)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_non_sequence_term_is_rejected(self, as_json):
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        b = s.binomials[0]
+        foreign = Binomial((5,) + b.lhs[1:], b.rhs)
+        if as_json:  # list terms beside the int, as read back from JSON
+            foreign = Binomial(*json.loads(json.dumps([foreign.lhs, foreign.rhs])))
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, [foreign] + list(s.binomials[1:]),
+                         list(s.provenance)))
+        assert not r.passed
+        assert not r.kernel_membership_ok
+        assert "binomial 0: term 5 is not a flow: is not a tuple of 5 edge " \
+               "values" in r.failures
+
+
+def test_degree_reads_both_sides():
+    s = generate(parse_newick("((1,2),(3,4));"), Z3)
+    i, b = next((i, b) for i, b in enumerate(s.binomials) if b.degree == 3)
+    lopsided = Binomial(b.lhs, b.rhs * 4)
+    assert lopsided.degree == 12
+    binomials = list(s.binomials)
+    binomials[i] = lopsided
+    r = verify_complete_intersection(
+        InvariantSet(s.rooted, s.group, binomials, list(s.provenance)))
+    assert not r.degree_bound_ok
+    assert f"binomial {i}: degree 12 exceeds bound 3" in r.failures
+    assert not r.passed
 
 
 def test_passed_iff_no_failures(monkeypatch):

@@ -13,9 +13,11 @@ import json
 
 import pytest
 
+from phyloinv.flows import Binomial
 from phyloinv.groups import parse_group_spec
 from phyloinv.oracle import verify_complete_intersection
-from phyloinv.pipeline import GenerateOptions, algebra_text, generate
+from phyloinv.pipeline import (GenerateOptions, InvariantSet, algebra_text,
+                               generate)
 from phyloinv.trees import parse_newick
 
 GENERATE_PINS = [
@@ -41,6 +43,12 @@ GENERATE_PINS = [
 
 VERIFY_PIN = "4a1fbc9076d57f81b0ae5b99a93e8c1a680b65753d289108ec0f0664dc8cfa31"
 
+# Z3 on the quartet with binomials 0, 1 and 2 raised to the powers 2, 3
+# and 2: over the degree bound, and a span whose 3 x 13 leftover block
+# has invariant factors [1, 2, 6]
+FAILING_VERIFY_PIN = \
+    "a6d2b68a4f2c934d3057a914be3bf1ebe62d12ecaf46747daeec435a704d8f40"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -65,3 +73,15 @@ def test_generate_outputs_pinned(group, newick, kw, json_pin, text_pin):
 def test_verify_output_pinned():
     s = gen("Z2xZ3", "(1,2,3,4);", {"mode": "factored"})
     assert sha256(dump(verify_complete_intersection(s).to_json())) == VERIFY_PIN
+
+
+def test_failing_verify_output_pinned():
+    s = gen("Z3", "((1,2),(3,4));", {})
+    binomials = list(s.binomials)
+    for i, k in ((0, 2), (1, 3), (2, 2)):
+        b = binomials[i]
+        binomials[i] = Binomial(tuple(sorted(b.lhs * k)), tuple(sorted(b.rhs * k)))
+    report = verify_complete_intersection(
+        InvariantSet(s.rooted, s.group, binomials, list(s.provenance)))
+    assert report.failures[-1].endswith("(leftover invariant factors [1, 2, 6])")
+    assert sha256(dump(report.to_json())) == FAILING_VERIFY_PIN

@@ -2,9 +2,10 @@
 
 import pytest
 
+from dense import is_trivalent
 from phyloinv.errors import InvalidTreeError, NewickParseError
-from phyloinv.trees import (Tree, canonical_rooting, decompose_at_edge, join,
-                            parse_newick, root_at, tree_to_json)
+from phyloinv.trees import (RootedTree, Tree, canonical_rooting,
+                            decompose_at_edge, join, parse_newick, tree_to_json)
 
 
 def tripod():
@@ -29,7 +30,7 @@ class TestParsing:
         assert t.edge_count == 5
         assert t.interior_node_count == 2
         assert not t.is_claw
-        assert t.is_trivalent
+        assert is_trivalent(t)
 
     def test_root_of_degree_two_is_suppressed(self):
         # "((1,2),(3,4));" puts a binary node at the top; the resulting
@@ -50,7 +51,7 @@ class TestParsing:
         t = parse_newick("((((1,2),3),4),(5,6));")
         assert t.leaf_count == 6
         assert t.edge_count == 9
-        assert t.is_trivalent
+        assert is_trivalent(t)
 
     @pytest.mark.parametrize("bad,frag", [
         ("", "expected"),
@@ -155,7 +156,7 @@ class TestRooting:
     def test_reroot_preserves_edge_set(self):
         t = parse_newick("((((1,2),3),4),(5,6));")
         for v in t.interior_nodes:
-            rt = root_at(t, v)
+            rt = RootedTree(t, v)
             assert {frozenset(e) for e in rt.edges} == \
                    {frozenset(e) for e in t.edges}
 

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense, flat, meets_conditions, sparse
-from phyloinv.flows import enumerate_flows
+from dense import (admissible_condition_matrix, dense, enumerate_flows, flat,
+                   kernel_lattice, meets_conditions, sparse, spans)
 from phyloinv.groups import GroupSpec, parse_group_spec
-from phyloinv.lattice import kernel_lattice, spans
 from phyloinv.tripod import (AdmissibilityError, AdmissibleMatrix,
                              _add_exchange, adm_basis,
-                             admissibility_failure,
-                             admissible_condition_matrix, cyclic_basis,
+                             admissibility_failure, cyclic_basis,
                              cyclic_basis_matrix, matrix_to_binomial,
                              product_basis, product_cubic, relabel_matrix,
                              tripod_invariants, tripod_tree)
