@@ -9,7 +9,7 @@ exact integer-lattice computation.
 
 from .errors import (BinomialError, Error, FlowCapExceeded, FlowError,
                      GroupParseError, InternalError, InvalidTreeError,
-                     LatticeError, NewickParseError, OutsideSpanError)
+                     LatticeError, NewickParseError)
 from .flows import Binomial, Flow, flow_from_leaves, flow_index
 from .groups import Element, GroupSpec, parse_group_spec
 from .oracle import (LatticeInfo, VerificationReport, codim, lattice_report,
@@ -39,7 +39,6 @@ __all__ = [
     "LatticeError",
     "LatticeInfo",
     "NewickParseError",
-    "OutsideSpanError",
     "RootedTree",
     "Tree",
     "VerificationReport",

@@ -39,11 +39,7 @@ class AdmissibilityError(Error, ValueError):
 
 
 class LatticeError(Error, ValueError):
-    """Dimension mismatch or containment failure between lattices."""
-
-
-class OutsideSpanError(LatticeError):
-    """A vector lies outside the rational span of the target lattice."""
+    """A lattice vector or matrix of a shape the lattice routines refuse."""
 
 
 class FlowCapExceeded(Error, RuntimeError):

@@ -125,17 +125,18 @@ def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
 
 def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:
     """Position of ``f`` in ``iter_flows`` order (mixed radix on leaf values)."""
+    g, index = group.order, group.table.index
     idx = 0
-    for leaf in range(rt.leaf_count - 1):
-        idx = idx * group.order + group.index(f[leaf])
+    for i in map(index.__getitem__, f[:rt.leaf_count - 1]):
+        idx = idx * g + i
     return idx
 
 
 def vertex_support(rt: RootedTree, group: GroupSpec, f: Flow) -> tuple[int, ...]:
     """Flat indices of the ones in a flow's 0/1 vertex point: one block of
     size |G| per edge, with a 1 at the enumeration index of its value."""
-    g = group.order
-    return tuple(ei * g + group.index(val) for ei, val in enumerate(f))
+    g, index = group.order, group.table.index
+    return tuple(ei * g + i for ei, i in enumerate(map(index.__getitem__, f)))
 
 
 @dataclass(frozen=True)

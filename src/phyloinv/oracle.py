@@ -155,15 +155,36 @@ class VerificationReport:
         }
 
 
+class _Unhashable:
+    """Stands in for an unhashable value inside a term: hashes by identity
+    and prints as the value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self) -> str:
+        return repr(self.value)
+
+
 def _tuples(x):
-    """``x`` with every list, at any depth, a tuple."""
-    return tuple(map(_tuples, x)) if isinstance(x, (list, tuple)) else x
+    """``x`` with every list, at any depth, a tuple, and every other value
+    that does not hash (a dict, say) in an ``_Unhashable``."""
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_tuples, x))
+    try:
+        hash(x)
+    except TypeError:
+        return _Unhashable(x)
+    return x
 
 
 def _tuple_terms(b: Binomial) -> Binomial:
     """``b`` with every term a tuple of element tuples.  A set rebuilt from
     JSON has list terms, and the checks hash terms; ``b`` itself is returned
-    when it already hashes."""
+    when it already hashes.  A term, or a value in one, that cannot hash is
+    kept so that the flow check reports it."""
     try:
         hash(b)
         return b
@@ -196,7 +217,9 @@ def verify_complete_intersection(s: "InvariantSet",
     if not count_ok:
         failures.append(f"count: expected {expected} generators, found {actual}")
 
-    defects = flow_defects(rt, group, {f for b in binomials for f in b.lhs + b.rhs})
+    terms = {f for b in binomials for f in b.lhs + b.rhs}
+    defects = flow_defects(rt, group, terms)
+    support = {f: vertex_support(rt, group, f) for f in terms if f not in defects}
     membership_ok = True
     for i, b in enumerate(binomials):
         bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
@@ -207,11 +230,9 @@ def verify_complete_intersection(s: "InvariantSet",
             continue
         acc: Counter = Counter()
         for f in b.lhs:
-            for pos in vertex_support(rt, group, f):
-                acc[pos] += 1
+            acc.update(support[f])
         for f in b.rhs:
-            for pos in vertex_support(rt, group, f):
-                acc[pos] -= 1
+            acc.subtract(support[f])
         if any(acc.values()):
             membership_ok = False
             failures.append(f"binomial {i}: exponent vector outside the kernel")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from phyloinv.errors import LatticeError, OutsideSpanError
+from phyloinv.errors import LatticeError
 from phyloinv.flows import (DEFAULT_FLOW_CAP, check_flow_cap, iter_flows,
                             vertex_support)
 from phyloinv.lattice import Echelon
@@ -132,6 +132,10 @@ def lattice_equal(L1: LatticeBasis, L2: LatticeBasis) -> bool:
     c1 = LatticeBasis.from_vectors(L1.ambient, L1.vectors)
     c2 = LatticeBasis.from_vectors(L2.ambient, L2.vectors)
     return c1.vectors == c2.vectors
+
+
+class OutsideSpanError(LatticeError):
+    """A vector lies outside the rational span of the target lattice."""
 
 
 def spans(vectors: Iterable[Sequence[int]], L: LatticeBasis) -> bool:

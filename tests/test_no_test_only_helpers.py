@@ -1,7 +1,8 @@
 """No test-only helpers in the package: every top-level function or class
 in ``src/phyloinv`` is used by name somewhere else in the package, or is
-public API listed in ``__all__``.  Dense reference code the tests need
-lives in ``tests/dense.py``."""
+public API listed in ``__all__``, and every exception class in
+``errors.py`` is raised by the package, itself or through a subclass.
+Dense reference code the tests need lives in ``tests/dense.py``."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,26 @@ def test_every_definition_is_used_in_the_package():
                           if node is not defn)]
     assert not unused, "defined in src/phyloinv but used only outside it: " \
         + ", ".join(unused)
+
+
+def test_every_error_class_is_raised_in_the_package():
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+
+    def with_bases(name):
+        yield name
+        for b in bases.get(name, ()):
+            yield from with_bases(b)
+
+    covered = {c for name in raised for c in with_bases(name)}
+    unraised = sorted(set(bases) - covered)
+    assert not unraised, "error classes src/phyloinv never raises: " \
+        + ", ".join(unraised)

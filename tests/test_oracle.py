@@ -134,6 +134,21 @@ class TestVerify:
             assert isinstance(vec, Mapping)
             assert sum(1 for x in vec.values() if x) <= 2 * e
 
+    def test_each_term_is_encoded_once(self, monkeypatch):
+        calls = []
+        real = oracle.vertex_support
+
+        def counting(rt, group, f):
+            calls.append(f)
+            return real(rt, group, f)
+
+        monkeypatch.setattr(oracle, "vertex_support", counting)
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        assert verify_complete_intersection(s).passed
+        terms = {f for b in s.binomials for f in b.lhs + b.rhs}
+        # one support per flow in each of the two passes, one per distinct term
+        assert len(calls) == 2 * 27 + len(terms)
+
     def test_doubled_generator_breaks_span(self):
         s = generate(parse_newick("((1,2),(3,4));"), Z2)
         b0 = s.binomials[0]
@@ -268,6 +283,20 @@ class TestNonFlows:
         assert not r.kernel_membership_ok
         assert "binomial 0: term 5 is not a flow: is not a tuple of 5 edge " \
                "values" in r.failures
+
+    @pytest.mark.parametrize("where", ["term", "value"])
+    def test_unhashable_term_is_rejected(self, where):
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        b = s.binomials[0]
+        bad = {"a": 1} if where == "term" else ({"a": 1},) + b.lhs[0][1:]
+        foreign = Binomial((bad,) + b.lhs[1:], b.rhs)
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, [foreign] + list(s.binomials[1:]),
+                         list(s.provenance)))
+        assert not r.passed
+        assert not r.kernel_membership_ok
+        assert any(m.startswith(f"binomial 0: term {bad} is not a flow: ")
+                   for m in r.failures)
 
 
 def test_degree_reads_both_sides():
