@@ -15,7 +15,7 @@ from .groups import Element, GroupSpec, parse_group_spec
 from .oracle import (LatticeInfo, VerificationReport, codim, lattice_report,
                      verify_complete_intersection)
 from .pipeline import (GenerateOptions, InvariantSet, algebra_text, generate)
-from .trees import (RootedTree, Tree, canonical_rooting, join, parse_newick)
+from .trees import (RootedTree, Tree, canonical_rooting, parse_newick)
 from .tripod import (AdmissibleMatrix, cyclic_basis, product_basis,
                      tripod_invariants)
 
@@ -49,7 +49,6 @@ __all__ = [
     "flow_from_leaves",
     "flow_index",
     "generate",
-    "join",
     "lattice_report",
     "parse_group_spec",
     "parse_newick",

@@ -36,11 +36,10 @@ def degree_bound(group: GroupSpec) -> int:
     return max(3, max(group.factors))
 
 
-def monomial_matrix_rank(rt: RootedTree, group: GroupSpec,
-                         flow_cap: int = DEFAULT_FLOW_CAP) -> int:
+def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
     """Exact rank of the monomial matrix, via an incremental echelon over
-    the sparse vertex-point columns (cheap even for many flows)."""
-    check_flow_cap(rt.tree, group, flow_cap)
+    the sparse vertex-point columns (cheap even for many flows).  Enumerates
+    every flow: the caller checks the flow cap first."""
     ech = Echelon(rt.edge_count * group.order)
     for f in iter_flows(rt, group):
         ech.add(dict.fromkeys(vertex_support(rt, group, f), 1))
@@ -181,15 +180,23 @@ def _tuples(x):
 
 
 def _tuple_terms(b: Binomial) -> Binomial:
-    """``b`` with every term a tuple of element tuples.  A set rebuilt from
-    JSON has list terms, and the checks hash terms; ``b`` itself is returned
-    when it already hashes.  A term, or a value in one, that cannot hash is
-    kept so that the flow check reports it."""
-    try:
-        hash(b)
-        return b
-    except TypeError:
-        return Binomial(_tuples(b.lhs), _tuples(b.rhs))
+    """``b`` with each side a tuple of terms and every term a tuple of
+    element tuples.  A set rebuilt from JSON has list terms, and the checks
+    hash terms; ``b`` itself is returned when its sides are tuples and it
+    hashes.  A side that is not a list or tuple is read as a single term,
+    and a term, or a value in one, that cannot hash is kept, so that the
+    flow check reports either."""
+    if isinstance(b.lhs, tuple) and isinstance(b.rhs, tuple):
+        try:
+            hash(b)
+            return b
+        except TypeError:
+            pass
+
+    def side(x):
+        return _tuples(x if isinstance(x, (list, tuple)) else [x])
+
+    return Binomial(side(b.lhs), side(b.rhs))
 
 
 def verify_complete_intersection(s: "InvariantSet",
@@ -244,7 +251,7 @@ def verify_complete_intersection(s: "InvariantSet",
             degree_ok = False
             failures.append(f"binomial {i}: degree {b.degree} exceeds bound {bound}")
 
-    rank_a = monomial_matrix_rank(rt, group, flow_cap)
+    rank_a = monomial_matrix_rank(rt, group)
     kernel_rank = n_flows - rank_a
     if kernel_rank != expected:
         failures.append(

@@ -7,12 +7,12 @@ The complete intersection on the dense torus orbit is assembled bottom-up:
   edge (``join-E1``, ``join-E2``) plus one quadric per compatible pair of
   part flows relative to a path flow (``join-edge-quadric``); the three
   family sizes always add up to the codimension of T;
-* a claw with l >= 4 leaves is handled through the auxiliary tree T' (the
-  join of a tripod carrying leaves {1, 2} with an (l-1)-claw): T's set is
-  the T' set with the interior-edge coordinate dropped
-  (``contracted-from-T'``) plus one quadric per nonzero group element
-  (``claw-special`` for embedded unit generators, ``claw-nonspecial``
-  otherwise).
+* a claw with l >= 4 leaves is handled through the auxiliary tree T' (a
+  tripod carrying leaves {1, 2} joined to an (l-1)-claw, split at its one
+  interior edge like any other tree): T's set is the T' set with the
+  interior-edge coordinate dropped (``contracted-from-T'``) plus one
+  quadric per nonzero group element (``claw-special`` for embedded unit
+  generators, ``claw-nonspecial`` otherwise).
 
 Every constructed binomial is re-validated through the per-edge multiset
 check, and every assembled set is counted against the codimension formula.
@@ -32,7 +32,7 @@ from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
 from .groups import Element, GroupSpec
 from .oracle import codim, degree_bound
 from .trees import (JoinContext, RootedTree, Tree, canonical_rooting,
-                    decompose_at_edge, join, tree_to_json)
+                    decompose_at_edge, tree_to_json)
 
 
 @dataclass
@@ -149,10 +149,10 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     the shared edge exactly when f1[v1] + f2[v2] = 0.
     """
     t1, t2 = ctx.t1, ctx.t2
-    if s1.rooted.tree != t1.tree or s2.rooted.tree != t2.tree:
+    if s1.rooted.tree != t1 or s2.rooted.tree != t2:
         raise InvalidTreeError("part sets do not match the join context trees")
-    _check_codim(len(s1.binomials), t1.tree, group, "part set T1")
-    _check_codim(len(s2.binomials), t2.tree, group, "part set T2")
+    _check_codim(len(s1.binomials), t1, group, "part set T1")
+    _check_codim(len(s2.binomials), t2, group, "part set T2")
     k1, k2 = t1.leaf_count, t2.leaf_count
     v1, v2 = ctx.v1, ctx.v2
     l1 = min(x for x in range(1, k1 + 1) if x != v1)
@@ -279,7 +279,12 @@ def claw_set(n_leaves: int, group: GroupSpec, mode: str = "direct-cyclic") -> In
         return tripod_set(group, mode)
     s1 = tripod_set(group, mode)
     s2 = claw_set(n_leaves - 1, group, mode)
-    ctx = join(canonical_claw(3), 3, canonical_claw(n_leaves - 1), n_leaves - 1)
+    # T': node ``top`` holds leaves 1, 2 and node ``low`` holds the rest;
+    # the split gives the 3-claw (v1 = 3) and the (n_leaves-1)-claw
+    top, low = n_leaves + 1, n_leaves + 2
+    aux_tree = Tree(n_leaves, [(top, 1), (top, 2), (top, low)]
+                    + [(low, i) for i in range(3, n_leaves + 1)])
+    ctx = decompose_at_edge(canonical_rooting(aux_tree), (top, low))
     aux = join_sets(ctx, group, s1, s2)
 
     claw_rt = canonical_rooting(canonical_claw(n_leaves))
@@ -348,6 +353,6 @@ def _generate(tree: Tree, group: GroupSpec, opts: GenerateOptions,
         edge = max(candidates, key=lambda e: sum(
             1 for w in rt.nodes_below(e[1]) if w <= rt.leaf_count))
     ctx = decompose_at_edge(rt, edge)
-    s1 = _generate(ctx.t1.tree, group, opts, rng)
-    s2 = _generate(ctx.t2.tree, group, opts, rng)
+    s1 = _generate(ctx.t1, group, opts, rng)
+    s2 = _generate(ctx.t2, group, opts, rng)
     return join_sets(ctx, group, s1, s2)

@@ -377,94 +377,35 @@ def tree_to_json(rt: RootedTree) -> dict:
     }
 
 
-# -- join / decompose --------------------------------------------------
+# -- decompose ---------------------------------------------------------
 
 
 @dataclass
 class JoinContext:
-    """Bookkeeping for T = T1 * T2 obtained by identifying leaf v1 with leaf v2.
+    """Bookkeeping for T = T1 * T2, the parts joined at one interior edge.
 
-    ``leaf_map1``/``leaf_map2`` send the surviving leaves of each part to
-    their labels in the joined tree; ``eps`` is the shared edge (as a node
-    pair of T).  ``rooted`` is the canonical rooted form of T, and ``t1``,
-    ``t2`` are the canonical rooted forms of the parts.
+    ``rooted`` is the rooted tree T itself; ``t1`` and ``t2`` are the parts,
+    each with a fresh leaf (``v1``, ``v2``) standing in for the other side.
+    ``leaf_map1``/``leaf_map2`` send the other leaves of each part to their
+    labels in T.
     """
 
     rooted: RootedTree
-    t1: RootedTree
+    t1: Tree
     v1: int
     leaf_map1: dict[int, int]
-    t2: RootedTree
+    t2: Tree
     v2: int
     leaf_map2: dict[int, int]
-    eps: Edge
-
-    @property
-    def tree(self) -> Tree:
-        return self.rooted.tree
-
-
-def join(t1: Tree, v1: int, t2: Tree, v2: int) -> JoinContext:
-    """Join two trees by identifying leaf v1 of t1 with leaf v2 of t2.
-
-    The identified pendant edges merge into one shared edge between their
-    interior endpoints.  Surviving t1 leaves are relabelled 1..(l1-1) in
-    ascending order, surviving t2 leaves continue l1..(l1+l2-2).
-    """
-    for t, v in ((t1, v1), (t2, v2)):
-        if not 1 <= v <= t.leaf_count:
-            raise InvalidTreeError(f"{v} is not a leaf of the tree (1..{t.leaf_count})")
-    ell = t1.leaf_count + t2.leaf_count - 2
-
-    keep1 = [x for x in range(1, t1.leaf_count + 1) if x != v1]
-    keep2 = [x for x in range(1, t2.leaf_count + 1) if x != v2]
-    map1 = {old: i + 1 for i, old in enumerate(keep1)}
-    map2 = {old: len(keep1) + i + 1 for i, old in enumerate(keep2)}
-
-    node1 = dict(map1)
-    nxt = ell
-    for u in t1.interior_nodes:
-        nxt += 1
-        node1[u] = nxt
-    node2 = dict(map2)
-    for u in t2.interior_nodes:
-        nxt += 1
-        node2[u] = nxt
-
-    edges: list[Edge] = []
-    for u, v in t1.edges:
-        if v1 in (u, v):
-            continue
-        edges.append((node1[u], node1[v]))
-    for u, v in t2.edges:
-        if v2 in (u, v):
-            continue
-        edges.append((node2[u], node2[v]))
-    n1 = t1.neighbors(v1)[0]
-    n2 = t2.neighbors(v2)[0]
-    eps = (node1[n1], node2[n2])
-    edges.append(eps)
-
-    tree = Tree(ell, edges)
-    return JoinContext(
-        rooted=canonical_rooting(tree),
-        t1=canonical_rooting(t1),
-        v1=v1,
-        leaf_map1=map1,
-        t2=canonical_rooting(t2),
-        v2=v2,
-        leaf_map2=map2,
-        eps=(min(eps), max(eps)),
-    )
 
 
 def decompose_at_edge(rt: RootedTree, edge: Edge) -> JoinContext:
     """Split a rooted tree at an interior edge into the two joined parts.
 
-    Inverse of :func:`join` up to relabelling: each part keeps its original
-    leaves (relabelled 1..k ascending) and gains a fresh leaf (labelled last)
-    in place of the removed side.  The returned context refers to the
-    original tree, so flows built through it live on ``rt`` itself.
+    Each part keeps its original leaves (relabelled 1..k ascending) and gains
+    a fresh leaf (labelled last) in place of the removed side.  The returned
+    context refers to the original tree, so flows built through it live on
+    ``rt`` itself.
     """
     tree = rt.tree
     u, v = edge
@@ -482,9 +423,8 @@ def decompose_at_edge(rt: RootedTree, edge: Edge) -> JoinContext:
 
     def build_part(side_leaves, attach_node, other_side_nodes):
         k = len(side_leaves)
-        lab = {old: i + 1 for i, old in enumerate(side_leaves)}
+        node_map = {old: i + 1 for i, old in enumerate(side_leaves)}
         fresh = k + 1
-        node_map = dict(lab)
         nxt = fresh
         for w in tree.interior_nodes:
             if w not in other_side_nodes:
@@ -492,23 +432,14 @@ def decompose_at_edge(rt: RootedTree, edge: Edge) -> JoinContext:
                 node_map[w] = nxt
         part_edges = []
         for a, b in tree.edges:
-            if a in node_map and b in node_map and (a, b) != (min(u, v), max(u, v)):
+            # the split edge has one end on each side, so it is never kept
+            if a in node_map and b in node_map:
                 part_edges.append((node_map[a], node_map[b]))
         part_edges.append((node_map[attach_node], fresh))
-        part = Tree(k + 1, part_edges)
-        inv = {new: old for old, new in lab.items()}
-        return part, fresh, {new: inv[new] for new in inv}
+        return (Tree(k + 1, part_edges), fresh,
+                {i + 1: old for i, old in enumerate(side_leaves)})
 
     t1, v1, map1 = build_part(side1_leaves, u, below_nodes)
     t2, v2, map2 = build_part(side2_leaves, v, set(tree._adj) - below_nodes)
-
-    return JoinContext(
-        rooted=rt,
-        t1=canonical_rooting(t1),
-        v1=v1,
-        leaf_map1=map1,
-        t2=canonical_rooting(t2),
-        v2=v2,
-        leaf_map2=map2,
-        eps=(min(u, v), max(u, v)),
-    )
+    return JoinContext(rooted=rt, t1=t1, v1=v1, leaf_map1=map1,
+                       t2=t2, v2=v2, leaf_map2=map2)

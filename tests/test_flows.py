@@ -13,7 +13,8 @@ from phyloinv.flows import (binomial_from_multisets, flow_defects,
                             flow_from_leaves, flow_index, vertex_support)
 from phyloinv.groups import GroupSpec
 from phyloinv.pipeline import _fixed_leaf_values, join_sets, tripod_set
-from phyloinv.trees import RootedTree, canonical_rooting, join, parse_newick
+from phyloinv.trees import (RootedTree, canonical_rooting, decompose_at_edge,
+                            parse_newick)
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -158,8 +159,9 @@ class TestJoinCalculus:
     """Joined flows as ``join_sets`` builds them from part leaf values."""
 
     def setup_method(self):
-        t = parse_newick("(1,2,3);")
-        self.ctx = join(t, 3, t, 3)
+        rt = canonical_rooting(parse_newick("((1,2),(3,4));"))
+        (edge,) = rt.interior_edges()
+        self.ctx = decompose_at_edge(rt, edge)
         self.g = Z3
         self.s = join_sets(self.ctx, Z3, tripod_set(Z3), tripod_set(Z3))
 

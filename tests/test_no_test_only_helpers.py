@@ -1,6 +1,7 @@
 """No test-only helpers in the package: every top-level function or class
 in ``src/phyloinv`` is used by name somewhere else in the package, or is
-public API listed in ``__all__``, and every exception class in
+public API listed in ``__all__``; every field and property of a class
+outside ``__all__`` is read in the package; and every exception class in
 ``errors.py`` is raised by the package, itself or through a subclass.
 Dense reference code the tests need lives in ``tests/dense.py``."""
 
@@ -33,6 +34,31 @@ def test_every_definition_is_used_in_the_package():
                           if node is not defn)]
     assert not unused, "defined in src/phyloinv but used only outside it: " \
         + ", ".join(unused)
+
+
+def _is_property(node):
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               in ("property", "cached_property") for d in node.decorator_list)
+
+
+def test_every_field_and_property_is_read_in_the_package():
+    members = []  # (class, member) of every non-public class
+    read = set()  # every attribute name read anywhere in the package
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in phyloinv.__all__:
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    members.append((f"{path.stem}.{cls.name}", node.target.id))
+                elif isinstance(node, ast.FunctionDef) and _is_property(node):
+                    members.append((f"{path.stem}.{cls.name}", node.name))
+    unread = [f"{cls}.{name}" for cls, name in members if name not in read]
+    assert not unread, "fields and properties src/phyloinv never reads: " \
+        + ", ".join(unread)
 
 
 def test_every_error_class_is_raised_in_the_package():

@@ -256,6 +256,22 @@ class TestNonFlows:
         assert all(m.startswith(f"binomial {i}: term ") for m in msgs)
         assert str(lhs[p]) in msgs[0] + msgs[1]
 
+    @pytest.mark.parametrize("side, term", [
+        (lambda b: Binomial(5, b.rhs), "5"),
+        (lambda b: Binomial({"a": 1}, b.rhs), "{'a': 1}"),
+        (lambda b: Binomial(b.lhs, None), "None"),
+    ], ids=["int-lhs", "dict-lhs", "none-rhs"])
+    def test_side_that_is_no_sequence_is_one_term(self, side, term):
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        bad = side(s.binomials[0])
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, [bad] + list(s.binomials[1:]),
+                         list(s.provenance)))
+        assert not r.passed
+        assert not r.kernel_membership_ok
+        assert (f"binomial 0: term {term} is not a flow: "
+                "is not a tuple of 5 edge values") in r.failures
+
     def test_value_outside_group_is_rejected(self):
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
         b = s.binomials[0]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from phyloinv import pipeline
 from phyloinv.errors import FlowCapExceeded, InternalError
 from phyloinv.flows import binomial_from_multisets
 from phyloinv.groups import GroupSpec, parse_group_spec
@@ -10,7 +11,7 @@ from phyloinv.pipeline import (GenerateOptions, InvariantSet, algebra_text,
                                canonical_claw, claw_set, generate, join_sets,
                                nonspecial_quadric, special_quadric,
                                tripod_set)
-from phyloinv.trees import canonical_rooting, join, parse_newick
+from phyloinv.trees import canonical_rooting, decompose_at_edge, parse_newick
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -30,20 +31,25 @@ class TestTripodSet:
             assert all(tag == "tripod" for tag in s.provenance)
 
 
+def quartet_context():
+    """The quartet split at its interior edge into two tripods."""
+    rt = canonical_rooting(parse_newick("((1,2),(3,4));"))
+    (edge,) = rt.interior_edges()
+    return decompose_at_edge(rt, edge)
+
+
 class TestJoinSets:
     def test_quartet_z2_edge_invariants(self):
-        t = parse_newick("(1,2,3);")
-        ctx = join(t, 3, t, 3)
+        ctx = quartet_context()
         s = join_sets(ctx, Z2, tripod_set(Z2), tripod_set(Z2))
-        assert len(s) == 2 == codim(ctx.tree, Z2)
+        assert len(s) == 2 == codim(ctx.rooted.tree, Z2)
         assert s.counts_by_provenance() == {"join-edge-quadric": 2}
         assert all(b.degree == 2 for b in s.binomials)
 
     def test_quartet_z3_family_counts(self):
-        t = parse_newick("(1,2,3);")
-        ctx = join(t, 3, t, 3)
+        ctx = quartet_context()
         s = join_sets(ctx, Z3, tripod_set(Z3), tripod_set(Z3))
-        assert len(s) == 16 == codim(ctx.tree, Z3)
+        assert len(s) == 16 == codim(ctx.rooted.tree, Z3)
         counts = s.counts_by_provenance()
         assert counts["join-E1"] == 2
         assert counts["join-E2"] == 2
@@ -55,17 +61,18 @@ class TestJoinSets:
 
     def test_quadric_count_formula(self):
         # g * (g^(l1-2) - 1) * (g^(l2-2) - 1) on a 5-leaf join
-        t1 = parse_newick("(1,2,3);")
+        # split at the edge between the node of leaves 1, 2 and that of leaf 5
+        rt = canonical_rooting(parse_newick("((1,2),((3,4),5));"))
+        ctx = decompose_at_edge(rt, (rt.parent[1], rt.parent[5]))
         t2 = parse_newick("((1,2),(3,4));")
-        ctx = join(t1, 3, t2, 4)
+        assert ctx.t2 == t2 and ctx.v2 == 4
         s = join_sets(ctx, Z2, tripod_set(Z2), generate(t2, Z2))
         (entry,) = [e for e in s.join_log if e["leaves"] == 5]
         assert entry["family_quadric"] == 2 * (2 ** 1 - 1) * (2 ** 2 - 1)
 
     def test_short_part_set_raises_internal_error(self):
         # a raised error, not an assert, so that python -O keeps the check
-        t = parse_newick("(1,2,3);")
-        ctx = join(t, 3, t, 3)
+        ctx = quartet_context()
         s1 = tripod_set(Z3)
         short = InvariantSet(s1.rooted, Z3, s1.binomials[1:], s1.provenance[1:])
         with pytest.raises(InternalError, match="1 binomials, codim 2"):
@@ -90,6 +97,27 @@ class TestClawSet:
     def test_five_claw_z2(self):
         s = claw_set(5, Z2)
         assert len(s) == 10 == codim(canonical_claw(5), Z2)
+
+    def test_claw_splits_t_prime_into_tripod_and_smaller_claw(self, monkeypatch):
+        # the context of the n-claw step: T' split at its interior edge
+        # into the 3-claw on leaves {1, 2} and the (n-1)-claw on 3..n
+        contexts = []
+        real = pipeline.join_sets
+
+        def recording(ctx, *args):
+            contexts.append(ctx)
+            return real(ctx, *args)
+
+        monkeypatch.setattr(pipeline, "join_sets", recording)
+        claw_set(7, Z2)
+        assert len(contexts) == 4
+        for n, ctx in zip(range(4, 8), contexts):
+            rest = ",".join(map(str, range(3, n + 1)))
+            assert ctx.rooted.tree == parse_newick(f"((1,2),{rest});")
+            assert ctx.t1 == canonical_claw(3) and ctx.v1 == 3
+            assert ctx.t2 == canonical_claw(n - 1) and ctx.v2 == n - 1
+            assert ctx.leaf_map1 == {1: 1, 2: 2}
+            assert ctx.leaf_map2 == {k: k + 2 for k in range(1, n - 1)}
 
     def test_claw_three_is_tripod(self):
         s = claw_set(3, Z3)

@@ -1,11 +1,11 @@
-"""Tree structure, Newick parsing, rooting, joins and decompositions."""
+"""Tree structure, Newick parsing, rooting and decompositions."""
 
 import pytest
 
 from dense import is_trivalent
 from phyloinv.errors import InvalidTreeError, NewickParseError
 from phyloinv.trees import (RootedTree, Tree, canonical_rooting,
-                            decompose_at_edge, join, parse_newick, tree_to_json)
+                            decompose_at_edge, parse_newick, tree_to_json)
 
 
 def tripod():
@@ -168,36 +168,43 @@ class TestRooting:
 
 
 class TestJoinDecompose:
-    def test_join_two_tripods_is_quartet(self):
-        t = parse_newick("(1,2,3);")
-        ctx = join(t, 3, t, 3)
-        assert ctx.tree == quartet()
-        u, v = ctx.eps
-        assert u in ctx.tree.interior_nodes and v in ctx.tree.interior_nodes
-        assert sorted(ctx.leaf_map1.values()) == [1, 2]
-        assert sorted(ctx.leaf_map2.values()) == [3, 4]
+    def test_decompose_quartet_gives_two_tripods(self):
+        rt = canonical_rooting(quartet())
+        (edge,) = rt.interior_edges()
+        ctx = decompose_at_edge(rt, edge)
+        assert ctx.rooted is rt
+        assert ctx.t1 == ctx.t2 == tripod()
+        assert ctx.v1 == ctx.v2 == 3
+        assert ctx.leaf_map1 == {1: 1, 2: 2}
+        assert ctx.leaf_map2 == {1: 3, 2: 4}
 
-    def test_join_leaf_relabelling(self):
-        t1 = parse_newick("(1,2,3);")
-        ctx = join(t1, 1, t1, 2)
-        # leaves 2,3 of the first part keep ascending order as 1,2
-        assert ctx.leaf_map1 == {2: 1, 3: 2}
-        assert ctx.leaf_map2 == {1: 3, 3: 4}
+    def test_decompose_leaf_relabelling(self):
+        # each side's leaves keep ascending order as 1, 2 in their part
+        rt = canonical_rooting(parse_newick("((1,3),(2,4));"))
+        (edge,) = rt.interior_edges()
+        ctx = decompose_at_edge(rt, edge)
+        assert ctx.leaf_map1 == {1: 1, 2: 3}
+        assert ctx.leaf_map2 == {1: 2, 2: 4}
+        assert ctx.t1.leaf_count == ctx.t2.leaf_count == 3
 
-    def test_decompose_inverts_join(self):
-        t = parse_newick("((((1,2),3),4),(5,6));")
-        rt = canonical_rooting(t)
+    def test_decompose_parts_cover_the_tree(self):
+        rt = canonical_rooting(parse_newick("((((1,2),3),4),(5,6));"))
+        parts = {}
         for edge in rt.interior_edges():
             ctx = decompose_at_edge(rt, edge)
             side1 = set(ctx.leaf_map1.values())
             side2 = set(ctx.leaf_map2.values())
             assert side1 | side2 == set(range(1, 7))
             assert side1.isdisjoint(side2)
-            # parts are genuine trees with >= 3 leaves each
-            assert ctx.t1.tree.leaf_count >= 3
-            assert ctx.t2.tree.leaf_count >= 3
-            rebuilt = join(ctx.t1.tree, ctx.v1, ctx.t2.tree, ctx.v2)
-            assert rebuilt.tree.leaf_count == 6
+            # the fresh leaf is labelled last and the parts share one edge
+            assert (ctx.v1, ctx.v2) == (ctx.t1.leaf_count, ctx.t2.leaf_count)
+            assert ctx.t1.edge_count + ctx.t2.edge_count == rt.edge_count + 1
+            parts[len(side2)] = (ctx.t1, ctx.t2)
+        assert parts == {
+            4: (parse_newick("(1,2,3);"), parse_newick("(1,(2,(3,4)),5);")),
+            3: (parse_newick("(1,2,(3,4));"), parse_newick("(1,(2,3),4);")),
+            2: (parse_newick("(1,2,(3,(4,5)));"), parse_newick("(1,2,3);")),
+        }
 
     def test_decompose_rejects_pendant_edge(self):
         rt = canonical_rooting(quartet())
