@@ -8,7 +8,7 @@ import sys
 
 from .errors import (FlowCapExceeded, GroupParseError, InternalError,
                      InvalidTreeError, NewickParseError)
-from .flows import DEFAULT_FLOW_CAP, check_flow_cap
+from .flows import DEFAULT_FLOW_CAP
 from .groups import parse_group_spec
 from .oracle import lattice_report, verify_complete_intersection
 from .pipeline import GenerateOptions, algebra_text, generate
@@ -28,42 +28,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on trees, with exact lattice certification.")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--group", required=True, metavar="SPEC",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--group", required=True, metavar="SPEC",
                         help="abelian group as cyclic factors, e.g. Z3 or Z2xZ4")
-        sp.add_argument("--tree", required=True, metavar="NEWICK",
+    common.add_argument("--tree", required=True, metavar="NEWICK",
                         help="leaf-labelled tree in Newick (labels 1..n), "
                              "or @FILE to read it from a file")
-        sp.add_argument("--flow-cap", type=int, default=DEFAULT_FLOW_CAP,
+    common.add_argument("--flow-cap", type=int, default=DEFAULT_FLOW_CAP,
                         metavar="N", help="refuse instances with more than N "
                         "flows (default %(default)s)")
+    common.add_argument("--output", choices=("json", "algebra-text"),
+                        default="json")
+    construct = argparse.ArgumentParser(add_help=False)
+    construct.add_argument("--mode", choices=("direct-cyclic", "factored"),
+                           default="direct-cyclic",
+                           help="tripod basis recipe (default %(default)s)")
+    construct.add_argument("--seed", type=int, default=None,
+                           help="randomize the decomposition edge choices")
 
-    sp = sub.add_parser("generate", help="construct the invariant set")
-    common(sp)
-    sp.add_argument("--mode", choices=("direct-cyclic", "factored"),
-                    default="direct-cyclic",
-                    help="tripod basis recipe (default %(default)s)")
-    sp.add_argument("--output", choices=("json", "algebra-text"),
-                    default="json")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="randomize the decomposition edge choices")
-
-    sp = sub.add_parser("verify",
-                        help="construct the set, then certify it against the "
-                             "independent lattice oracle")
-    common(sp)
-    sp.add_argument("--mode", choices=("direct-cyclic", "factored"),
-                    default="direct-cyclic")
-    sp.add_argument("--output", choices=("json", "algebra-text"),
-                    default="json")
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("lattice-info",
-                        help="rank and index diagnostics for the vertex-point "
-                             "lattice of (tree, group)")
-    common(sp)
-    sp.add_argument("--output", choices=("json", "algebra-text"),
-                    default="json")
+    sub.add_parser("generate", parents=[common, construct],
+                   help="construct the invariant set")
+    sub.add_parser("verify", parents=[common, construct],
+                   help="construct the set, then certify it against the "
+                        "independent lattice oracle")
+    sub.add_parser("lattice-info", parents=[common],
+                   help="rank and index diagnostics for the vertex-point "
+                        "lattice of (tree, group)")
     return p
 
 
@@ -102,8 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         tree = parse_newick(_read_tree_arg(args.tree))
 
         if args.subcommand == "lattice-info":
-            # refuse an instance over the cap before rooting it
-            check_flow_cap(tree, group, args.flow_cap)
             info = lattice_report(canonical_rooting(tree), group,
                                   flow_cap=args.flow_cap)
             out = _dump(info.to_json()) if args.output == "json" else _lattice_text(info)

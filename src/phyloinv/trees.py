@@ -17,12 +17,13 @@ Newick subset accepted by the parser::
 with leaf labels exactly 1..leaf_count.  An optional ":<number>" branch
 length after any subtree is accepted and discarded.  A root written with
 exactly two children is suppressed (its two edges merge into one).
+Interior nodes are numbered leaf_count+1, leaf_count+2, ... in the order of
+their "(" in the text; a suppressed root takes no number.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -248,6 +249,7 @@ class _Parser:
         self.i += 1
 
     def length_opt(self):
+        """Skip an optional ":<number>" and the whitespace after it."""
         self.skip_ws()
         if self.peek() == ":":
             self.i += 1
@@ -256,112 +258,99 @@ class _Parser:
             if m is None:
                 self.fail("expected a branch length after ':'")
             self.i = m.end()
-
-    def subtree(self):
-        """A leaf label or a parenthesised list of at least two subtrees.
-
-        Open groups live on an explicit stack, so nesting depth is not
-        bounded by the interpreter's recursion limit.
-        """
-        stack: list[list] = []  # the children read so far of each open "("
-        while True:
             self.skip_ws()
-            if self.peek() == "(":
-                self.i += 1
-                stack.append([])
-                continue
-            m = _LABEL_RE.match(self.text, self.i)
-            if m is None:
-                self.fail("expected a leaf label or '('")
-            label = int(m.group())
-            if label == 0:
-                self.fail("leaf labels are positive integers")
-            self.i = m.end()
-            self.length_opt()
-            node = label
-            while stack:
-                stack[-1].append(node)
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.i += 1
-                    break
-                if len(stack[-1]) < 2:
-                    self.fail("expected ',' (interior nodes need at least two children)")
-                self.expect(")")
-                self.length_opt()
-                node = stack.pop()
-            else:
-                return node
 
-    def parse(self):
-        node = self.subtree()
-        self.skip_ws()
-        self.expect(";")
-        self.skip_ws()
-        if self.i != len(self.text):
-            self.fail("trailing characters after ';'")
-        return node
+    def label(self) -> int:
+        m = _LABEL_RE.match(self.text, self.i)
+        if m is None:
+            self.fail("expected a leaf label or '('")
+        try:
+            label = int(m.group())
+        except ValueError:  # more digits than the interpreter converts
+            self.fail(f"leaf label of {m.end() - self.i} digits is too long")
+        if label == 0:
+            self.fail("leaf labels are positive integers")
+        self.i = m.end()
+        self.length_opt()
+        return label
 
 
 def parse_newick(text: str) -> Tree:
-    """Parse a Newick string into a Tree; see the module docstring for the subset."""
-    nested = _Parser(text).parse()
+    """Parse a Newick string into a Tree; see the module docstring for the subset.
 
-    labels: list[int] = []
-    pending = [nested]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, int):
-            labels.append(node)
+    One pass over the text with one stack of open groups, so nesting depth
+    is not bounded by the interpreter's recursion limit.  Each "(" takes the
+    next provisional id -1, -2, ...; an edge (parent, child) is appended when
+    the child is complete: a leaf when its label is read, a group when its
+    ")" closes it.  Once the leaf count l is known the provisional ids move
+    to l+1, l+2, ...
+    """
+    p = _Parser(text)
+    edges: list[Edge] = []
+    first_root_edge = 0  # position in edges of the root's first child edge
+    labels: set[int] = set()
+    dupes: list[int] = []
+    stack: list[list[int]] = []  # [provisional id, children read] of each open "("
+    opened = 0
+    while True:
+        p.skip_ws()
+        if p.peek() == "(":
+            p.i += 1
+            opened += 1
+            stack.append([-opened, 0])
+            continue
+        node = p.label()
+        if node in labels:
+            dupes.append(node)
+        labels.add(node)
+        while stack:
+            group = stack[-1]
+            if group[1] == 0 and len(stack) == 1:
+                first_root_edge = len(edges)
+            edges.append((group[0], node))
+            group[1] += 1
+            if p.peek() == ",":
+                p.i += 1
+                break
+            if group[1] < 2:
+                p.fail("expected ',' (interior nodes need at least two children)")
+            p.expect(")")
+            p.length_opt()
+            node = stack.pop()[0]
         else:
-            pending.extend(node)
-    ell = len(labels)
-    dupes = [x for x, n in Counter(labels).items() if n > 1]
+            break
+    p.expect(";")
+    p.skip_ws()
+    if p.i != len(text):
+        p.fail("trailing characters after ';'")
+
     if dupes:
         raise InvalidTreeError(f"duplicate leaf label {min(dupes)}")
+    ell = len(labels)
     if ell < 3:
         raise InvalidTreeError(f"fewer than 3 leaves (got {ell})")
-    if set(labels) != set(range(1, ell + 1)):
-        missing = sorted(set(range(1, ell + 1)) - set(labels))
+    if max(labels) != ell:
+        # distinct positive labels miss 1..ell exactly when one lies above it
+        missing = next(x for x in range(1, ell + 1) if x not in labels)
+        outside = sum(x > ell for x in labels)
         raise InvalidTreeError(
-            f"leaf labels must be exactly 1..{ell}; missing {missing}, got {sorted(set(labels))}"
-        )
+            f"leaf labels must be exactly 1..{ell}; smallest missing label "
+            f"{missing}, labels outside the range: {outside}")
 
-    edges: list[Edge] = []
-    counter = ell
-
-    def build(node) -> int:
-        """Number the interior nodes of ``node`` in preorder and append the
-        edge to each child once the child's subtree is complete."""
-        nonlocal counter
-        if isinstance(node, int):
-            return node
-        counter += 1
-        top = counter
-        stack = [(top, iter(node))]
-        while stack:
-            my, children = stack[-1]
-            c = next(children, None)
-            if c is None:
-                stack.pop()
-                if stack:
-                    edges.append((stack[-1][0], my))
-            elif isinstance(c, int):
-                edges.append((my, c))
-            else:
-                counter += 1
-                stack.append((counter, iter(c)))
-        return top
-
-    if isinstance(nested, int):
-        raise InvalidTreeError("fewer than 3 leaves (got 1)")
-    if len(nested) == 2:
-        # suppress the degree-2 root: its two edges merge into one
-        a, b = nested
-        edges.append((build(a), build(b)))
-    else:
-        build(nested)
-    return Tree(ell, edges)
+    del labels
+    shift = ell
+    if group[1] == 2:  # group is the root's entry, the last one popped
+        # suppress the degree-2 root: its two edges merge into one, appended
+        # last, and the root takes no id
+        a, b = edges[first_root_edge][1], edges.pop()[1]
+        del edges[first_root_edge]
+        edges.append((a, b))
+        shift -= 1
+    # final[p] is the id of provisional -p; one shared int per node keeps
+    # the edge list as small as the ids it holds
+    final = list(range(shift, shift + opened + 1))
+    return Tree(ell, ((u if u > 0 else final[-u], v if v > 0 else final[-v])
+                      for u, v in edges))
 
 
 def tree_to_json(rt: RootedTree) -> dict:

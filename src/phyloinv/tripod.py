@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Mapping
 
 from .errors import AdmissibilityError, InternalError
@@ -198,31 +199,20 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
     G_nz = gs.elements[1:]
     H_nz = hs.elements[1:]
     z_g, z_h = gs.zero(), hs.zero()
+    # (ranges of i, j, k, l, transposed) of the six cubic families, in order
+    families = (
+        (G_nz, G_nz, H_nz, H_nz, False),      # (1)
+        ((z_g,), G_nz, H_nz, H_nz, False),    # (2) i = 0
+        (G_nz, G_nz, H_nz, (z_h,), False),    # (3) l = 0
+        ((z_g,), G_nz, H_nz, H_nz, True),     # (4) transposes of (2)
+        (G_nz, G_nz, H_nz, (z_h,), True),     # (5) transposes of (3)
+        ((z_g,), G_nz, H_nz, (z_h,), False),  # (6) i = l = 0
+    )
     out: list[AdmissibleMatrix] = []
-    for i in G_nz:
-        for j in G_nz:
-            for k in H_nz:
-                for l in H_nz:
-                    out.append(product_cubic(gs, hs, i, j, k, l))
-    for j in G_nz:
-        for k in H_nz:
-            for l in H_nz:
-                out.append(product_cubic(gs, hs, z_g, j, k, l))
-    for i in G_nz:
-        for j in G_nz:
-            for k in H_nz:
-                out.append(product_cubic(gs, hs, i, j, k, z_h))
-    for j in G_nz:
-        for k in H_nz:
-            for l in H_nz:
-                out.append(product_cubic(gs, hs, z_g, j, k, l).transpose())
-    for i in G_nz:
-        for j in G_nz:
-            for k in H_nz:
-                out.append(product_cubic(gs, hs, i, j, k, z_h).transpose())
-    for j in G_nz:
-        for k in H_nz:
-            out.append(product_cubic(gs, hs, z_g, j, k, z_h))
+    for *ranges, transposed in families:
+        for i, j, k, l in product(*ranges):
+            m = product_cubic(gs, hs, i, j, k, l)
+            out.append(m.transpose() if transposed else m)
     out.extend(relabel_matrix(m, lambda a: a + z_h, combined) for m in basis_g)
     out.extend(relabel_matrix(m, lambda b: z_g + b, combined) for m in basis_h)
 

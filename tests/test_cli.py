@@ -117,6 +117,17 @@ def test_deep_tree_hits_cap(capsys):
     assert "exceed the cap 1000000 (group order 2, 1200 leaves)" in err
 
 
+def test_label_range_error_is_one_short_line(capsys):
+    # a 3000-leaf claw labelled 2..3001: the message must not list the labels
+    leaves = ",".join(map(str, range(2, 3002)))
+    code, out, err = run(capsys, "lattice-info", "--group", "Z2",
+                         "--tree", f"({leaves});")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == ("error: leaf labels must be exactly 1..3000; smallest "
+                   "missing label 1, labels outside the range: 1\n")
+
+
 def test_huge_flow_count_is_written_as_a_power(capsys):
     # 2^14999 has 4,516 digits, past Python's int-to-string limit
     leaves = ",".join(map(str, range(1, 15001)))

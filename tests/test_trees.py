@@ -1,6 +1,8 @@
 """Tree structure, Newick parsing, rooting and decompositions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense import is_trivalent
 from phyloinv.errors import InvalidTreeError, NewickParseError
@@ -81,6 +83,18 @@ class TestParsing:
         with pytest.raises(InvalidTreeError, match="1..3"):
             parse_newick("(1,2,4);")
 
+    def test_range_error_names_smallest_missing_and_count_outside(self):
+        with pytest.raises(InvalidTreeError) as exc:
+            parse_newick("(7,2,(9,1),3);")
+        assert str(exc.value) == ("leaf labels must be exactly 1..5; smallest "
+                                  "missing label 4, labels outside the range: 2")
+
+    def test_overlong_label_is_a_parse_error(self):
+        # more digits than int() converts by default
+        with pytest.raises(NewickParseError, match="too long") as exc:
+            parse_newick("(1,2," + "9" * 5000 + ");")
+        assert exc.value.position == 5
+
     def test_two_leaves_rejected(self):
         with pytest.raises(InvalidTreeError, match="fewer than 3"):
             parse_newick("(1,2);")
@@ -89,6 +103,60 @@ class TestParsing:
         # ((1),2,3); has a valency-2 interior node above leaf 1
         with pytest.raises(NewickParseError):
             parse_newick("((1),2,3);")
+
+
+# Tree.edges of parsed inputs: interior ids follow the leaves in order of
+# "(", a binary root is merged into one edge appended last.  Rooting, flows
+# and every output byte depend on this numbering and order.
+EDGE_PINS = [
+    ("((1,2),(3,4));", ((1, 5), (2, 5), (3, 6), (4, 6), (5, 6))),
+    ("((((1,2),3),4),(5,6));", ((1, 9), (2, 9), (8, 9), (3, 8), (7, 8),
+                                (4, 7), (5, 10), (6, 10), (7, 10))),
+    ("((1,2),3);", ((1, 4), (2, 4), (3, 4))),
+    ("(1,2,3);", ((1, 4), (2, 4), (3, 4))),
+    ("(1,2,3,4,5);", ((1, 6), (2, 6), (3, 6), (4, 6), (5, 6))),
+    ("((1,2),(3,4),5);", ((1, 7), (2, 7), (6, 7), (3, 8), (4, 8), (6, 8),
+                          (5, 6))),
+    ("(1,(2,(3,4)),5);", ((1, 6), (2, 7), (3, 8), (4, 8), (7, 8), (6, 7),
+                          (5, 6))),
+    ("((3,(1,5)),4,2);", ((3, 7), (1, 8), (5, 8), (7, 8), (6, 7), (4, 6),
+                          (2, 6))),
+    (" ( (1:0.1, 2:0.2) : 1.5, (3,4), 5 ) ; ",
+     ((1, 7), (2, 7), (6, 7), (3, 8), (4, 8), (6, 8), (5, 6))),
+    ("((2:1e-3,1) :2 ,\n(4,\t3:.5));",
+     ((2, 5), (1, 5), (4, 6), (3, 6), (5, 6))),
+]
+
+
+class TestNumbering:
+    @pytest.mark.parametrize("text,edges", EDGE_PINS)
+    def test_edges_pinned(self, text, edges):
+        assert parse_newick(text).edges == edges
+
+    def test_deep_caterpillar_edges(self):
+        # 1200 leaves nested 1199 deep; the binary root is merged, so the
+        # group whose last leaf is k gets id 2400 - k
+        text = "(1,2)"
+        for leaf in range(3, 1201):
+            text = f"({text},{leaf})"
+        expected = [(1, 2398), (2, 2398)]
+        for k in range(3, 1200):
+            expected += [(2400 - k, 2401 - k), (k, 2400 - k)]
+        expected.append((1200, 1201))
+        assert parse_newick(text + ";").edges == tuple(expected)
+
+
+NEWICK_ALPHABET = "(),;:0123456789.e-+ \t\n"
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.text(alphabet=NEWICK_ALPHABET, max_size=30))
+def test_any_newick_text_parses_or_is_refused_cleanly(text):
+    try:
+        tree = parse_newick(text)
+    except (NewickParseError, InvalidTreeError):
+        return
+    assert parse_newick(tree.canonical_newick()) == tree
 
 
 class TestTree:
