@@ -29,16 +29,21 @@ _FACTOR_RE = re.compile(r"Z(\d+)")
 
 
 def parse_group_spec(text: str) -> "GroupSpec":
-    """Parse ``Z<a1>xZ<a2>x...`` keeping the factors in written order."""
-    parts = re.split("[xX]", text.strip())
+    """Parse ``Z<a1>xZ<a2>x...`` keeping the factors in written order.
+
+    Errors name the first bad factor by its position or digit count, never
+    by the whole text, so that a long spec still gives a short message."""
     factors = []
-    for part in parts:
+    for pos, part in enumerate(re.split("[xX]", text.strip()), 1):
         m = _FACTOR_RE.fullmatch(part)
         if m is None:
-            raise GroupParseError(
-                f"malformed group spec {text!r}: expected Z<n> factors joined by 'x'"
-            )
-        a = int(m.group(1))
+            raise GroupParseError(f"malformed group spec: factor {pos} is not "
+                                  f"Z<n> (expected Z<n> factors joined by 'x')")
+        try:
+            a = int(m.group(1))
+        except ValueError:  # past Python's int-to-string digit limit
+            raise GroupParseError(f"group spec factor {pos} has "
+                                  f"{len(m.group(1))} digits: too large") from None
         if a < 2:
             raise GroupParseError(f"cyclic factor Z{a} not allowed: order must be >= 2")
         factors.append(a)
@@ -94,16 +99,16 @@ class GroupSpec:
     def is_element(self, el) -> bool:
         return el in self.table.index
 
-    def unit(self, j: int, m: int = 1) -> Element:
-        """The embedded element m * 1_j of the j-th factor (j is 1-based)."""
+    def unit(self, j: int) -> Element:
+        """The generator 1_j of the j-th factor (j is 1-based)."""
         if not 1 <= j <= len(self.factors):
             raise ValueError(f"factor index {j} out of range 1..{len(self.factors)}")
         out = [0] * len(self.factors)
-        out[j - 1] = m % self.factors[j - 1]
+        out[j - 1] = 1
         return tuple(out)
 
     def units(self) -> tuple[Element, ...]:
-        return tuple(self.unit(j, 1) for j in range(1, len(self.factors) + 1))
+        return tuple(self.unit(j) for j in range(1, len(self.factors) + 1))
 
 
 class CayleyTable(NamedTuple):

@@ -68,14 +68,6 @@ class LatticeInfo:
     expected_index: int
     interior_nodes: int
 
-    @property
-    def dim_ok(self) -> bool:
-        return self.vertex_diff_dim == self.expected_dim
-
-    @property
-    def index_ok(self) -> bool:
-        return self.index_in_degree_zero == self.expected_index
-
     def to_json(self) -> dict:
         idx = self.index_in_degree_zero
         return {
@@ -89,28 +81,31 @@ class LatticeInfo:
 
 def lattice_report(rt: RootedTree, group: GroupSpec,
                    flow_cap: int = DEFAULT_FLOW_CAP) -> LatticeInfo:
-    """Rank of the lattice spanned by vertex-point differences Q_f - Q_f0 and
-    its index inside the lattice of block-degree-zero vectors (per-edge
-    coordinate sums zero); the expected index is |G|^(interior nodes)."""
+    """Rank of the lattice spanned by vertex-point differences Q_f - Q_0 (Q_0
+    the zero flow's point) and its index inside the lattice of
+    block-degree-zero vectors (per-edge coordinate sums zero); the expected
+    index is |G|^(interior nodes).
+
+    In the basis {unit(edge, h) - unit(edge, 0) : h != 0} of that lattice,
+    Q_f - Q_0 has a 1 at (edge, f[edge]) for every edge whose value is not
+    the identity: f's vertex support without its identity columns, column
+    ei*g + i becoming ei*(g-1) + i-1.
+    """
     check_flow_cap(rt.tree, group, flow_cap)
     g = group.order
-    e = rt.edge_count
-    ech = Echelon(e * g)
-    flows = iter_flows(rt, group)
-    q0 = set(vertex_support(rt, group, next(flows)))
-    for f in flows:
-        qf = set(vertex_support(rt, group, f))
-        ech.add({**dict.fromkeys(qf - q0, 1), **dict.fromkeys(q0 - qf, -1)})
+    expected_dim = (g - 1) * rt.edge_count
+    ech = Echelon(expected_dim)
+    for f in iter_flows(rt, group):
+        ech.add(dict.fromkeys([c - c // g - 1 for c in vertex_support(rt, group, f)
+                               if c % g], 1))
     dim = ech.rank
-    expected_dim = (g - 1) * e
     if dim < expected_dim:
         index: int | float = inf
     else:
-        # the echelon rows in the degree-zero basis {unit(edge,h) - unit(edge,0)}
-        # (no identity column per edge block); |det| is the same for any basis
-        keep = [ei * g + k for ei in range(e) for k in range(1, g)]
-        C = [[row.get(j, 0) for j in keep] for row in ech.rows]
-        index = abs(det(C))
+        # at full rank the rows are square and triangular, so |det| is the
+        # product of the pivots; the block of pivots above 1 carries it
+        big = [(row, j) for row, j in zip(ech.rows, ech.pivcols) if row[j] > 1]
+        index = abs(det([[row.get(j, 0) for _, j in big] for row, _ in big]))
     return LatticeInfo(
         vertex_diff_dim=dim,
         expected_dim=expected_dim,
@@ -130,7 +125,7 @@ class VerificationReport:
     actual_count: int
     kernel_rank: int
     failures: list[str]
-    lattice_info: LatticeInfo | None = None
+    lattice_info: LatticeInfo
 
     @property
     def passed(self) -> bool:
@@ -150,7 +145,7 @@ class VerificationReport:
             "actual_count": self.actual_count,
             "kernel_rank": self.kernel_rank,
             "failures": list(self.failures),
-            "lattice_info": None if self.lattice_info is None else self.lattice_info.to_json(),
+            "lattice_info": self.lattice_info.to_json(),
         }
 
 
@@ -200,8 +195,7 @@ def _tuple_terms(b: Binomial) -> Binomial:
 
 
 def verify_complete_intersection(s: "InvariantSet",
-                                 flow_cap: int = DEFAULT_FLOW_CAP,
-                                 with_lattice_info: bool = True
+                                 flow_cap: int = DEFAULT_FLOW_CAP
                                  ) -> VerificationReport:
     """Certify that a binomial set cuts out the variety on the torus.
 
@@ -272,7 +266,6 @@ def verify_complete_intersection(s: "InvariantSet",
         spans_ok = False
         failures.append("span check skipped: some exponent vector is outside the kernel")
 
-    info = lattice_report(rt, group, flow_cap) if with_lattice_info else None
     return VerificationReport(
         count_ok=count_ok,
         kernel_membership_ok=membership_ok,
@@ -282,5 +275,5 @@ def verify_complete_intersection(s: "InvariantSet",
         actual_count=actual,
         kernel_rank=kernel_rank,
         failures=failures,
-        lattice_info=info,
+        lattice_info=lattice_report(rt, group, flow_cap),
     )

@@ -87,9 +87,6 @@ class AdmissibleMatrix:
     def degree(self) -> int:
         return sum(v for v in self.entries.values() if v > 0)
 
-    def entry(self, a: Element, b: Element) -> int:
-        return self.entries.get((self.group.index(a), self.group.index(b)), 0)
-
     def transpose(self) -> "AdmissibleMatrix":
         return AdmissibleMatrix(self.group, {(b, a): v for (a, b), v
                                              in self.entries.items()})

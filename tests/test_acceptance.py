@@ -81,8 +81,7 @@ def battery() -> BatteryRun:
                 skipped.append((text, gtext, n))
                 continue
             s = generate(tree, group)
-            r = verify_complete_intersection(s, flow_cap=FLOW_CAP,
-                                             with_lattice_info=False)
+            r = verify_complete_intersection(s, flow_cap=FLOW_CAP)
             instances.append((text, gtext, s, r))
     t1 = time.monotonic()
     for text, gtext, s, _ in instances:
@@ -235,7 +234,8 @@ def test_criterion_7_lattice_reports(battery, capsys):
     ok = True
     why = ""
     for text, gtext, info in battery.lattice_infos:
-        if not (info.dim_ok and info.index_ok):
+        if (info.vertex_diff_dim != info.expected_dim
+                or info.index_in_degree_zero != info.expected_index):
             ok, why = False, f"{gtext} on {text}: {info.to_json()}"
             break
     if ok and battery.lattice_seconds >= 120.0:
@@ -252,10 +252,10 @@ def test_criterion_8_negative_controls(capsys):
         s.rooted, s.group,
         [Binomial(b0.lhs + b0.lhs, b0.rhs + b0.rhs)] + list(s.binomials[1:]),
         list(s.provenance))
-    r_doubled = verify_complete_intersection(doubled, with_lattice_info=False)
+    r_doubled = verify_complete_intersection(doubled)
     removed = InvariantSet(s.rooted, s.group, list(s.binomials[1:]),
                            list(s.provenance[1:]))
-    r_removed = verify_complete_intersection(removed, with_lattice_info=False)
+    r_removed = verify_complete_intersection(removed)
     ok = (not r_doubled.spans_ok and r_doubled.count_ok
           and not r_removed.count_ok and not r_removed.spans_ok)
     elapsed = time.monotonic() - t0

@@ -128,6 +128,19 @@ def test_label_range_error_is_one_short_line(capsys):
                    "missing label 1, labels outside the range: 1\n")
 
 
+@pytest.mark.parametrize("group,message", [
+    ("Z" + "7" * 5000, "group spec factor 1 has 5000 digits: too large"),
+    ("Z2x" + "Z2y" * 7000, "malformed group spec: factor 2 is not Z<n> "
+                           "(expected Z<n> factors joined by 'x')"),
+], ids=["too-many-digits", "malformed"])
+def test_group_spec_error_is_one_short_line(capsys, group, message):
+    code, out, err = run(capsys, "lattice-info", "--group", group,
+                         "--tree", "(1,2,3);")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_huge_flow_count_is_written_as_a_power(capsys):
     # 2^14999 has 4,516 digits, past Python's int-to-string limit
     leaves = ",".join(map(str, range(1, 15001)))

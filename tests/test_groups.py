@@ -34,6 +34,18 @@ def test_parse_rejects(bad):
         parse_group_spec(bad)
 
 
+@pytest.mark.parametrize("spec,message", [
+    # past Python's int-to-string digit limit: not a bare ValueError
+    ("Z2xZ" + "9" * 5000, "group spec factor 2 has 5000 digits: too large"),
+    ("Z2xZ3x" + "Q" * 20000, "malformed group spec: factor 3 is not Z<n> "
+                             "(expected Z<n> factors joined by 'x')"),
+], ids=["too-many-digits", "malformed"])
+def test_parse_error_names_the_factor_not_the_text(spec, message):
+    with pytest.raises(GroupParseError) as exc:
+        parse_group_spec(spec)
+    assert str(exc.value) == message
+
+
 def test_elements_order_and_zero_first():
     g = GroupSpec((2, 3))
     els = g.elements
@@ -56,7 +68,7 @@ def test_unit_vectors():
     g = GroupSpec((2, 3))
     assert g.unit(1) == (1, 0)
     assert g.unit(2) == (0, 1)
-    assert g.unit(2, 2) == (0, 2)
+    assert g.add(g.unit(2), g.unit(2)) == (0, 2)
     assert g.units() == ((1, 0), (0, 1))
 
 

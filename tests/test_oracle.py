@@ -97,7 +97,27 @@ class TestLatticeReport:
         info = lattice_report(rooted(text), GroupSpec(factors))
         assert info.vertex_diff_dim == dim == info.expected_dim
         assert info.index_in_degree_zero == index == info.expected_index
-        assert info.dim_ok and info.index_ok
+
+    @pytest.mark.parametrize("text,factors,size", [
+        ("(1,2,3);", (30,), 1),
+        ("(1,(2,(3,(4,(5,(6,(7,8)))))));", (3,), 6),
+        ("((1,2,3),(4,5,6));", (2, 2), 4),
+    ])
+    def test_det_sees_only_pivots_above_one(self, monkeypatch, text, factors,
+                                            size):
+        # the full-rank echelon is triangular in the degree-zero basis; only
+        # its rows with a pivot above 1 reach the determinant
+        shapes = []
+        real = oracle.det
+
+        def recording(A):
+            shapes.append((len(A), *{len(row) for row in A}))
+            return real(A)
+
+        monkeypatch.setattr(oracle, "det", recording)
+        info = lattice_report(rooted(text), GroupSpec(factors))
+        assert shapes == [(size, size)]
+        assert info.index_in_degree_zero == info.expected_index
 
     def test_json(self):
         info = lattice_report(rooted("(1,2,3);"), Z3)
@@ -127,12 +147,13 @@ class TestVerify:
         monkeypatch.setattr("phyloinv.lattice.Echelon.add", recording)
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
         assert verify_complete_intersection(s).passed
-        # one vertex point per flow, one difference per flow but the first
-        assert len(seen) == 2 * 27 - 1
+        # one vertex point and one difference from the zero flow per flow
+        # (the zero flow's own difference is the empty vector)
+        assert len(seen) == 2 * 27
         e = s.rooted.edge_count
         for vec in seen:
             assert isinstance(vec, Mapping)
-            assert sum(1 for x in vec.values() if x) <= 2 * e
+            assert sum(1 for x in vec.values() if x) <= e
 
     def test_each_term_is_encoded_once(self, monkeypatch):
         calls = []
@@ -198,12 +219,6 @@ class TestVerify:
                           "degree_bound_ok", "expected_codim", "actual_count",
                           "kernel_rank", "failures", "lattice_info"}
         assert d["lattice_info"]["expected_index"] == 3
-
-    def test_without_lattice_info(self):
-        s = generate(parse_newick("(1,2,3);"), Z3)
-        r = verify_complete_intersection(s, with_lattice_info=False)
-        assert r.lattice_info is None
-        assert r.passed
 
     def test_set_rebuilt_from_json(self):
         # the JSON output has list terms; the verifier reads them as tuples

@@ -65,8 +65,8 @@ class TestAdmissibility:
 
     def test_entry_by_elements(self):
         m = cyclic_basis_matrix(3, 1, 2)
-        assert m.entry((1,), (2,)) == 1
-        assert m.transpose().entry((2,), (1,)) == 1
+        assert m.entries[(Z3.index((1,)), Z3.index((2,)))] == 1
+        assert m.transpose().entries[(Z3.index((2,)), Z3.index((1,)))] == 1
         assert dense(m.transpose()) == tuple(zip(*dense(m)))
 
 
