@@ -16,8 +16,8 @@ from .oracle import (LatticeInfo, VerificationReport, codim, lattice_report,
                      verify_complete_intersection)
 from .pipeline import (GenerateOptions, InvariantSet, algebra_text, generate)
 from .trees import (RootedTree, Tree, canonical_rooting, parse_newick)
-from .tripod import (AdmissibleMatrix, cyclic_basis, product_basis,
-                     tripod_invariants)
+from .tripod import (AdmissibleMatrix, cyclic_basis, matrix_to_binomial,
+                     product_basis, tripod_invariants)
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,7 @@ __all__ = [
     "flow_index",
     "generate",
     "lattice_report",
+    "matrix_to_binomial",
     "parse_group_spec",
     "parse_newick",
     "product_basis",

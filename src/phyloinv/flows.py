@@ -62,8 +62,16 @@ def _complete(rt: RootedTree, table: CayleyTable, idx: list[int]) -> Flow:
 def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dict[Flow, str]:
     """Why each of ``terms`` is not a flow on ``rt``: not a tuple, a wrong
     length, a value outside ``group``, or an interior node that does not
-    conserve.  Terms that are flows do not appear in the result."""
-    e = rt.edge_count
+    conserve.  Terms that are flows do not appear in the result.
+
+    A term is a flow exactly when its leaf values sum to zero (the root
+    conserves) and it equals the flow rebuilt from those leaf values (every
+    other interior node conserves), so only a failing term is searched for
+    the first node that leaks.
+    """
+    e, n = rt.edge_count, rt.leaf_count
+    table = group.table
+    add, index = table.add, table.index
     factors = tuple(enumerate(group.factors))
     # per interior node: its incoming edge (None at the root), its outgoing edges
     nodes = [(u, None if rt.parent[u] is None else rt.edge_index[(rt.parent[u], u)],
@@ -81,19 +89,24 @@ def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dic
                     return u
         return None
 
+    def conserves(f: Flow) -> bool:
+        idx = [index[x] for x in f[:n]]
+        s = 0
+        for i in idx:
+            s = add[s][i]
+        return not s and _complete(rt, table, idx) == f
+
     out: dict[Flow, str] = {}
     for f in terms:
         if not isinstance(f, tuple):
             out[f] = f"is not a tuple of {e} edge values"
         elif len(f) != e:
             out[f] = f"has {len(f)} edge values, expected {e}"
-        elif not all(map(group.is_element, f)):
-            ei = next(ei for ei, x in enumerate(f) if not group.is_element(x))
+        elif not all(map(index.__contains__, f)):
+            ei = next(ei for ei, x in enumerate(f) if x not in index)
             out[f] = f"value {f[ei]} on edge {ei} {rt.edges[ei]} is not in {group}"
-        else:
-            u = leaking_node(f)
-            if u is not None:
-                out[f] = f"values do not conserve at node {u}"
+        elif not conserves(f):
+            out[f] = f"values do not conserve at node {leaking_node(f)}"
     return out
 
 
@@ -102,14 +115,33 @@ def flow_total(tree: Tree, group: GroupSpec) -> int:
 
 
 def check_flow_cap(tree: Tree, group: GroupSpec, cap: int) -> int:
-    """The number of flows on ``tree``; raises when it exceeds ``cap``."""
-    total = flow_total(tree, group)
-    if total > cap:
-        # as a power: in full it can pass Python's int-to-string digit limit
-        g, l = group.order, tree.leaf_count
-        raise FlowCapExceeded(
-            f"{g}^{l - 1} flows exceed the cap {cap} (group order {g}, {l} leaves)")
+    """The number of flows on ``tree``; raises when it exceeds ``cap``.
+
+    The power is multiplied up one leaf at a time and refused as soon as it
+    passes the cap, so a refusal never builds a number much past the cap.
+    """
+    g, l = group.order, tree.leaf_count
+    total = 1
+    for _ in range(l - 1):
+        total *= g
+        if total > cap:
+            # as a power, and a long order by its digit count: in full the
+            # line could pass Python's int-to-string digit limit
+            if g < 10 ** 20:
+                shown, order = str(g), str(g)
+            else:
+                shown, order = "g", f"g of {_digit_count(g)} digits"
+            raise FlowCapExceeded(f"{shown}^{l - 1} flows exceed the cap {cap} "
+                                  f"(group order {order}, {l} leaves)")
     return total
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of ``n`` >= 1, without converting it to a string."""
+    d = max(1, n.bit_length() * 3 // 10)  # 0.3 < log10(2): a lower bound
+    while 10 ** d <= n:
+        d += 1
+    return d
 
 
 def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
@@ -161,19 +193,25 @@ class Binomial:
 
 def binomial_from_multisets(rt: RootedTree, group: GroupSpec,
                             m1: Iterable[Flow], m2: Iterable[Flow]) -> Binomial:
-    """Validate the per-edge multiset condition and build the reduced binomial."""
+    """Validate the per-edge multiset condition and build the reduced binomial.
+
+    The sides are compared one edge column at a time; a column is sorted
+    only when it differs from its partner as it stands.
+    """
     a = list(m1)
     b = list(m2)
     if len(a) != len(b):
         raise BinomialError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    for ei in range(rt.edge_count):
-        pa = sorted(f[ei] for f in a)
-        pb = sorted(f[ei] for f in b)
-        if pa != pb:
-            raise BinomialError(
-                f"projections to edge {ei} {rt.edges[ei]} differ: {pa} vs {pb}",
-                edge=ei,
-            )
+    for ei, ca, cb in zip(range(rt.edge_count), zip(*a), zip(*b)):
+        if ca != cb:
+            pa, pb = sorted(ca), sorted(cb)
+            if pa != pb:
+                raise BinomialError(
+                    f"projections to edge {ei} {rt.edges[ei]} differ: {pa} vs {pb}",
+                    edge=ei,
+                )
+    if set(a).isdisjoint(b):
+        return Binomial(tuple(sorted(a)), tuple(sorted(b)))
     ca = Counter(a)
     cb = Counter(b)
     lhs = sorted((ca - cb).elements())

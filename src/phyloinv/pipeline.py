@@ -162,13 +162,24 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     slots1 = [(w - 1, lab - 1) for w, lab in ctx.leaf_map1.items()]
     slots2 = [(w - 1, lab - 1) for w, lab in ctx.leaf_map2.items()]
 
-    def joined(vals1, vals2) -> Flow:
+    # every joined flow but the edge quadrics' first term recurs (a lifted
+    # part flow is also a mixed quadric term), so each is built once
+    built: dict[tuple[Element, ...], Flow] = {}
+
+    def leaves(vals1, vals2) -> tuple[Element, ...]:
         vals = [zero] * rt.leaf_count
         for w, lab in slots1:
             vals[lab] = vals1[w]
         for w, lab in slots2:
             vals[lab] = vals2[w]
-        return flow_from_leaves(rt, group, vals)
+        return tuple(vals)
+
+    def joined(vals1, vals2) -> Flow:
+        vals = leaves(vals1, vals2)
+        f = built.get(vals)
+        if f is None:
+            f = built[vals] = flow_from_leaves(rt, group, vals)
+        return f
 
     def part(n: int, at: dict[int, Element]) -> tuple[Element, ...]:
         """Leaf values of an n-leaf part: zero except at the given leaves."""
@@ -207,7 +218,8 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
                 continue
             mix1 = joined(u, fg0_2)
             for w, mix2 in pairs2:
-                f = joined(u, w)
+                # u and w both differ from the path flow: f is new
+                f = flow_from_leaves(rt, group, leaves(u, w))
                 binomials.append(binomial_from_multisets(
                     rt, group, [f, fg0], [mix1, mix2]))
                 provenance.append("join-edge-quadric")

@@ -29,7 +29,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import AdmissibilityError, InternalError
-from .flows import Binomial, binomial_from_multisets, flow_from_leaves
+from .flows import Binomial, Flow, binomial_from_multisets, flow_from_leaves
 from .groups import Element, GroupSpec, prime_power_refinement
 from .trees import RootedTree, canonical_rooting, parse_newick
 
@@ -258,17 +258,29 @@ def matrix_to_binomial(m: AdmissibleMatrix) -> Binomial:
     """The tripod binomial of an admissible matrix: the entry of elements
     (a, b) with value v contributes |v| copies of the flow with leaf values
     (a, b, -a-b) to the positive side when v > 0, negative side when v < 0."""
+    return _matrix_to_binomial(m, {})
+
+
+def _matrix_to_binomial(m: AdmissibleMatrix,
+                        built: dict[tuple[int, int], Flow]) -> Binomial:
+    """:func:`matrix_to_binomial`, taking the flow of (a, b) from ``built``
+    and adding it there the first time it is needed."""
     spec = m.group
     els, add, neg = spec.table.elements, spec.table.add, spec.table.neg
     rt = tripod_tree()
     lhs: list = []
     rhs: list = []
     for (a, b), v in m.entries.items():
-        f = flow_from_leaves(rt, spec, (els[a], els[b], els[neg[add[a][b]]]))
+        f = built.get((a, b))
+        if f is None:
+            f = built[a, b] = flow_from_leaves(
+                rt, spec, (els[a], els[b], els[neg[add[a][b]]]))
         (lhs if v > 0 else rhs).extend([f] * abs(v))
     return binomial_from_multisets(rt, spec, lhs, rhs)
 
 
 def tripod_invariants(group: GroupSpec, mode: str = "direct-cyclic") -> list[Binomial]:
-    """The defining binomials of the tripod variety for ``group``."""
-    return [matrix_to_binomial(m) for m in adm_basis(group, mode)]
+    """The defining binomials of the tripod variety for ``group``; the
+    matrices share one flow per element pair."""
+    built: dict[tuple[int, int], Flow] = {}
+    return [_matrix_to_binomial(m, built) for m in adm_basis(group, mode)]

@@ -152,6 +152,25 @@ def test_huge_flow_count_is_written_as_a_power(capsys):
                    "(group order 2, 15000 leaves)\n")
 
 
+@pytest.mark.parametrize("group,tree,message", [
+    # the order (10^4000 - 1)^2 has 8,000 digits, past the int-to-string limit
+    ("Z" + "9" * 4000 + "xZ" + "9" * 4000, "(1,2,3);",
+     "g^2 flows exceed the cap 1000000 (group order g of 8000 digits, 3 leaves)"),
+    # g^2999 in full has about 12 million digits: refused at the first factor
+    ("Z" + "9" * 4000, "(" + ",".join(map(str, range(1, 3001))) + ");",
+     "g^2999 flows exceed the cap 1000000 "
+     "(group order g of 4000 digits, 3000 leaves)"),
+], ids=["8000-digit-order", "3000-leaf-claw"])
+def test_long_group_order_over_the_cap_is_one_short_line(capsys, group, tree,
+                                                         message):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "lattice-info", "--group", group, "--tree", tree)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_CAP_EXCEEDED
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_work_bound_refuses_large_cyclic_tripod(capsys):
     # Z1000 on the tripod has exactly 10^6 flows, within the default cap,
     # but codim 997,002 binomials of degree up to 1000

@@ -1,16 +1,18 @@
 """Flows on rooted trees: conservation, enumeration, vertex supports, binomials."""
 
 import re
+from collections import Counter
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phyloinv.errors import BinomialError, FlowError
+from phyloinv.errors import BinomialError, FlowCapExceeded, FlowError
 from dense import enumerate_flows
-from phyloinv.flows import (binomial_from_multisets, flow_defects,
-                            flow_from_leaves, flow_index, vertex_support)
+from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
+                            flow_defects, flow_from_leaves, flow_index,
+                            vertex_support)
 from phyloinv.groups import GroupSpec
 from phyloinv.pipeline import _fixed_leaf_values, join_sets, tripod_set
 from phyloinv.trees import (RootedTree, canonical_rooting, decompose_at_edge,
@@ -153,6 +155,97 @@ def test_edge_swap_binomial(quartet):
     fd = flow_from_leaves(quartet, Z2, [(0,), (1,), (1,), (0,)])
     b = binomial_from_multisets(quartet, Z2, [fa, fb], [fc, fd])
     assert b.degree == 2
+
+
+def sort_every_edge(rt, a, b):
+    """Reference per-edge multiset check: every edge's projection sorted."""
+    if len(a) != len(b):
+        raise BinomialError(f"multiset sizes differ: {len(a)} vs {len(b)}")
+    for ei in range(rt.edge_count):
+        pa = sorted(f[ei] for f in a)
+        pb = sorted(f[ei] for f in b)
+        if pa != pb:
+            raise BinomialError(
+                f"projections to edge {ei} {rt.edges[ei]} differ: {pa} vs {pb}",
+                edge=ei)
+    ca, cb = Counter(a), Counter(b)
+    return Binomial(tuple(sorted((ca - cb).elements())),
+                    tuple(sorted((cb - ca).elements())))
+
+
+def outcome(check):
+    try:
+        return check()
+    except BinomialError as exc:
+        return str(exc), exc.edge
+
+
+QUARTET = canonical_rooting(parse_newick("((1,2),(3,4));"))
+PAIR_TREES = [canonical_rooting(parse_newick(t))
+              for t in ("(1,2,3);", "((1,2),(3,4));", "((1,2),3,(4,5));")]
+
+
+@st.composite
+def multiset_pairs(draw):
+    """Two term lists on a small tree: the second side is the first with
+    each edge column shuffled on its own (equal projections, other terms),
+    both sides share some terms, and then at most one edit is made: a value
+    changed, a term added, or a term dropped.  Terms are element tuples,
+    not necessarily flows; some carry one more column than the tree has
+    edges, which the check must not look at."""
+    rt = draw(st.sampled_from(PAIR_TREES))
+    group = draw(st.sampled_from([Z2, Z3, Z2Z2]))
+    element = st.sampled_from(group.elements)
+    width = rt.edge_count + draw(st.integers(0, 1))
+    term = st.tuples(*[element] * width)
+    a = draw(st.lists(term, max_size=4))
+    columns = [draw(st.permutations(col)) for col in zip(*a)]
+    b = list(zip(*columns))
+    common = draw(st.lists(term, max_size=2))
+    a = a + common
+    b = draw(st.permutations(b + common))
+    edit = draw(st.sampled_from(["none", "value", "add", "drop"]))
+    if edit == "value" and b:
+        i = draw(st.integers(0, len(b) - 1))
+        ei = draw(st.integers(0, width - 1))
+        f = list(b[i])
+        f[ei] = draw(element)
+        b[i] = tuple(f)
+    elif edit == "add":
+        b.append(draw(term))
+    elif edit == "drop" and b:
+        b.pop(draw(st.integers(0, len(b) - 1)))
+    return rt, group, a, b
+
+
+FQ = [flow_from_leaves(QUARTET, Z2, v) for v in
+      ([(1,), (0,), (1,), (0,)], [(0,), (1,), (0,), (1,)],
+       [(1,), (0,), (0,), (1,)], [(0,), (1,), (1,), (0,)])]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(multiset_pairs())
+# columns that differ only in order; common flows that cancel, wholly and
+# in part; empty sides; unequal sizes; a column that differs; a column past
+# the last edge, which is not compared
+@example((QUARTET, Z2, [FQ[0], FQ[1]], [FQ[2], FQ[3]]))
+@example((QUARTET, Z2, [FQ[0], FQ[2]], [FQ[2], FQ[0]]))
+@example((QUARTET, Z2, [FQ[0], FQ[1], FQ[2]], [FQ[2], FQ[3], FQ[0]]))
+@example((QUARTET, Z2, [], []))
+@example((QUARTET, Z2, [FQ[0]], []))
+@example((QUARTET, Z2, [FQ[0], FQ[1]], [FQ[2], FQ[2]]))
+@example((QUARTET, Z2, [FQ[0] + ((1,),)], [FQ[0] + ((0,),)]))
+def test_columnwise_check_matches_sorting_every_edge(case):
+    rt, group, a, b = case
+    assert outcome(lambda: binomial_from_multisets(rt, group, a, b)) == \
+        outcome(lambda: sort_every_edge(rt, a, b))
+
+
+def test_flow_cap_count_is_exact_up_to_the_cap(quartet):
+    assert check_flow_cap(quartet.tree, Z3, 27) == 27
+    with pytest.raises(FlowCapExceeded, match=re.escape(
+            "3^3 flows exceed the cap 26 (group order 3, 4 leaves)")):
+        check_flow_cap(quartet.tree, Z3, 26)
 
 
 class TestJoinCalculus:

@@ -1,5 +1,7 @@
 """End-to-end construction pipeline: joins, claw quadrics, provenance."""
 
+from collections import Counter
+
 import pytest
 
 from phyloinv import pipeline
@@ -196,3 +198,27 @@ class TestGenerate:
         g = parse_group_spec("Z6")
         s = generate(t, g, GenerateOptions(mode="factored", flow_cap=10 ** 6))
         assert len(s) == codim(t, g)
+
+
+def test_join_builds_each_flow_once(monkeypatch):
+    # every join of a Z3 caterpillar; within one join_sets call no joined
+    # flow is built from the same leaf values twice
+    rt = canonical_rooting(parse_newick("(((((1,2),3),4),5),6);"))
+    joins = []
+    for edge in rt.interior_edges():
+        ctx = decompose_at_edge(rt, edge)
+        joins.append((ctx, generate(ctx.t1, Z3), generate(ctx.t2, Z3)))
+    builds: Counter = Counter()
+    real = pipeline.flow_from_leaves
+
+    def counted(rt, group, vals):
+        vals = tuple(vals)
+        builds[vals] += 1
+        return real(rt, group, vals)
+
+    monkeypatch.setattr(pipeline, "flow_from_leaves", counted)
+    for ctx, s1, s2 in joins:
+        builds.clear()
+        s = join_sets(ctx, Z3, s1, s2)
+        assert len(s) == codim(ctx.rooted.tree, Z3)
+        assert builds and max(builds.values()) == 1

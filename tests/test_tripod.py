@@ -309,3 +309,23 @@ class TestTripodInvariants:
         invs = tripod_invariants(parse_group_spec("Z2xZ2"))
         assert len(invs) == 6
         assert all(b.degree == 3 for b in invs)
+
+
+@pytest.mark.parametrize("mode", ["direct-cyclic", "factored"])
+@pytest.mark.parametrize("text", ["Z6", "Z2xZ3"])
+def test_tripod_builds_each_flow_once(monkeypatch, text, mode):
+    # a tripod has g^2 flows; the basis matrices share them
+    import phyloinv.tripod as tripod_mod
+    spec = parse_group_spec(text)
+    builds: Counter = Counter()
+    real = tripod_mod.flow_from_leaves
+
+    def counted(rt, group, vals):
+        vals = tuple(vals)
+        builds[vals] += 1
+        return real(rt, group, vals)
+
+    monkeypatch.setattr(tripod_mod, "flow_from_leaves", counted)
+    assert len(tripod_invariants(spec, mode)) == (spec.order - 1) * (spec.order - 2)
+    assert sum(builds.values()) <= spec.order ** 2
+    assert max(builds.values()) == 1
