@@ -67,7 +67,8 @@ def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dic
     A term is a flow exactly when its leaf values sum to zero (the root
     conserves) and it equals the flow rebuilt from those leaf values (every
     other interior node conserves), so only a failing term is searched for
-    the first node that leaks.
+    the first node that leaks.  On a claw every edge is a leaf edge and the
+    root is the only interior node, so the leaf sum alone decides.
     """
     e, n = rt.edge_count, rt.leaf_count
     table = group.table
@@ -89,12 +90,14 @@ def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dic
                     return u
         return None
 
+    rebuild = bool(rt.bottom_up)  # False on a claw: no interior edge
+
     def conserves(f: Flow) -> bool:
         idx = [index[x] for x in f[:n]]
         s = 0
         for i in idx:
             s = add[s][i]
-        return not s and _complete(rt, table, idx) == f
+        return not s and (not rebuild or _complete(rt, table, idx) == f)
 
     out: dict[Flow, str] = {}
     for f in terms:

@@ -8,18 +8,28 @@ kernel rank against the matrix rank, and the spanning property through a
 saturation certificate (unit-pivot elimination plus leftover invariant
 factors), which for sparse generator sets is exact and cheap even when a
 dense Hermite form would be far out of reach.
+
+The rank of the monomial matrix and the index of the vertex-difference
+lattice come from a small witness: the flows with at most three nonzero
+leaf values.  Both quantities have a proven bound, the rank from above and
+the index from below (see ``_fold_witness``).  A pass folds witness flows
+into its echelon until the bound is met, and the bound then is the exact
+value.  Should the witness fall short, a second pass folds the remaining
+flows, and the result is exact by full enumeration.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from math import inf
-from typing import TYPE_CHECKING
+from math import inf, prod
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from .flows import (DEFAULT_FLOW_CAP, Binomial, check_flow_cap, flow_defects,
-                    flow_index, flow_total, iter_flows, vertex_support)
-from .groups import GroupSpec
+from .errors import InternalError
+from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, check_flow_cap,
+                    flow_defects, flow_index, flow_total, iter_flows,
+                    vertex_support)
+from .groups import Element, GroupSpec
 from .lattice import Echelon, det, sparse_span_certificate
 from .trees import RootedTree, Tree
 
@@ -36,13 +46,68 @@ def degree_bound(group: GroupSpec) -> int:
     return max(3, max(group.factors))
 
 
+def _is_witness(f: Flow, n: int, zero: Element) -> bool:
+    """True when at most three of the ``n`` leaf values of ``f`` are nonzero."""
+    return n - f[:n].count(zero) <= 3
+
+
+def _fold_witness(rt: RootedTree, group: GroupSpec, ech: Echelon,
+                  encode: Callable[[Flow], Mapping[int, int]],
+                  reached: Callable[[Echelon], bool]) -> None:
+    """Fold encoded flows into ``ech`` until ``reached(ech)``, witness
+    flows first; ``reached`` is asked only when an ``add`` changed ``ech``.
+
+    The witness is the set of flows with at most three nonzero leaf values.
+    One ``iter_flows`` pass folds witness flows until the bound is met and
+    then runs to its end without folding.  Only if the witness falls short
+    does a second pass fold the other flows.
+
+    Let g = |G|, e the edge count and A the monomial matrix.
+
+    * Rank: A has e blocks of g rows, and every column has exactly one 1 per
+      block, so the rows of each block sum to the all-ones row.  Those e - 1
+      independent relations give rank(A) <= (g-1)e + 1.  A witness of that
+      rank proves equality.
+    * Index: let D be the degree-zero lattice Z^((g-1)e), with basis
+      unit(edge, h) - unit(edge, 0) for h != 0, and let psi map D to
+      G^(interior nodes): the coordinate (edge, h) adds h at the edge's
+      upper end and -h at its lower end, when that end is interior.  A
+      vertex-point difference Q_f - Q_0 goes to the conservation defect of
+      f, which is zero, so the difference lattice L lies in ker psi.  psi
+      is onto: pick one child edge per interior node; in depth order from
+      the root the system these edges give is unitriangular.  Hence
+      [D : L] >= [D : ker psi] = g^(interior nodes).  A sublattice W of L
+      of full rank and index exactly g^(interior nodes) forces
+      W = L = ker psi, so the witness index is the index of L.
+    """
+    n = rt.leaf_count
+    zero = group.table.elements[0]
+    flows = iter_flows(rt, group)
+    for f in flows:
+        if _is_witness(f, n, zero) and ech.add(encode(f)) and reached(ech):
+            deque(flows, maxlen=0)  # the pass still enumerates every flow
+            return
+    for f in iter_flows(rt, group):
+        if not _is_witness(f, n, zero) and ech.add(encode(f)) and reached(ech):
+            return
+
+
 def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
     """Exact rank of the monomial matrix, via an incremental echelon over
-    the sparse vertex-point columns (cheap even for many flows).  Enumerates
-    every flow: the caller checks the flow cap first."""
+    the sparse vertex-point columns of a witness (see ``_fold_witness``).
+    The caller checks the flow cap first."""
+    bound = (group.order - 1) * rt.edge_count + 1
+
+    def reached(ech: Echelon) -> bool:
+        if ech.rank > bound:
+            raise InternalError(
+                f"monomial matrix rank {ech.rank} exceeds its bound {bound}")
+        return ech.rank == bound
+
     ech = Echelon(rt.edge_count * group.order)
-    for f in iter_flows(rt, group):
-        ech.add(dict.fromkeys(vertex_support(rt, group, f), 1))
+    _fold_witness(rt, group, ech,
+                  lambda f: dict.fromkeys(vertex_support(rt, group, f), 1),
+                  reached)
     return ech.rank
 
 
@@ -84,7 +149,8 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
     """Rank of the lattice spanned by vertex-point differences Q_f - Q_0 (Q_0
     the zero flow's point) and its index inside the lattice of
     block-degree-zero vectors (per-edge coordinate sums zero); the expected
-    index is |G|^(interior nodes).
+    index is |G|^(interior nodes), and it is also a lower bound, so the
+    witness stops once its pivots multiply to it (see ``_fold_witness``).
 
     In the basis {unit(edge, h) - unit(edge, 0) : h != 0} of that lattice,
     Q_f - Q_0 has a 1 at (edge, f[edge]) for every edge whose value is not
@@ -94,10 +160,23 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
     check_flow_cap(rt.tree, group, flow_cap)
     g = group.order
     expected_dim = (g - 1) * rt.edge_count
+    expected_index = g ** rt.tree.interior_node_count
+
+    def reached(ech: Echelon) -> bool:
+        if ech.rank < expected_dim:
+            return False
+        pivots = prod(row[j] for row, j in zip(ech.rows, ech.pivcols))
+        if pivots < expected_index:
+            raise InternalError(f"vertex-difference index {pivots} is below "
+                                f"its bound {expected_index}")
+        return pivots == expected_index
+
     ech = Echelon(expected_dim)
-    for f in iter_flows(rt, group):
-        ech.add(dict.fromkeys([c - c // g - 1 for c in vertex_support(rt, group, f)
-                               if c % g], 1))
+    _fold_witness(rt, group, ech,
+                  lambda f: dict.fromkeys(
+                      [c - c // g - 1 for c in vertex_support(rt, group, f)
+                       if c % g], 1),
+                  reached)
     dim = ech.rank
     if dim < expected_dim:
         index: int | float = inf
@@ -110,7 +189,7 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
         vertex_diff_dim=dim,
         expected_dim=expected_dim,
         index_in_degree_zero=index,
-        expected_index=g ** rt.tree.interior_node_count,
+        expected_index=expected_index,
         interior_nodes=rt.tree.interior_node_count,
     )
 

@@ -123,6 +123,18 @@ def test_flow_defects_name_the_fault(quartet):
     assert "4 edge values" in defects[f[:4]]
 
 
+def test_flow_defects_on_a_claw():
+    # no interior edge to rebuild: the leaf sum decides, over Z2 x Z2 too
+    rt = canonical_rooting(parse_newick("(1,2,3,4);"))
+    flows = enumerate_flows(rt, Z2Z2)
+    assert not flow_defects(rt, Z2Z2, flows)
+    leaky = [f[:3] + (Z2Z2.add(f[3], (1, 0)),) for f in flows]
+    defects = flow_defects(rt, Z2Z2, leaky)
+    assert set(defects) == set(leaky)
+    assert all(d == f"values do not conserve at node {rt.root}"
+               for d in defects.values())
+
+
 def test_vertex_support_shape(quartet):
     for f in enumerate_flows(quartet, Z2Z2):
         support = vertex_support(quartet, Z2Z2, f)

@@ -2,17 +2,19 @@
 
 import json
 from collections.abc import Mapping
+from math import inf, prod
 
 import pytest
 
 from dense import enumerate_flows, monomial_matrix, oracle_kernel
+from test_acceptance import BATTERY_GROUPS, BATTERY_TREES, FLOW_CAP
 from phyloinv import oracle
-from phyloinv.errors import FlowCapExceeded
-from phyloinv.flows import Binomial
-from phyloinv.groups import GroupSpec
+from phyloinv.errors import FlowCapExceeded, InternalError
+from phyloinv.flows import Binomial, vertex_support
+from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.lattice import Echelon
-from phyloinv.oracle import (codim, degree_bound, exponent_vector, flow_total,
-                             lattice_report, monomial_matrix_rank,
+from phyloinv.oracle import (LatticeInfo, codim, degree_bound, exponent_vector,
+                             flow_total, lattice_report, monomial_matrix_rank,
                              verify_complete_intersection)
 from phyloinv.pipeline import InvariantSet, generate
 from phyloinv.trees import canonical_rooting, parse_newick
@@ -137,38 +139,51 @@ class TestVerify:
         assert r.kernel_rank == r.expected_codim == 16
 
     def test_echelon_sees_only_sparse_vectors(self, monkeypatch):
-        seen = []
+        seen = {}  # echelon width -> the vectors folded into it
         real = Echelon.add
 
         def recording(ech, vec):
-            seen.append(vec)
+            seen.setdefault(ech.width, []).append(vec)
             return real(ech, vec)
 
         monkeypatch.setattr("phyloinv.lattice.Echelon.add", recording)
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
         assert verify_complete_intersection(s).passed
-        # one vertex point and one difference from the zero flow per flow
-        # (the zero flow's own difference is the empty vector)
-        assert len(seen) == 2 * 27
+        # a vertex point per folded flow in the rank pass (width e*g = 15),
+        # a difference from the zero flow in the lattice pass (width 10):
+        # at most one add per flow, and only witness flows, of which the
+        # quartet has 21 (the 6 flows with four nonzero leaves are not)
         e = s.rooted.edge_count
-        for vec in seen:
+        assert set(seen) == {15, 10}
+        assert sum(oracle._is_witness(f, 4, (0,))
+                   for f in enumerate_flows(s.rooted, Z3)) == 21
+        assert [len(seen[15]), len(seen[10])] == [16, 16]
+        for vec in seen[15] + seen[10]:
             assert isinstance(vec, Mapping)
             assert sum(1 for x in vec.values() if x) <= e
 
     def test_each_term_is_encoded_once(self, monkeypatch):
         calls = []
+        adds = []
         real = oracle.vertex_support
+        real_add = Echelon.add
 
         def counting(rt, group, f):
             calls.append(f)
             return real(rt, group, f)
 
+        def adding(ech, vec):
+            adds.append(vec)
+            return real_add(ech, vec)
+
         monkeypatch.setattr(oracle, "vertex_support", counting)
+        monkeypatch.setattr("phyloinv.lattice.Echelon.add", adding)
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
         assert verify_complete_intersection(s).passed
         terms = {f for b in s.binomials for f in b.lhs + b.rhs}
-        # one support per flow in each of the two passes, one per distinct term
-        assert len(calls) == 2 * 27 + len(terms)
+        # one support per flow folded in either pass, one per distinct term
+        assert len(calls) == len(adds) + len(terms)
+        assert len(adds) <= 2 * 27
 
     def test_doubled_generator_breaks_span(self):
         s = generate(parse_newick("((1,2),(3,4));"), Z2)
@@ -232,6 +247,109 @@ class TestVerify:
         want = verify_complete_intersection(s).to_json()
         assert want["pass"]
         assert verify_complete_intersection(rebuilt).to_json() == want
+
+
+def full_rank(rt, group):
+    """Rank of the dense monomial matrix, every column folded in."""
+    A = monomial_matrix(rt, group, flow_cap=FLOW_CAP)
+    ech = Echelon(len(A))
+    for col in zip(*A):
+        ech.add({r: x for r, x in enumerate(col) if x})
+    return ech.rank
+
+
+def full_lattice_report(rt, group):
+    """The lattice summary with every flow's difference folded in."""
+    g, e = group.order, rt.edge_count
+    ech = Echelon((g - 1) * e)
+    for f in enumerate_flows(rt, group, FLOW_CAP):
+        ech.add({c - c // g - 1: 1 for c in vertex_support(rt, group, f)
+                 if c % g})
+    full = ech.rank == (g - 1) * e
+    interior = rt.tree.interior_node_count
+    return LatticeInfo(
+        vertex_diff_dim=ech.rank, expected_dim=(g - 1) * e,
+        index_in_degree_zero=prod(r[j] for r, j in zip(ech.rows, ech.pivcols))
+        if full else inf,
+        expected_index=g ** interior, interior_nodes=interior)
+
+
+BATTERY = [(t, g) for t in BATTERY_TREES for g in BATTERY_GROUPS]
+
+
+def count_passes(monkeypatch):
+    """A list that gets the number of flows each ``oracle.iter_flows``
+    pass yields, one entry per pass."""
+    passes = []
+    real = oracle.iter_flows
+
+    def counting(*args):
+        passes.append(0)
+        for f in real(*args):
+            passes[-1] += 1
+            yield f
+
+    monkeypatch.setattr(oracle, "iter_flows", counting)
+    return passes
+
+
+class TestWitness:
+    """The rank and the index read from the witness flows equal those of a
+    fold over every flow."""
+
+    @pytest.mark.parametrize("text,gtext", BATTERY)
+    def test_battery_matches_full_enumeration(self, text, gtext):
+        rt, group = rooted(text), parse_group_spec(gtext)
+        assert monomial_matrix_rank(rt, group) == full_rank(rt, group)
+        assert lattice_report(rt, group) == full_lattice_report(rt, group)
+
+    @pytest.mark.parametrize("accept", [
+        lambda f, n, zero: False,
+        lambda f, n, zero: n - f[:n].count(zero) <= 1,
+    ], ids=["empty", "one-nonzero-leaf"])
+    @pytest.mark.parametrize("text,gtext", [
+        ("((1,2),(3,4));", "Z3"), ("(((1,2),3),(4,5));", "Z2xZ2"),
+        ("(1,2,3,4,5);", "Z4")])
+    def test_short_witness_falls_back(self, monkeypatch, accept, text, gtext):
+        rt, group = rooted(text), parse_group_spec(gtext)
+        want = (monomial_matrix_rank(rt, group), lattice_report(rt, group))
+        monkeypatch.setattr(oracle, "_is_witness", accept)
+        passes = count_passes(monkeypatch)
+        assert (monomial_matrix_rank(rt, group), lattice_report(rt, group)) \
+            == want
+        # each of the two certificates took a second pass
+        assert len(passes) == 4
+        assert passes[0] == passes[2] == group.order ** (rt.leaf_count - 1)
+
+    def test_verify_enumerates_the_flows_twice(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        for text, gtext in [("((((1,2),3),4),5,6);", "Z3"),
+                            ("((1,2),(3,4),(5,6));", "Z2xZ2"),
+                            ("(1,2,3);", "Z5")]:
+            passes.clear()
+            s = generate(parse_newick(text), parse_group_spec(gtext))
+            assert verify_complete_intersection(s).passed
+            # one full pass for the rank, one for the lattice summary
+            assert passes == [flow_total(s.rooted.tree, s.group)] * 2
+
+    @pytest.mark.parametrize("certificate", [monomial_matrix_rank,
+                                             lattice_report])
+    def test_passing_a_proven_bound_is_an_internal_error(self, monkeypatch,
+                                                         certificate):
+        class Leaky(Echelon):
+            """Folds every unit vector beside each vector and reports a
+            change: the rank passes (g-1)e+1, and the degree-zero index
+            drops to 1."""
+
+            def add(self, vec):
+                for c in range(self.width):
+                    super().add({c: 1})
+                super().add(vec)
+                return True
+
+        monkeypatch.setattr(oracle, "Echelon", Leaky)
+        with pytest.raises(InternalError, match="bound"):
+            certificate(rooted("((1,2),(3,4));"), Z3)
 
 
 def test_oracle_matches_construction_across_instances():

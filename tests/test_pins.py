@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from phyloinv.cli import main
 from phyloinv.flows import Binomial
 from phyloinv.groups import parse_group_spec
 from phyloinv.oracle import verify_complete_intersection
@@ -50,6 +51,28 @@ FAILING_VERIFY_PIN = \
     "a6d2b68a4f2c934d3057a914be3bf1ebe62d12ecaf46747daeec435a704d8f40"
 
 
+# CLI output of ``verify`` and ``lattice-info`` on two trees with four
+# interior nodes each, where the rank and index come from a witness
+CLI_PINS = [
+    ("verify", "Z3", "((((1,2),3),4),5,6);", "json",
+     "13426f90cd28614e3a1b27778918b164b4a39e57b37ebccb44fcb592639ad591"),
+    ("verify", "Z3", "((((1,2),3),4),5,6);", "algebra-text",
+     "6f07a52f3340a619199dd2ce27cdb436314b46bbcc6b60d364371b422d0b9ac1"),
+    ("lattice-info", "Z3", "((((1,2),3),4),5,6);", "json",
+     "64913c8cdf22ab965b7774c9dab33bc179bbc0b153da7254b5b17571eaae737f"),
+    ("lattice-info", "Z3", "((((1,2),3),4),5,6);", "algebra-text",
+     "75c12e36e2b5526fc831a073271410e115d03047c1bc664f464d4a5af585b22c"),
+    ("verify", "Z2xZ2", "((1,2),(3,4),(5,6));", "json",
+     "9ec8e0f674123f9fe790d6e28613951b58cd6799a678ca98de253787234dbebe"),
+    ("verify", "Z2xZ2", "((1,2),(3,4),(5,6));", "algebra-text",
+     "b110eb887f43a01db7c5f419352725db95beca52cad6645511ea700f37f56375"),
+    ("lattice-info", "Z2xZ2", "((1,2),(3,4),(5,6));", "json",
+     "699aa710c3bcf8521def46b4d482b35ea90b7bd315c6520176331331e74e6e7f"),
+    ("lattice-info", "Z2xZ2", "((1,2),(3,4),(5,6));", "algebra-text",
+     "98be8c2a22fb92229f16a8f7b83ff0185668b48ff16a25672d7fe42c6e817f9c"),
+]
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -85,3 +108,12 @@ def test_failing_verify_output_pinned():
         InvariantSet(s.rooted, s.group, binomials, list(s.provenance)))
     assert report.failures[-1].endswith("(leftover invariant factors [1, 2, 6])")
     assert sha256(dump(report.to_json())) == FAILING_VERIFY_PIN
+
+
+@pytest.mark.parametrize("command,group,newick,output,pin", CLI_PINS)
+def test_cli_certificate_outputs_pinned(capsys, command, group, newick, output,
+                                        pin):
+    code = main([command, "--group", group, "--tree", newick,
+                 "--output", output])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == pin
