@@ -88,6 +88,8 @@ def _lattice_text(info) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.flow_cap < 1:
+            raise ValueError(f"--flow-cap must be at least 1, got {args.flow_cap}")
         group = parse_group_spec(args.group)
         tree = parse_newick(_read_tree_arg(args.tree))
 

@@ -64,40 +64,26 @@ def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dic
     length, a value outside ``group``, or an interior node that does not
     conserve.  Terms that are flows do not appear in the result.
 
-    A term is a flow exactly when its leaf values sum to zero (the root
-    conserves) and it equals the flow rebuilt from those leaf values (every
-    other interior node conserves), so only a failing term is searched for
-    the first node that leaks.  On a claw every edge is a leaf edge and the
-    root is the only interior node, so the leaf sum alone decides.
+    One scan over the interior nodes, in id order, compares on element
+    indices each node's incoming value (zero at the root) with the sum of
+    its outgoing values; the first node where they differ is the one named.
     """
-    e, n = rt.edge_count, rt.leaf_count
+    e = rt.edge_count
     table = group.table
     add, index = table.add, table.index
-    factors = tuple(enumerate(group.factors))
     # per interior node: its incoming edge (None at the root), its outgoing edges
     nodes = [(u, None if rt.parent[u] is None else rt.edge_index[(rt.parent[u], u)],
               [rt.edge_index[(u, c)] for c in rt.children[u]])
              for u in rt.tree.interior_nodes]
 
-    def leaking_node(f: Flow) -> int | None:
-        # residue-wise, so that no group element is built per node
+    def leaking_node(idx: list[int]) -> int | None:
         for u, up, down in nodes:
-            for j, a in factors:
-                t = sum(f[ei][j] for ei in down)
-                if up is not None:
-                    t -= f[up][j]
-                if t % a:
-                    return u
+            s = 0
+            for ei in down:
+                s = add[s][idx[ei]]
+            if s != (0 if up is None else idx[up]):
+                return u
         return None
-
-    rebuild = bool(rt.bottom_up)  # False on a claw: no interior edge
-
-    def conserves(f: Flow) -> bool:
-        idx = [index[x] for x in f[:n]]
-        s = 0
-        for i in idx:
-            s = add[s][i]
-        return not s and (not rebuild or _complete(rt, table, idx) == f)
 
     out: dict[Flow, str] = {}
     for f in terms:
@@ -105,11 +91,11 @@ def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dic
             out[f] = f"is not a tuple of {e} edge values"
         elif len(f) != e:
             out[f] = f"has {len(f)} edge values, expected {e}"
-        elif not all(map(index.__contains__, f)):
-            ei = next(ei for ei, x in enumerate(f) if x not in index)
+        elif None in (idx := list(map(index.get, f))):
+            ei = idx.index(None)
             out[f] = f"value {f[ei]} on edge {ei} {rt.edges[ei]} is not in {group}"
-        elif not conserves(f):
-            out[f] = f"values do not conserve at node {leaking_node(f)}"
+        elif (u := leaking_node(idx)) is not None:
+            out[f] = f"values do not conserve at node {u}"
     return out
 
 

@@ -96,9 +96,6 @@ class GroupSpec:
         """Position of ``el`` in the enumeration order."""
         return self.table.index[el]
 
-    def is_element(self, el) -> bool:
-        return el in self.table.index
-
     def unit(self, j: int) -> Element:
         """The generator 1_j of the j-th factor (j is 1-based)."""
         if not 1 <= j <= len(self.factors):

@@ -33,6 +33,7 @@ from .groups import Element, GroupSpec
 from .oracle import codim, degree_bound
 from .trees import (JoinContext, RootedTree, Tree, canonical_rooting,
                     decompose_at_edge, tree_to_json)
+from .tripod import tripod_invariants, tripod_tree
 
 
 @dataclass
@@ -107,8 +108,6 @@ def _check_codim(n: int, tree: Tree, group: GroupSpec, what: str) -> int:
 
 
 def tripod_set(group: GroupSpec, mode: str = "direct-cyclic") -> InvariantSet:
-    from .tripod import tripod_invariants, tripod_tree
-
     binomials = tripod_invariants(group, mode)
     rt = tripod_tree()
     _check_codim(len(binomials), rt.tree, group, "tripod set")

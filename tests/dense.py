@@ -3,7 +3,8 @@
 The package certifies with sparse vectors only.  These dense versions are
 the independent references the tests compare it against: a row Hermite
 normal form with its transform, saturated kernels and lattice equality,
-the 0/1 monomial matrix and its kernel, every flow as a list, the
+the 0/1 monomial matrix and its kernel, every flow as a list, the first
+node where a term does not conserve (residue by residue), the
 admissibility condition matrix, and dense views of the sparse admissible
 matrices.  Small instances only.
 """
@@ -182,6 +183,21 @@ def monomial_matrix(rt, group, flow_cap: int = DEFAULT_FLOW_CAP) -> Matrix:
 def oracle_kernel(rt, group, flow_cap: int = DEFAULT_FLOW_CAP) -> LatticeBasis:
     """The saturated integer kernel of the monomial matrix."""
     return kernel_lattice(monomial_matrix(rt, group, flow_cap))
+
+
+def leaking_node(rt, group, f):
+    """The first interior node, in id order, whose outgoing values do not
+    sum to its incoming value (to zero at the root), summed residue by
+    residue; None when ``f`` conserves everywhere."""
+    for u in rt.tree.interior_nodes:
+        up = rt.parent[u]
+        for j, a in enumerate(group.factors):
+            t = sum(f[rt.edge_index[(u, c)]][j] for c in rt.children[u])
+            if up is not None:
+                t -= f[rt.edge_index[(up, u)]][j]
+            if t % a:
+                return u
+    return None
 
 
 def is_trivalent(tree) -> bool:

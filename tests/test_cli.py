@@ -104,6 +104,17 @@ def test_cap_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("sub", ["lattice-info", "generate", "verify"])
+def test_flow_cap_below_one_is_bad_input(capsys, sub, cap):
+    # a cap below 1 is a typo, not an instance over the cap
+    code, out, err = run(capsys, sub, "--group", "Z3", "--tree", "(1,2,3);",
+                         "--flow-cap", cap)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == f"error: --flow-cap must be at least 1, got {cap}\n"
+
+
 def test_deep_tree_hits_cap(capsys):
     # a 1200-leaf caterpillar nests 1199 levels deep
     text = "(1,2)"
@@ -195,10 +206,10 @@ def test_work_bound_scales_with_the_flow_cap(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    import phyloinv.tripod as tripod_mod
+    import phyloinv.pipeline as pipeline_mod
 
-    real = tripod_mod.tripod_invariants
-    monkeypatch.setattr(tripod_mod, "tripod_invariants",
+    real = pipeline_mod.tripod_invariants
+    monkeypatch.setattr(pipeline_mod, "tripod_invariants",
                         lambda group, mode: real(group, mode)[1:])
     code, out, err = run(capsys, "generate", "--group", "Z3",
                          "--tree", "((1,2),(3,4));")

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phyloinv.errors import BinomialError, FlowCapExceeded, FlowError
-from dense import enumerate_flows
+from dense import enumerate_flows, leaking_node
 from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
                             flow_defects, flow_from_leaves, flow_index,
                             vertex_support)
@@ -58,15 +58,23 @@ FLOW_GROUPS = [GroupSpec((g,)) for g in range(2, 8)] + \
 
 
 @st.composite
-def rooted_flows(draw):
-    """A random tree with 3-9 leaves, rooted at a random interior node, a
-    group and leaf values summing to zero."""
-    n = draw(st.integers(3, 9))
+def random_trees(draw, min_leaves=3, max_leaves=9):
+    """A random tree with ``min_leaves`` to ``max_leaves`` leaves, its
+    interior nodes of any degree."""
+    n = draw(st.integers(min_leaves, max_leaves))
     items = [str(x) for x in draw(st.permutations(range(1, n + 1)))]
     while len(items) > 3:
         k = draw(st.integers(2, len(items) - 1))
         items = items[k:] + ["(" + ",".join(items[:k]) + ")"]
-    tree = parse_newick("(" + ",".join(items) + ");")
+    return parse_newick("(" + ",".join(items) + ");")
+
+
+@st.composite
+def rooted_flows(draw):
+    """A random tree with 3-9 leaves, rooted at a random interior node, a
+    group and leaf values summing to zero."""
+    tree = draw(random_trees())
+    n = tree.leaf_count
     rt = RootedTree(tree, draw(st.sampled_from(tree.interior_nodes)))
     group = draw(st.sampled_from(FLOW_GROUPS))
     head = draw(st.lists(st.sampled_from(group.elements),
@@ -124,7 +132,7 @@ def test_flow_defects_name_the_fault(quartet):
 
 
 def test_flow_defects_on_a_claw():
-    # no interior edge to rebuild: the leaf sum decides, over Z2 x Z2 too
+    # the root is the only interior node: the leaf sum decides, over Z2 x Z2 too
     rt = canonical_rooting(parse_newick("(1,2,3,4);"))
     flows = enumerate_flows(rt, Z2Z2)
     assert not flow_defects(rt, Z2Z2, flows)
@@ -133,6 +141,40 @@ def test_flow_defects_on_a_claw():
     assert set(defects) == set(leaky)
     assert all(d == f"values do not conserve at node {rt.root}"
                for d in defects.values())
+
+
+@st.composite
+def perturbed_terms(draw):
+    """A random rooted tree, a group, and flows with 1-3 edge values each
+    replaced by a random element (which may leave a flow a flow)."""
+    rt, group, vals = draw(rooted_flows())
+    f = flow_from_leaves(rt, group, vals)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = list(f)
+        for _ in range(draw(st.integers(1, 3))):
+            t[draw(st.integers(0, rt.edge_count - 1))] = \
+                draw(st.sampled_from(group.elements))
+        terms.append(tuple(t))
+    return rt, group, terms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(perturbed_terms())
+def test_flow_defects_match_rebuild_and_residues(case):
+    rt, group, terms = case
+    defects = flow_defects(rt, group, terms)
+    n = rt.leaf_count
+    for t in terms:
+        # reference verdict: the leaf values sum to zero and rebuild ``t``
+        leaf_sum = reduce(group.add, t[:n], group.zero())
+        is_flow = leaf_sum == group.zero() \
+            and flow_from_leaves(rt, group, t[:n]) == t
+        assert (t not in defects) == is_flow
+        assert (leaking_node(rt, group, t) is None) == is_flow
+        if not is_flow:
+            assert defects[t] == ("values do not conserve at node "
+                                  f"{leaking_node(rt, group, t)}")
 
 
 def test_vertex_support_shape(quartet):

@@ -1,23 +1,28 @@
 """Certification oracle: kernels, ranks, lattice diagnostics, sabotage."""
 
 import json
+from collections import Counter
 from collections.abc import Mapping
+from functools import reduce
 from math import inf, prod
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dense import enumerate_flows, monomial_matrix, oracle_kernel
 from test_acceptance import BATTERY_GROUPS, BATTERY_TREES, FLOW_CAP
+from test_flows import FLOW_GROUPS, random_trees
 from phyloinv import oracle
 from phyloinv.errors import FlowCapExceeded, InternalError
-from phyloinv.flows import Binomial, vertex_support
+from phyloinv.flows import Binomial, flow_from_leaves, vertex_support
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.lattice import Echelon
 from phyloinv.oracle import (LatticeInfo, codim, degree_bound, exponent_vector,
                              flow_total, lattice_report, monomial_matrix_rank,
                              verify_complete_intersection)
 from phyloinv.pipeline import InvariantSet, generate
-from phyloinv.trees import canonical_rooting, parse_newick
+from phyloinv.trees import RootedTree, canonical_rooting, parse_newick
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -277,6 +282,83 @@ def full_lattice_report(rt, group):
 BATTERY = [(t, g) for t in BATTERY_TREES for g in BATTERY_GROUPS]
 
 
+def leaf_side(rt, v, w):
+    """The leaves of the component of T - v that holds v's neighbour w."""
+    if rt.parent[w] == v:
+        nodes = rt.nodes_below(w)
+    else:
+        nodes = set(range(1, rt.tree.n_nodes + 1)) - rt.nodes_below(v)
+    return {u for u in nodes if u <= rt.leaf_count}
+
+
+def nonzero_leaves(rt, group, f):
+    return sum(x != group.zero() for x in f[:rt.leaf_count])
+
+
+def swap_flows(rt, group, vals, order):
+    """The flows h1, h2 and p of the witness lemma (see
+    ``oracle._fold_witness``) for the flow with leaf values ``vals``; its
+    nonzero leaves are picked in ``order``."""
+    n, zero = rt.leaf_count, group.zero()
+    x = dict(zip(range(1, n + 1), vals))
+    N = [m for m in order if x[m] != zero]
+
+    def on(values):
+        return flow_from_leaves(rt, group, [values.get(m, zero)
+                                            for m in range(1, n + 1)])
+
+    def total(S):
+        return reduce(group.add, (x[m] for m in S), zero)
+
+    for u, v in rt.edges:
+        B = leaf_side(rt, u, v)
+        A = set(x) - B
+        if sum(m in A for m in N) >= 2 and sum(m in B for m in N) >= 2:
+            a = next(m for m in N if m in A)
+            b = next(m for m in N if m in B)
+            return (on({**{m: x[m] for m in A}, b: total(B)}),
+                    on({**{m: x[m] for m in B}, a: total(A)}),
+                    on({a: total(A), b: total(B)}))
+    # no such edge: some interior node v has at most one leaf of N in each
+    # component of T - v
+    assert any(all(sum(m in leaf_side(rt, v, w) for m in N) <= 1
+                   for w in rt.tree.neighbors(v))
+               for v in rt.tree.interior_nodes)
+    i, j, r = N[:3]
+    s = group.add(x[i], x[j])
+    return (on({i: x[i], j: x[j], r: group.neg(s)}),
+            on({**{m: x[m] for m in N[2:]}, i: s}),
+            on({i: s, r: group.neg(s)}))
+
+
+@st.composite
+def swap_cases(draw):
+    """A randomly rooted tree, a group, the leaf values of a flow with at
+    least four nonzero leaves, and an order of the leaves."""
+    tree = draw(random_trees(4, 9))
+    n = tree.leaf_count
+    rt = RootedTree(tree, draw(st.sampled_from(tree.interior_nodes)))
+    group = draw(st.sampled_from(FLOW_GROUPS))
+    head = draw(st.lists(st.sampled_from(group.elements),
+                         min_size=n - 1, max_size=n - 1))
+    vals = head + [group.neg(reduce(group.add, head, group.zero()))]
+    assume(sum(v != group.zero() for v in vals) >= 4)
+    return rt, group, vals, draw(st.permutations(range(1, n + 1)))
+
+
+SMALL_GROUPS = [GroupSpec((g,)) for g in range(2, 7)] + [GroupSpec((2, 2))]
+
+
+@st.composite
+def small_instances(draw):
+    """A randomly rooted tree with at most 7 leaves and a small group, with
+    at most 729 flows."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    tree = draw(random_trees(3, 7))
+    assume(group.order ** (tree.leaf_count - 1) <= 729)
+    return RootedTree(tree, draw(st.sampled_from(tree.interior_nodes))), group
+
+
 def count_passes(monkeypatch):
     """A list that gets the number of flows each ``oracle.iter_flows``
     pass yields, one entry per pass."""
@@ -303,23 +385,29 @@ class TestWitness:
         assert monomial_matrix_rank(rt, group) == full_rank(rt, group)
         assert lattice_report(rt, group) == full_lattice_report(rt, group)
 
-    @pytest.mark.parametrize("accept", [
-        lambda f, n, zero: False,
-        lambda f, n, zero: n - f[:n].count(zero) <= 1,
-    ], ids=["empty", "one-nonzero-leaf"])
-    @pytest.mark.parametrize("text,gtext", [
-        ("((1,2),(3,4));", "Z3"), ("(((1,2),3),(4,5));", "Z2xZ2"),
-        ("(1,2,3,4,5);", "Z4")])
-    def test_short_witness_falls_back(self, monkeypatch, accept, text, gtext):
-        rt, group = rooted(text), parse_group_spec(gtext)
-        want = (monomial_matrix_rank(rt, group), lattice_report(rt, group))
-        monkeypatch.setattr(oracle, "_is_witness", accept)
-        passes = count_passes(monkeypatch)
-        assert (monomial_matrix_rank(rt, group), lattice_report(rt, group)) \
-            == want
-        # each of the two certificates took a second pass
-        assert len(passes) == 4
-        assert passes[0] == passes[2] == group.order ** (rt.leaf_count - 1)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(swap_cases())
+    @example((rooted("(1,2,3,4,5);"), Z3, [(1,), (1,), (2,), (1,), (1,)],
+              [1, 2, 3, 4, 5]))
+    @example((rooted("((1,2),(3,4));"), Z2, [(1,)] * 4, [1, 2, 3, 4]))
+    def test_each_flow_is_a_swap_of_smaller_flows(self, case):
+        rt, group, vals, order = case
+        f = flow_from_leaves(rt, group, vals)
+        h1, h2, p = swap_flows(rt, group, vals, order)
+        k = nonzero_leaves(rt, group, f)
+        assert all(nonzero_leaves(rt, group, h) < k for h in (h1, h2, p))
+        # on every edge the multisets {f, p} and {h1, h2} agree, so
+        # Q_f + Q_p = Q_h1 + Q_h2
+        assert Counter(vertex_support(rt, group, f) + vertex_support(rt, group, p)) \
+            == Counter(vertex_support(rt, group, h1)
+                       + vertex_support(rt, group, h2))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_instances())
+    def test_random_trees_match_full_enumeration(self, case):
+        rt, group = case
+        assert monomial_matrix_rank(rt, group) == full_rank(rt, group)
+        assert lattice_report(rt, group) == full_lattice_report(rt, group)
 
     def test_verify_enumerates_the_flows_twice(self, monkeypatch):
         passes = count_passes(monkeypatch)
