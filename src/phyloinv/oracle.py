@@ -3,23 +3,31 @@
 The generated set is correct iff its exponent vectors generate, over the
 integers, the kernel lattice of the monomial map sending each flow to its
 0/1 vertex point.  The checks here never reuse the construction's own
-reasoning: membership is verified against the vertex-point matrix, the
-kernel rank against the matrix rank, and the spanning property through a
+reasoning: membership is verified against the vertex points, the kernel
+rank against the matrix rank, and the spanning property through a
 saturation certificate (unit-pivot elimination plus leftover invariant
 factors), which for sparse generator sets is exact and cheap even when a
 dense Hermite form would be far out of reach.
+
+Per-term work is done once per distinct term: each term's vertex point is
+packed into one integer, wide enough per column that a side's sum never
+carries, so a binomial is in the kernel exactly when its two sides' packed
+sums are equal; each term's enumeration index is read once into a column
+map for the exponent vectors.
 
 The rank of the monomial matrix and the index of the vertex-difference
 lattice come from a small witness: the flows with at most three nonzero
 leaf values, whose vertex points span every flow's over the integers.
 Both quantities have a proven bound, the rank from above and the index
-from below, and a pass stops once the bound is met (see ``_fold_witness``).
+from below.  A pass folds the witness sparsest first and stops once the
+bound is met (see ``_fold_witness``).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import inf, prod
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -27,7 +35,7 @@ from .errors import InternalError
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, check_flow_cap,
                     flow_defects, flow_index, flow_total, iter_flows,
                     vertex_support)
-from .groups import Element, GroupSpec
+from .groups import GroupSpec
 from .lattice import Echelon, det, sparse_span_certificate
 from .trees import RootedTree, Tree
 
@@ -44,17 +52,19 @@ def degree_bound(group: GroupSpec) -> int:
     return max(3, max(group.factors))
 
 
-def _is_witness(f: Flow, n: int, zero: Element) -> bool:
-    """True when at most three of the ``n`` leaf values of ``f`` are nonzero."""
-    return n - f[:n].count(zero) <= 3
-
-
 def _fold_witness(rt: RootedTree, group: GroupSpec, ech: Echelon,
                   encode: Callable[[Flow], Mapping[int, int]],
                   reached: Callable[[Echelon], bool]) -> None:
     """Fold the encoded witness flows, those with at most three nonzero
     leaf values, into ``ech`` until ``reached(ech)``; ``reached`` is asked
     only when an ``add`` changed ``ech``.
+
+    One ``iter_flows`` pass sorts the witness by its count of nonzero leaf
+    values (0 for the zero flow, then 2, then 3; never 1, as the leaf
+    values sum to zero), lexicographic within a count, and the fold runs
+    in that order: the sparse flows fill the echelon's unit pivots first.
+    Both bounds below are invariants of the witness lattice, so the order
+    changes only how soon a pass stops, not the rank or the index.
 
     The witness spans: with Q_f the vertex point of a flow f and 0 the zero
     flow, every Q_f - Q_0 is an integer sum of witness differences.  Let f
@@ -95,13 +105,14 @@ def _fold_witness(rt: RootedTree, group: GroupSpec, ech: Echelon,
     """
     n = rt.leaf_count
     zero = group.table.elements[0]
-    flows = iter_flows(rt, group)
-    for f in flows:
-        if _is_witness(f, n, zero) and ech.add(encode(f)) and reached(ech):
-            break
-    # the pass runs to its end, folding nothing more, only because the
-    # bench checks its trace against g^(l-1) flows per pass
-    deque(flows, maxlen=0)
+    witness: list[list[Flow]] = [[], [], [], []]  # by nonzero leaf count
+    for f in iter_flows(rt, group):
+        k = n - f[:n].count(zero)
+        if k <= 3:
+            witness[k].append(f)
+    for f in chain.from_iterable(witness):
+        if ech.add(encode(f)) and reached(ech):
+            return
 
 
 def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
@@ -123,14 +134,12 @@ def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
     return ech.rank
 
 
-def exponent_vector(rt: RootedTree, group: GroupSpec, b: Binomial) -> dict[int, int]:
+def exponent_vector(column: Mapping[Flow, int], b: Binomial) -> dict[int, int]:
     """Sparse exponent vector of a binomial over flow enumeration indices:
-    +multiplicity for the positive side, -multiplicity for the negative."""
-    out: Counter = Counter()
-    for f in b.lhs:
-        out[flow_index(rt, group, f)] += 1
-    for f in b.rhs:
-        out[flow_index(rt, group, f)] -= 1
+    +multiplicity for the positive side, -multiplicity for the negative.
+    ``column`` maps each term of ``b`` to its index (``flow_index``)."""
+    out = Counter(map(column.__getitem__, b.lhs))
+    out.subtract(map(column.__getitem__, b.rhs))
     return {k: v for k, v in out.items() if v}
 
 
@@ -311,21 +320,25 @@ def verify_complete_intersection(s: "InvariantSet",
 
     terms = {f for b in binomials for f in b.lhs + b.rhs}
     defects = flow_defects(rt, group, terms)
-    support = {f: vertex_support(rt, group, f) for f in terms if f not in defects}
+    # A binomial is in the kernel iff both sides have the same sum of vertex
+    # points.  Each point is packed into one integer, a slot of ``width``
+    # bits per column: a slot of one side's sum counts at most len(side) <
+    # 2**width terms, so no slot carries into the next, and the two packed
+    # sums are equal exactly when the two sums of points are.
+    width = max((len(side) for b in binomials for side in (b.lhs, b.rhs)),
+                default=0).bit_length()
+    point = {f: sum(1 << width * c for c in vertex_support(rt, group, f))
+             for f in terms if f not in defects}
     membership_ok = True
     for i, b in enumerate(binomials):
-        bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
-        for f in bad:
-            failures.append(f"binomial {i}: term {f} is not a flow: {defects[f]}")
-        if bad:
-            membership_ok = False
-            continue
-        acc: Counter = Counter()
-        for f in b.lhs:
-            acc.update(support[f])
-        for f in b.rhs:
-            acc.subtract(support[f])
-        if any(acc.values()):
+        if defects:
+            bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
+            for f in bad:
+                failures.append(f"binomial {i}: term {f} is not a flow: {defects[f]}")
+            if bad:
+                membership_ok = False
+                continue
+        if sum(map(point.__getitem__, b.lhs)) != sum(map(point.__getitem__, b.rhs)):
             membership_ok = False
             failures.append(f"binomial {i}: exponent vector outside the kernel")
 
@@ -343,7 +356,8 @@ def verify_complete_intersection(s: "InvariantSet",
             f"kernel rank {kernel_rank} differs from codimension formula {expected}")
 
     if membership_ok:
-        rows = [exponent_vector(rt, group, b) for b in binomials]
+        column = {f: flow_index(rt, group, f) for f in point}
+        rows = [exponent_vector(column, b) for b in binomials]
         span_rank, leftover = sparse_span_certificate(rows)
         spans_ok = span_rank == kernel_rank and all(d == 1 for d in leftover)
         if span_rank != kernel_rank:

@@ -4,19 +4,21 @@ The package certifies with sparse vectors only.  These dense versions are
 the independent references the tests compare it against: a row Hermite
 normal form with its transform, saturated kernels and lattice equality,
 the 0/1 monomial matrix and its kernel, every flow as a list, the first
-node where a term does not conserve (residue by residue), the
+node where a term does not conserve (residue by residue), the verifier's
+membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, and dense views of the sparse admissible
 matrices.  Small instances only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from phyloinv.errors import LatticeError
-from phyloinv.flows import (DEFAULT_FLOW_CAP, check_flow_cap, iter_flows,
-                            vertex_support)
+from phyloinv.flows import (DEFAULT_FLOW_CAP, check_flow_cap, flow_defects,
+                            iter_flows, vertex_support)
 from phyloinv.lattice import Echelon
 
 Matrix = list[list[int]]
@@ -198,6 +200,33 @@ def leaking_node(rt, group, f):
             if t % a:
                 return u
     return None
+
+
+def membership(rt, group, binomials) -> tuple[bool, list[str]]:
+    """The verifier's kernel-membership verdict and failure messages for
+    binomials with hashable tuple sides: every term must be a flow, and
+    the vertex supports of each side, counted with a ``Counter``, must
+    agree."""
+    terms = {f for b in binomials for f in b.lhs + b.rhs}
+    defects = flow_defects(rt, group, terms)
+    support = {f: vertex_support(rt, group, f) for f in terms if f not in defects}
+    ok, failures = True, []
+    for i, b in enumerate(binomials):
+        bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
+        for f in bad:
+            failures.append(f"binomial {i}: term {f} is not a flow: {defects[f]}")
+        if bad:
+            ok = False
+            continue
+        acc: Counter = Counter()
+        for f in b.lhs:
+            acc.update(support[f])
+        for f in b.rhs:
+            acc.subtract(support[f])
+        if any(acc.values()):
+            ok = False
+            failures.append(f"binomial {i}: exponent vector outside the kernel")
+    return ok, failures
 
 
 def is_trivalent(tree) -> bool:

@@ -1,6 +1,7 @@
 """Certification oracle: kernels, ranks, lattice diagnostics, sabotage."""
 
 import json
+import re
 from collections import Counter
 from collections.abc import Mapping
 from functools import reduce
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense import enumerate_flows, monomial_matrix, oracle_kernel
+from dense import enumerate_flows, membership, monomial_matrix, oracle_kernel
 from test_acceptance import BATTERY_GROUPS, BATTERY_TREES, FLOW_CAP
 from test_flows import FLOW_GROUPS, random_trees
 from phyloinv import oracle
 from phyloinv.errors import FlowCapExceeded, InternalError
-from phyloinv.flows import Binomial, flow_from_leaves, vertex_support
+from phyloinv.flows import (Binomial, flow_from_leaves, flow_index,
+                            vertex_support)
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.lattice import Echelon
 from phyloinv.oracle import (LatticeInfo, codim, degree_bound, exponent_vector,
@@ -75,12 +77,17 @@ class TestMonomialMatrix:
             monomial_matrix(rooted("((1,2),(3,4));"), Z3, flow_cap=10)
 
 
+def columns(rt, group, b):
+    """Each term of ``b`` by its ``flow_index``."""
+    return {f: flow_index(rt, group, f) for f in b.lhs + b.rhs}
+
+
 class TestExponentVector:
     def test_simple(self):
         rt = rooted("((1,2),(3,4));")
         s = generate(rt.tree, Z2)
         for b in s.binomials:
-            v = exponent_vector(rt, Z2, b)
+            v = exponent_vector(columns(rt, Z2, b), b)
             assert sum(x for x in v.values() if x > 0) == b.degree
             assert sum(v.values()) == 0
 
@@ -88,8 +95,8 @@ class TestExponentVector:
         rt = rooted("(1,2,3);")
         flows = enumerate_flows(rt, Z3)
         b = Binomial((flows[0], flows[0]), (flows[1], flows[2]))
-        v = exponent_vector(rt, Z3, b)
-        assert v[0] == 2
+        v = exponent_vector(columns(rt, Z3, b), b)
+        assert v == {0: 2, 1: -1, 2: -1}
 
 
 class TestLatticeReport:
@@ -160,35 +167,62 @@ class TestVerify:
         # quartet has 21 (the 6 flows with four nonzero leaves are not)
         e = s.rooted.edge_count
         assert set(seen) == {15, 10}
-        assert sum(oracle._is_witness(f, 4, (0,))
+        assert sum(nonzero_leaves(s.rooted, Z3, f) <= 3
                    for f in enumerate_flows(s.rooted, Z3)) == 21
-        assert [len(seen[15]), len(seen[10])] == [16, 16]
+        assert [len(seen[15]), len(seen[10])] == [17, 17]
         for vec in seen[15] + seen[10]:
             assert isinstance(vec, Mapping)
             assert sum(1 for x in vec.values() if x) <= e
 
     def test_each_term_is_encoded_once(self, monkeypatch):
         calls = []
+        indexed = []
         adds = []
         real = oracle.vertex_support
+        real_index = oracle.flow_index
         real_add = Echelon.add
 
         def counting(rt, group, f):
             calls.append(f)
             return real(rt, group, f)
 
+        def indexing(rt, group, f):
+            indexed.append(f)
+            return real_index(rt, group, f)
+
         def adding(ech, vec):
             adds.append(vec)
             return real_add(ech, vec)
 
         monkeypatch.setattr(oracle, "vertex_support", counting)
+        monkeypatch.setattr(oracle, "flow_index", indexing)
         monkeypatch.setattr("phyloinv.lattice.Echelon.add", adding)
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
         assert verify_complete_intersection(s).passed
         terms = {f for b in s.binomials for f in b.lhs + b.rhs}
+        assert sum(len(b.lhs) + len(b.rhs) for b in s.binomials) > len(terms)
         # one support per flow folded in either pass, one per distinct term
         assert len(calls) == len(adds) + len(terms)
         assert len(adds) <= 2 * 27
+        # one enumeration index per distinct term, not one per occurrence
+        assert sorted(indexed) == sorted(terms)
+
+    def test_tripod_witness_meets_its_bounds_early(self, monkeypatch):
+        # every flow of a tripod is a witness; folded sparsest first, the
+        # Z30 tripod meets both bounds within 110 of its 900 flows (the
+        # lexicographic order needed 871 in each pass)
+        adds = Counter()
+        real = Echelon.add
+
+        def counting(ech, vec):
+            adds[ech.width] += 1
+            return real(ech, vec)
+
+        monkeypatch.setattr("phyloinv.lattice.Echelon.add", counting)
+        s = generate(parse_newick("(1,2,3);"), GroupSpec((30,)))
+        assert verify_complete_intersection(s).passed
+        assert set(adds) == {90, 87}
+        assert max(adds.values()) <= 110
 
     def test_doubled_generator_breaks_span(self):
         s = generate(parse_newick("((1,2),(3,4));"), Z2)
@@ -448,6 +482,109 @@ def test_oracle_matches_construction_across_instances():
         g = GroupSpec(factors)
         K = oracle_kernel(rt, g)
         assert K.rank == codim(rt.tree, g)
+
+
+# side lengths on both sides of the powers of two the packed width steps at
+SIDE_LENGTHS = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16])
+
+
+def draw_side(draw, flows):
+    n = draw(SIDE_LENGTHS)
+    return draw(st.lists(st.sampled_from(flows), min_size=n, max_size=n))
+
+
+def cancelling_pieces(draw, rt, group, flows):
+    """Two term lists whose vertex points sum alike: a join quadric (two
+    flows that agree on an edge against their two swaps across it), or a
+    list of flows against a shuffle of itself."""
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(flows))
+        ei = draw(st.integers(0, rt.edge_count - 1))
+        B = leaf_side(rt, *rt.edges[ei])
+        h = draw(st.sampled_from([h for h in flows if h[ei] == f[ei]]))
+
+        def swap(a, b):
+            return flow_from_leaves(rt, group, [b[m - 1] if m in B else a[m - 1]
+                                                for m in range(1, rt.leaf_count + 1)])
+
+        return [f, h], [swap(f, h), swap(h, f)]
+    a = draw_side(draw, flows)
+    return a, draw(st.permutations(a))
+
+
+@st.composite
+def foreign_sets(draw):
+    """A small rooted tree, a group and one to four binomials that no
+    construction made: sums of cancelling pieces, each repeated, with a
+    term replaced, added or dropped, or two sides of flows drawn apart.  A
+    replaced or added term is a flow or, as often, not one: not a tuple,
+    too short, a value outside the group, or one edge value moved."""
+    rt, group = draw(small_instances())
+    flows = enumerate_flows(rt, group)
+
+    @st.composite
+    def non_flows(draw):
+        f = draw(st.sampled_from(flows))
+        ei = draw(st.integers(0, rt.edge_count - 1))
+        moved = draw(st.sampled_from([x for x in group.elements if x != f[ei]]))
+        return draw(st.sampled_from([5, f[:-1], f[:ei] + (group.factors,) + f[ei + 1:],
+                                     f[:ei] + (moved,) + f[ei + 1:]]))
+
+    terms = st.sampled_from(flows) | non_flows()
+    binomials = []
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(["cancel", "replace", "add", "drop", "apart"]))
+        if how == "apart":
+            lhs, rhs = draw_side(draw, flows), draw_side(draw, flows)
+        else:
+            lhs, rhs = [], []
+            for _ in range(draw(st.integers(1, 3))):
+                a, b = cancelling_pieces(draw, rt, group, flows)
+                k = draw(st.integers(1, 4))
+                lhs += a * k
+                rhs += b * k
+        side = lhs if draw(st.booleans()) else rhs
+        if how == "replace" and side:
+            side[draw(st.integers(0, len(side) - 1))] = draw(terms)
+        elif how == "add":
+            side.insert(draw(st.integers(0, len(side))), draw(terms))
+        elif how == "drop" and side:
+            del side[draw(st.integers(0, len(side) - 1))]
+        binomials.append(Binomial(tuple(lhs), tuple(rhs)))
+    return rt, group, binomials
+
+
+def membership_failures(failures):
+    """The messages of the kernel-membership check among ``failures``."""
+    return [m for m in failures if m.startswith("binomial ")
+            and not re.match(r"binomial \d+: degree \d+ exceeds", m)]
+
+
+ZERO3, ONE3 = ((0,),) * 3, ((1,),) * 3
+
+
+class TestMembership:
+    """The packed vertex-point sums give the verdict and the messages of a
+    ``Counter`` of vertex supports per binomial."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(foreign_sets())
+    # 2^w zero flows against (1, 1, 1) on the Z3 tripod: in slots of w
+    # bits each zero-flow slot would carry into the slot of value 1 on
+    # the same edge, and the sums would look equal
+    @example((rooted("(1,2,3);"), Z3, [Binomial((ZERO3,) * 2, (ONE3,))]))
+    @example((rooted("(1,2,3);"), Z3, [Binomial((ONE3,), (ZERO3,) * 2)]))
+    @example((rooted("(1,2,3);"), Z3, [Binomial((ZERO3,) * 4, (ONE3,))]))
+    @example((rooted("(1,2,3);"), Z3, [Binomial((ZERO3,) * 8, (ONE3,))]))
+    @example((rooted("(1,2,3);"), Z3, [Binomial((ZERO3,) * 16, (ONE3,))]))
+    @example((rooted("(1,2,3);"), Z3, [Binomial((), ()), Binomial((ZERO3,), ())]))
+    def test_matches_counter_reference(self, case):
+        rt, group, binomials = case
+        want_ok, want = membership(rt, group, binomials)
+        r = verify_complete_intersection(
+            InvariantSet(rt, group, binomials, ["foreign"] * len(binomials)))
+        assert r.kernel_membership_ok == want_ok
+        assert membership_failures(r.failures) == want
 
 
 class TestNonFlows:
