@@ -22,7 +22,6 @@ converting a matrix costs time in its nonzeros, not in |G|^2.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -44,21 +43,24 @@ def admissibility_failure(entries: Mapping[tuple[int, int], int],
     """None when admissible, else a description of the first failing condition.
 
     ``entries`` maps (row, column) element-index pairs to values; one pass
-    over them sums the rows, the columns and the antidiagonal classes.
+    over them sums the rows, the columns and the antidiagonal classes into
+    plain dicts, so the check takes time linear in the nonzeros.
     Failures are reported rows first, then columns, then classes, each in
     element order.
     """
     els, add = spec.table.elements, spec.table.add
     n = len(els)
-    rows: Counter = Counter()
-    cols: Counter = Counter()
-    classes: Counter = Counter()
+    in_range = range(n)
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    classes: dict[int, int] = {}
     for (a, b), v in entries.items():
-        if not (a in range(n) and b in range(n)):
+        if not (a in in_range and b in in_range):
             return f"index ({a}, {b}) outside 0..{n - 1} for group {spec}"
-        rows[a] += v
-        cols[b] += v
-        classes[add[a][b]] += v
+        rows[a] = rows.get(a, 0) + v
+        cols[b] = cols.get(b, 0) + v
+        c = add[a][b]
+        classes[c] = classes.get(c, 0) + v
     for sums, name in ((rows, "row {}"), (cols, "column {}"),
                        (classes, "antidiagonal class i+j={}")):
         k = min((k for k, s in sums.items() if s), default=None)
@@ -70,14 +72,23 @@ def admissibility_failure(entries: Mapping[tuple[int, int], int],
 @dataclass(frozen=True)
 class AdmissibleMatrix:
     """An admissible matrix stored sparse: ``entries`` maps (row, column)
-    element-index pairs to the nonzero values.  The constructor drops zeros
-    and enforces admissibility."""
+    element-index pairs to the nonzero values.  The constructor rejects a
+    value that is not an integer, drops zeros and enforces admissibility."""
 
     group: GroupSpec
     entries: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        entries = {k: int(v) for k, v in self.entries.items() if v}
+        entries = {}
+        for k, v in self.entries.items():
+            try:
+                iv = int(v)
+            except (TypeError, ValueError, OverflowError):
+                iv = None
+            if iv is None or iv != v:
+                raise AdmissibilityError(f"entry {k} is {v!r}, not an integer")
+            if iv:
+                entries[k] = iv
         object.__setattr__(self, "entries", entries)
         failure = admissibility_failure(entries, self.group)
         if failure is not None:
@@ -92,17 +103,18 @@ class AdmissibleMatrix:
                                              in self.entries.items()})
 
 
-def _add_exchange(acc: Counter, g: int, r1: int, r2: int, c1: int, c2: int):
+def _add_exchange(acc: dict, g: int, r1: int, r2: int, c1: int, c2: int):
     """Add the exchange move +1 at (r1,c1),(r2,c2), -1 at (r1,c2),(r2,c1),
-    indices mod g.  The move exchanges two rows across two columns; it is
-    zero, and skipped, when r1 = r2 or c1 = c2."""
+    indices mod g, into the dict ``acc`` (missing keys count as 0).  The
+    move exchanges two rows across two columns; it is zero, and skipped,
+    when r1 = r2 or c1 = c2."""
     r1 %= g; r2 %= g; c1 %= g; c2 %= g
     if r1 == r2 or c1 == c2:
         return
-    acc[r1, c1] += 1
-    acc[r2, c2] += 1
-    acc[r1, c2] -= 1
-    acc[r2, c1] -= 1
+    acc[r1, c1] = acc.get((r1, c1), 0) + 1
+    acc[r2, c2] = acc.get((r2, c2), 0) + 1
+    acc[r1, c2] = acc.get((r1, c2), 0) - 1
+    acc[r2, c1] = acc.get((r2, c1), 0) - 1
 
 
 def cyclic_basis_matrix(g: int, i: int, j: int) -> AdmissibleMatrix:
@@ -117,7 +129,7 @@ def cyclic_basis_matrix(g: int, i: int, j: int) -> AdmissibleMatrix:
     """
     if not (0 < i < g and 1 < j < g):
         raise ValueError(f"(i, j) = ({i}, {j}) is not in K for Z_{g}")
-    acc: Counter = Counter()
+    acc: dict[tuple[int, int], int] = {}
     _add_exchange(acc, g, i, 0, j, 0)
     if i <= g // 2:
         for s in range(1, i + 1):
@@ -254,17 +266,18 @@ def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMa
     return cur
 
 
-def matrix_to_binomial(m: AdmissibleMatrix) -> Binomial:
+def matrix_to_binomial(m: AdmissibleMatrix,
+                       built: dict[tuple[int, int], Flow] | None = None
+                       ) -> Binomial:
     """The tripod binomial of an admissible matrix: the entry of elements
     (a, b) with value v contributes |v| copies of the flow with leaf values
-    (a, b, -a-b) to the positive side when v > 0, negative side when v < 0."""
-    return _matrix_to_binomial(m, {})
+    (a, b, -a-b) to the positive side when v > 0, negative side when v < 0.
 
-
-def _matrix_to_binomial(m: AdmissibleMatrix,
-                        built: dict[tuple[int, int], Flow]) -> Binomial:
-    """:func:`matrix_to_binomial`, taking the flow of (a, b) from ``built``
-    and adding it there the first time it is needed."""
+    The flow of (a, b) is taken from ``built`` and added there the first
+    time it is needed, so matrices converted with one dict share flows.
+    """
+    if built is None:
+        built = {}
     spec = m.group
     els, add, neg = spec.table.elements, spec.table.add, spec.table.neg
     rt = tripod_tree()
@@ -283,4 +296,4 @@ def tripod_invariants(group: GroupSpec, mode: str = "direct-cyclic") -> list[Bin
     """The defining binomials of the tripod variety for ``group``; the
     matrices share one flow per element pair."""
     built: dict[tuple[int, int], Flow] = {}
-    return [_matrix_to_binomial(m, built) for m in adm_basis(group, mode)]
+    return [matrix_to_binomial(m, built) for m in adm_basis(group, mode)]

@@ -6,8 +6,9 @@ normal form with its transform, saturated kernels and lattice equality,
 the 0/1 monomial matrix and its kernel, every flow as a list, the first
 node where a term does not conserve (residue by residue), the verifier's
 membership check with a ``Counter`` of vertex supports per binomial, the
-admissibility condition matrix, and dense views of the sparse admissible
-matrices.  Small instances only.
+admissibility condition matrix, the admissibility check with ``Counter``
+sums, and dense views of the sparse admissible matrices.  Small instances
+only.
 """
 
 from __future__ import annotations
@@ -286,3 +287,27 @@ def meets_conditions(spec, values):
     matrix of ``spec``."""
     return all(sum(c * x for c, x in zip(row, values)) == 0
                for row in admissible_condition_matrix(spec))
+
+
+def admissibility_failure_counter(entries, spec):
+    """The admissibility check with a ``Counter`` per condition family: None
+    when admissible, else the first failing row, column or antidiagonal
+    class, each family in element order, or the first index outside the
+    group."""
+    els, add = spec.table.elements, spec.table.add
+    n = len(els)
+    rows: Counter = Counter()
+    cols: Counter = Counter()
+    classes: Counter = Counter()
+    for (a, b), v in entries.items():
+        if not (a in range(n) and b in range(n)):
+            return f"index ({a}, {b}) outside 0..{n - 1} for group {spec}"
+        rows[a] += v
+        cols[b] += v
+        classes[add[a][b]] += v
+    for sums, name in ((rows, "row {}"), (cols, "column {}"),
+                       (classes, "antidiagonal class i+j={}")):
+        k = min((k for k, s in sums.items() if s), default=None)
+        if k is not None:
+            return f"{name.format(els[k])} sums to {sums[k]}"
+    return None

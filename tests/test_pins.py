@@ -4,7 +4,8 @@ The instances cover every join and claw branch: seeds 0 and 1 on the
 three-cherry tree lift the 234-binomial part set across the shared edge
 from either side, the seeded Z3 tree joins unequal parts, and the claws
 go through the auxiliary-tree recursion with special and nonspecial
-quadrics in both tripod modes.  Outputs are hashed exactly as the CLI
+quadrics in both tripod modes, and the Z12 and Z13 tripods take both
+branches of the cyclic basis chain.  Outputs are hashed exactly as the CLI
 writes them.
 """
 
@@ -40,6 +41,14 @@ GENERATE_PINS = [
     ("Z6", "((1,2),(3,4));", {"mode": "factored"},
      "f68a28e380a19d104fd6d2b993103b57808f0fdc039160769df5ef6481d40cfd",
      "2b5402fd9d347c806b891218e5279a55f8fe0b49c222de6cba8883934ea687f0"),
+    # cyclic tripods: the basis chain runs over s = 1..i for i <= g // 2
+    # and over s = 1..g-i otherwise; Z12 and Z13 take both, even and odd
+    ("Z12", "(1,2,3);", {},
+     "dc6b3dfc2fc4c319d9f274b937bfdc714581efe0835b090cedc0e3e5dbcac541",
+     "c3d883449d267166a1f654a457c5d5068bcf3f35e846b8820a6443bcb0a607f6"),
+    ("Z13", "(1,2,3);", {},
+     "8a8483238cb52d1ce7f4aefc817d4bd1f9bc78e7e06946c47d3ac4900f45da47",
+     "674125f311d791d3ec3068e84800634c79a7b6b1fce9d3ed342fe55a79097504"),
 ]
 
 VERIFY_PIN = "4a1fbc9076d57f81b0ae5b99a93e8c1a680b65753d289108ec0f0664dc8cfa31"

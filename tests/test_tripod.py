@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import (admissible_condition_matrix, dense, enumerate_flows, flat,
-                   kernel_lattice, meets_conditions, sparse, spans)
+from dense import (admissibility_failure_counter, admissible_condition_matrix,
+                   dense, enumerate_flows, flat, kernel_lattice,
+                   meets_conditions, sparse, spans)
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.tripod import (AdmissibilityError, AdmissibleMatrix,
                              _add_exchange, adm_basis,
@@ -63,6 +64,27 @@ class TestAdmissibility:
         m = AdmissibleMatrix(Z3, {(0, 0): 0, **sparse(Z3_REFERENCE_MATRIX)})
         assert m.entries == sparse(Z3_REFERENCE_MATRIX)
 
+    def test_constructor_rejects_fractions(self):
+        # 0.5 would truncate to 0: stored zeros and a trivial binomial
+        with pytest.raises(AdmissibilityError,
+                           match=r"entry \(0, 1\) is 0\.5"):
+            AdmissibleMatrix(Z3, {(0, 1): 0.5, (1, 0): -0.5})
+        for v in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(AdmissibilityError, match="not an integer"):
+                AdmissibleMatrix(Z3, {(0, 1): v, (1, 0): -v})
+
+    def test_constructor_rejects_strings(self):
+        with pytest.raises(AdmissibilityError, match=r"entry \(0, 0\) is '1'"):
+            AdmissibleMatrix(Z3, {(0, 0): "1"})
+        with pytest.raises(AdmissibilityError, match="not an integer"):
+            AdmissibleMatrix(Z3, {(0, 0): "x"})
+
+    def test_constructor_converts_integral_values(self):
+        m = AdmissibleMatrix(Z3, {(0, 0): 0.0, **{
+            k: float(v) for k, v in sparse(Z3_REFERENCE_MATRIX).items()}})
+        assert m.entries == sparse(Z3_REFERENCE_MATRIX)
+        assert all(type(v) is int for v in m.entries.values())
+
     def test_entry_by_elements(self):
         m = cyclic_basis_matrix(3, 1, 2)
         assert m.entries[(Z3.index((1,)), Z3.index((2,)))] == 1
@@ -114,7 +136,42 @@ def test_admissibility_matches_condition_oracle(case):
         meets_conditions(spec, values)
 
 
+@st.composite
+def indexed_candidates(draw):
+    """A candidate matrix, sometimes with one entry at a negative or
+    out-of-range index, or with a move inside one row (the row stays
+    balanced, two columns do not)."""
+    spec, entries = draw(candidate_matrices())
+    n = spec.order
+    ok = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["none", "index", "row move"]))
+    if kind == "index":
+        bad = st.one_of(st.integers(-3, -1), st.integers(n, n + 2))
+        key = draw(st.sampled_from([(bad, ok), (ok, bad), (bad, bad)]))
+        entries[draw(key[0]), draw(key[1])] = draw(st.integers(-2, 2))
+    elif kind == "row move":
+        a, b, c, v = draw(ok), draw(ok), draw(ok), draw(st.integers(1, 2))
+        entries[a, b] = entries.get((a, b), 0) + v
+        entries[a, c] = entries.get((a, c), 0) - v
+    return spec, entries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(indexed_candidates())
+def test_admissibility_message_matches_counter_reference(case):
+    spec, entries = case
+    assert admissibility_failure(entries, spec) == \
+        admissibility_failure_counter(entries, spec)
+
+
 class TestExchange:
+    def test_plain_dict(self):
+        acc = {}
+        _add_exchange(acc, 4, 0, 1, 2, 7)
+        _add_exchange(acc, 4, 0, 1, 3, 0)
+        assert acc == {(0, 2): 1, (1, 3): 0, (0, 3): 0, (1, 2): -1,
+                       (0, 0): -1, (1, 0): 1}
+
     def test_shape(self):
         acc = Counter()
         _add_exchange(acc, 4, 0, 1, 2, 7)
@@ -304,6 +361,26 @@ class TestTripodInvariants:
         for g in (3, 4, 5):
             for m in cyclic_basis(g):
                 assert matrix_to_binomial(m).degree == m.degree
+
+    def test_converts_through_the_public_name(self, monkeypatch):
+        # a tracer that wraps the module attribute sees every conversion
+        import phyloinv.tripod as tripod_mod
+        calls = []
+        real = tripod_mod.matrix_to_binomial
+
+        def counted(m, built=None):
+            calls.append(m)
+            return real(m, built)
+
+        monkeypatch.setattr(tripod_mod, "matrix_to_binomial", counted)
+        assert len(tripod_invariants(GroupSpec((5,)))) == 12
+        assert len(calls) == (5 - 1) * (5 - 2)
+
+    def test_shared_flows_match_fresh_conversion(self):
+        built = {}
+        for m in cyclic_basis(5):
+            assert matrix_to_binomial(m, built) == matrix_to_binomial(m)
+        assert len(built) <= 25
 
     def test_kimura_model(self):
         invs = tripod_invariants(parse_group_spec("Z2xZ2"))
