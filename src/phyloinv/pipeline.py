@@ -87,11 +87,13 @@ def _term(f) -> str:
 
 
 def algebra_text(s: InvariantSet) -> str:
-    """One line per binomial: product of x[..] terms, '-', product."""
+    """One line per binomial: product of x[..] terms, '-', product.  Each
+    distinct term is rendered once, however many binomials it recurs in."""
+    text = {f: _term(f) for f in {f for b in s.binomials for f in b.lhs + b.rhs}}
     lines = []
     for b in s.binomials:
-        lhs = "*".join(_term(f) for f in b.lhs)
-        rhs = "*".join(_term(f) for f in b.rhs)
+        lhs = "*".join(map(text.get, b.lhs))
+        rhs = "*".join(map(text.get, b.rhs))
         lines.append(f"{lhs} - {rhs}")
     return "\n".join(lines) + "\n"
 
@@ -284,19 +286,20 @@ def _claw_quadric(rt, group, lq1, lq2, rq1, rq2) -> Binomial:
         rt, group, [mk(lq1), mk(lq2)], [mk(rq1), mk(rq2)])
 
 
-def claw_set(n_leaves: int, group: GroupSpec, mode: str = "direct-cyclic") -> InvariantSet:
-    """The generating set for the claw with ``n_leaves`` leaves."""
+def claw_set(n_leaves: int, tripod: InvariantSet) -> InvariantSet:
+    """The generating set for the claw with ``n_leaves`` leaves, built
+    from the tripod set ``tripod``, which every claw level shares."""
     if n_leaves == 3:
-        return tripod_set(group, mode)
-    s1 = tripod_set(group, mode)
-    s2 = claw_set(n_leaves - 1, group, mode)
+        return tripod
+    group = tripod.group
+    s2 = claw_set(n_leaves - 1, tripod)
     # T': node ``top`` holds leaves 1, 2 and node ``low`` holds the rest;
     # the split gives the 3-claw (v1 = 3) and the (n_leaves-1)-claw
     top, low = n_leaves + 1, n_leaves + 2
     aux_tree = Tree(n_leaves, [(top, 1), (top, 2), (top, low)]
                     + [(low, i) for i in range(3, n_leaves + 1)])
     ctx = decompose_at_edge(canonical_rooting(aux_tree), (top, low))
-    aux = join_sets(ctx, group, s1, s2)
+    aux = join_sets(ctx, group, tripod, s2)
 
     claw_rt = canonical_rooting(canonical_claw(n_leaves))
     binomials: list[Binomial] = []
@@ -346,15 +349,16 @@ def generate(tree: Tree, group: GroupSpec,
             f"codim {c} x degree bound {d} exceeds 4 x the flow cap {opts.flow_cap}")
     rng = random.Random(opts.seed) if opts.seed is not None else None
     try:
-        return _generate(tree, group, opts, rng)
+        # the only mode-dependent part; every tripod part and claw level shares it
+        return _generate(tree, tripod_set(group, opts.mode), rng)
     except (AdmissibilityError, BinomialError, FlowError, LatticeError) as exc:
         raise InternalError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _generate(tree: Tree, group: GroupSpec, opts: GenerateOptions,
+def _generate(tree: Tree, tripod: InvariantSet,
               rng: random.Random | None) -> InvariantSet:
     if tree.is_claw:
-        return claw_set(tree.leaf_count, group, opts.mode)
+        return claw_set(tree.leaf_count, tripod)
     rt = canonical_rooting(tree)
     interior = rt.interior_edges()
     if rng is not None:
@@ -364,6 +368,6 @@ def _generate(tree: Tree, group: GroupSpec, opts: GenerateOptions,
         edge = max(candidates, key=lambda e: sum(
             1 for w in rt.nodes_below(e[1]) if w <= rt.leaf_count))
     ctx = decompose_at_edge(rt, edge)
-    s1 = _generate(ctx.t1, group, opts, rng)
-    s2 = _generate(ctx.t2, group, opts, rng)
-    return join_sets(ctx, group, s1, s2)
+    s1 = _generate(ctx.t1, tripod, rng)
+    s2 = _generate(ctx.t2, tripod, rng)
+    return join_sets(ctx, tripod.group, s1, s2)

@@ -13,7 +13,9 @@ For cyclic Z_g the basis is indexed by K = {(i, j) : i != 0, j not in
 single 1 inside K (at its own index) and zeros at the other K positions,
 which is what makes the set a lattice basis.  For products G x H the basis
 consists of degree-3 matrices from eight families (six built from a fixed
-six-entry pattern and its transposes, plus the two embedded factor bases).
+six-entry pattern and its transposes, plus the two embedded factor bases);
+the element pair (a, b) of G x H, for element indices a of G and b of H,
+has the combined index a·|H| + b.
 
 Matrices are stored sparse, as their nonzero entries: a cyclic basis
 matrix has O(g) of them and a product cubic six, so building, checking and
@@ -29,7 +31,7 @@ from typing import Mapping
 
 from .errors import AdmissibilityError, InternalError
 from .flows import Binomial, Flow, binomial_from_multisets, flow_from_leaves
-from .groups import Element, GroupSpec, prime_power_refinement
+from .groups import GroupSpec, prime_power_refinement
 from .trees import RootedTree, canonical_rooting, parse_newick
 
 
@@ -98,10 +100,6 @@ class AdmissibleMatrix:
     def degree(self) -> int:
         return sum(v for v in self.entries.values() if v > 0)
 
-    def transpose(self) -> "AdmissibleMatrix":
-        return AdmissibleMatrix(self.group, {(b, a): v for (a, b), v
-                                             in self.entries.items()})
-
 
 def _add_exchange(acc: dict, g: int, r1: int, r2: int, c1: int, c2: int):
     """Add the exchange move +1 at (r1,c1),(r2,c2), -1 at (r1,c2),(r2,c1),
@@ -153,37 +151,26 @@ def cyclic_basis(g: int) -> list[AdmissibleMatrix]:
             for i in range(1, g) for j in range(2, g)]
 
 
-def product_cubic(gs: GroupSpec, hs: GroupSpec, i: Element, j: Element,
-                  k: Element, l: Element) -> AdmissibleMatrix:
-    """The degree-3 admissible matrix B(i,j,k,l) over G x H (j, k nonzero).
+def product_cubic(gs: GroupSpec, hs: GroupSpec, i: int, j: int, k: int,
+                  l: int) -> dict[tuple[int, int], int]:
+    """The six entries of the degree-3 admissible matrix B(i,j,k,l) over
+    G x H, for element indices i, j of G and k, l of H (j, k nonzero).
 
-    Six entries on the rows (i,0), (i,k), (i+j,0) and columns (0,l),
-    (0,k+l), (j,l): +1 at ((i,k),(j,l)), ((i+j,0),(0,l)), ((i,0),(0,k+l))
-    and -1 at ((i+j,0),(0,k+l)), ((i,k),(0,l)), ((i,0),(j,l)).  With j and
-    k nonzero the three rows and the three columns are distinct, so the six
-    positions are too.
+    +1 at ((i,k),(j,l)), ((i+j,0),(0,l)), ((i,0),(0,k+l)) and -1 at
+    ((i+j,0),(0,k+l)), ((i,k),(0,l)), ((i,0),(j,l)), each pair (a, b)
+    keyed by its combined index a·|H| + b and the sums read from the two
+    Cayley tables.  With j and k nonzero the three rows and the three
+    columns are distinct, so the six positions are too.
     """
-    if j == gs.zero():
+    if j == 0:
         raise ValueError("j must be a nonzero element of G")
-    if k == hs.zero():
+    if k == 0:
         raise ValueError("k must be a nonzero element of H")
-    combined = GroupSpec(gs.factors + hs.factors)
     h = hs.order
-
-    def idx(a: Element, b: Element) -> int:
-        return gs.index(a) * h + hs.index(b)
-
-    z_g, z_h = gs.zero(), hs.zero()
-    ij = gs.add(i, j)
-    kl = hs.add(k, l)
-    return AdmissibleMatrix(combined, {
-        (idx(i, k), idx(j, l)): 1,
-        (idx(ij, z_h), idx(z_g, l)): 1,
-        (idx(i, z_h), idx(z_g, kl)): 1,
-        (idx(ij, z_h), idx(z_g, kl)): -1,
-        (idx(i, k), idx(z_g, l)): -1,
-        (idx(i, z_h), idx(j, l)): -1,
-    })
+    ik, i0, ij0 = i * h + k, i * h, gs.table.add[i][j] * h
+    jl, kl = j * h + l, hs.table.add[k][l]
+    return {(ik, jl): 1, (ij0, l): 1, (i0, kl): 1,
+            (ij0, kl): -1, (ik, l): -1, (i0, jl): -1}
 
 
 def product_basis(gs: GroupSpec, hs: GroupSpec,
@@ -205,25 +192,26 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
         raise ValueError(f"basis of H has {len(basis_h)} matrices, "
                          f"expected {(h_ord - 1) * (h_ord - 2)}")
     combined = GroupSpec(gs.factors + hs.factors)
-    G_nz = gs.elements[1:]
-    H_nz = hs.elements[1:]
-    z_g, z_h = gs.zero(), hs.zero()
+    G_nz, H_nz = range(1, g_ord), range(1, h_ord)
     # (ranges of i, j, k, l, transposed) of the six cubic families, in order
     families = (
-        (G_nz, G_nz, H_nz, H_nz, False),      # (1)
-        ((z_g,), G_nz, H_nz, H_nz, False),    # (2) i = 0
-        (G_nz, G_nz, H_nz, (z_h,), False),    # (3) l = 0
-        ((z_g,), G_nz, H_nz, H_nz, True),     # (4) transposes of (2)
-        (G_nz, G_nz, H_nz, (z_h,), True),     # (5) transposes of (3)
-        ((z_g,), G_nz, H_nz, (z_h,), False),  # (6) i = l = 0
+        (G_nz, G_nz, H_nz, H_nz, False),  # (1)
+        ((0,), G_nz, H_nz, H_nz, False),  # (2) i = 0
+        (G_nz, G_nz, H_nz, (0,), False),  # (3) l = 0
+        ((0,), G_nz, H_nz, H_nz, True),   # (4) transposes of (2)
+        (G_nz, G_nz, H_nz, (0,), True),   # (5) transposes of (3)
+        ((0,), G_nz, H_nz, (0,), False),  # (6) i = l = 0
     )
     out: list[AdmissibleMatrix] = []
     for *ranges, transposed in families:
         for i, j, k, l in product(*ranges):
-            m = product_cubic(gs, hs, i, j, k, l)
-            out.append(m.transpose() if transposed else m)
-    out.extend(relabel_matrix(m, lambda a: a + z_h, combined) for m in basis_g)
-    out.extend(relabel_matrix(m, lambda b: z_g + b, combined) for m in basis_h)
+            entries = product_cubic(gs, hs, i, j, k, l)
+            if transposed:
+                entries = {(b, a): v for (a, b), v in entries.items()}
+            out.append(AdmissibleMatrix(combined, entries))
+    out.extend(relabel_matrix(m, range(0, g_ord * h_ord, h_ord), combined)
+               for m in basis_g)
+    out.extend(relabel_matrix(m, range(h_ord), combined) for m in basis_h)
 
     expected = (combined.order - 1) * (combined.order - 2)
     if len(out) != expected:
@@ -231,10 +219,10 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
     return out
 
 
-def relabel_matrix(m: AdmissibleMatrix, phi, target: GroupSpec) -> AdmissibleMatrix:
-    """Transport an admissible matrix through a group homomorphism ``phi``
-    (an isomorphism, or an inclusion of a direct factor)."""
-    to = [target.index(phi(a)) for a in m.group.elements]
+def relabel_matrix(m: AdmissibleMatrix, to, target: GroupSpec) -> AdmissibleMatrix:
+    """Transport an admissible matrix along the element-index map ``to``
+    (source index a goes to ``to[a]`` in ``target``) of a group
+    homomorphism: an isomorphism, or an inclusion of a direct factor."""
     return AdmissibleMatrix(target, {(to[a], to[b]): v
                                      for (a, b), v in m.entries.items()})
 
@@ -246,7 +234,8 @@ def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMa
     :func:`product_basis`, seeding each factor with :func:`cyclic_basis`
     (degree can reach the factor order).  ``factored`` first refines every
     factor into prime powers, builds the basis there (degree <= max(3,
-    prime-power orders)) and transports it back through the CRT isomorphism.
+    prime-power orders)) and transports it back through the CRT isomorphism,
+    evaluated once per element into one index map.
     """
     if mode == "factored":
         refined, back = prime_power_refinement(spec)
@@ -254,15 +243,14 @@ def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMa
             mode = "direct-cyclic"
         else:
             basis = adm_basis(refined, "direct-cyclic")
-            return [relabel_matrix(m, back, spec) for m in basis]
+            to = [spec.index(back(x)) for x in refined.elements]
+            return [relabel_matrix(m, to, spec) for m in basis]
     if mode != "direct-cyclic":
         raise ValueError(f"unknown mode {mode!r}; use 'direct-cyclic' or 'factored'")
-    cur_spec = GroupSpec(spec.factors[:1])
     cur = cyclic_basis(spec.factors[0])
-    for a in spec.factors[1:]:
-        nxt = GroupSpec((a,))
-        cur = product_basis(cur_spec, nxt, cur, cyclic_basis(a))
-        cur_spec = GroupSpec(cur_spec.factors + (a,))
+    for n, a in enumerate(spec.factors[1:], 1):
+        cur = product_basis(GroupSpec(spec.factors[:n]), GroupSpec((a,)), cur,
+                            cyclic_basis(a))
     return cur
 
 

@@ -7,7 +7,8 @@ the 0/1 monomial matrix and its kernel, every flow as a list, the first
 node where a term does not conserve (residue by residue), the verifier's
 membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, the admissibility check with ``Counter``
-sums, and dense views of the sparse admissible matrices.  Small instances
+sums, dense views of the sparse admissible matrices, and the product and
+factored tripod bases built on element tuples.  Small instances
 only.
 """
 
@@ -15,12 +16,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from phyloinv.errors import LatticeError
 from phyloinv.flows import (DEFAULT_FLOW_CAP, check_flow_cap, flow_defects,
                             iter_flows, vertex_support)
+from phyloinv.groups import GroupSpec, prime_power_refinement
 from phyloinv.lattice import Echelon
+from phyloinv.tripod import AdmissibleMatrix, cyclic_basis
 
 Matrix = list[list[int]]
 
@@ -311,3 +315,84 @@ def admissibility_failure_counter(entries, spec):
         if k is not None:
             return f"{name.format(els[k])} sums to {sums[k]}"
     return None
+
+
+# -- product bases on element tuples -------------------------------------
+
+
+def transpose(m):
+    """The transpose of an ``AdmissibleMatrix``, entries in the same order."""
+    return AdmissibleMatrix(m.group, {(b, a): v for (a, b), v in m.entries.items()})
+
+
+def product_cubic_reference(gs, hs, i, j, k, l):
+    """The degree-3 matrix B(i,j,k,l) over G x H from element tuples: a
+    fresh combined ``GroupSpec`` and twelve ``GroupSpec.index`` lookups."""
+    if j == gs.zero():
+        raise ValueError("j must be a nonzero element of G")
+    if k == hs.zero():
+        raise ValueError("k must be a nonzero element of H")
+    combined = GroupSpec(gs.factors + hs.factors)
+    h = hs.order
+
+    def idx(a, b):
+        return gs.index(a) * h + hs.index(b)
+
+    z_g, z_h = gs.zero(), hs.zero()
+    ij = gs.add(i, j)
+    kl = hs.add(k, l)
+    return AdmissibleMatrix(combined, {
+        (idx(i, k), idx(j, l)): 1,
+        (idx(ij, z_h), idx(z_g, l)): 1,
+        (idx(i, z_h), idx(z_g, kl)): 1,
+        (idx(ij, z_h), idx(z_g, kl)): -1,
+        (idx(i, k), idx(z_g, l)): -1,
+        (idx(i, z_h), idx(j, l)): -1,
+    })
+
+
+def relabel_matrix_reference(m, phi, target):
+    """Transport a matrix through the homomorphism ``phi`` on element
+    tuples, looking every image up in ``target``."""
+    to = [target.index(phi(a)) for a in m.group.elements]
+    return AdmissibleMatrix(target, {(to[a], to[b]): v
+                                     for (a, b), v in m.entries.items()})
+
+
+def product_basis_reference(gs, hs, basis_g, basis_h):
+    """The eight-family basis of G x H on element tuples, families (4) and
+    (5) as transposes of built matrices."""
+    combined = GroupSpec(gs.factors + hs.factors)
+    G_nz, H_nz = gs.elements[1:], hs.elements[1:]
+    z_g, z_h = gs.zero(), hs.zero()
+    families = (
+        (G_nz, G_nz, H_nz, H_nz, False),
+        ((z_g,), G_nz, H_nz, H_nz, False),
+        (G_nz, G_nz, H_nz, (z_h,), False),
+        ((z_g,), G_nz, H_nz, H_nz, True),
+        (G_nz, G_nz, H_nz, (z_h,), True),
+        ((z_g,), G_nz, H_nz, (z_h,), False),
+    )
+    out = []
+    for *ranges, transposed in families:
+        for i, j, k, l in product(*ranges):
+            m = product_cubic_reference(gs, hs, i, j, k, l)
+            out.append(transpose(m) if transposed else m)
+    out.extend(relabel_matrix_reference(m, lambda a: a + z_h, combined)
+               for m in basis_g)
+    out.extend(relabel_matrix_reference(m, lambda b: z_g + b, combined)
+               for m in basis_h)
+    return out
+
+
+def factored_basis_reference(spec):
+    """The factored-mode basis: the prime-power refinement folded with
+    :func:`product_basis_reference` and mapped back through the CRT map."""
+    refined, back = prime_power_refinement(spec)
+    cur_spec = GroupSpec(refined.factors[:1])
+    cur = cyclic_basis(refined.factors[0])
+    for a in refined.factors[1:]:
+        nxt = GroupSpec((a,))
+        cur = product_basis_reference(cur_spec, nxt, cur, cyclic_basis(a))
+        cur_spec = GroupSpec(cur_spec.factors + (a,))
+    return [relabel_matrix_reference(m, back, spec) for m in cur]

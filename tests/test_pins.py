@@ -4,8 +4,9 @@ The instances cover every join and claw branch: seeds 0 and 1 on the
 three-cherry tree lift the 234-binomial part set across the shared edge
 from either side, the seeded Z3 tree joins unequal parts, and the claws
 go through the auxiliary-tree recursion with special and nonspecial
-quadrics in both tripod modes, and the Z12 and Z13 tripods take both
-branches of the cyclic basis chain.  Outputs are hashed exactly as the CLI
+quadrics in both tripod modes, the Z12 and Z13 tripods take both
+branches of the cyclic basis chain, and three product tripods cover the
+fold of factor bases and the factored CRT map.  Outputs are hashed exactly as the CLI
 writes them.
 """
 
@@ -49,6 +50,18 @@ GENERATE_PINS = [
     ("Z13", "(1,2,3);", {},
      "8a8483238cb52d1ce7f4aefc817d4bd1f9bc78e7e06946c47d3ac4900f45da47",
      "674125f311d791d3ec3068e84800634c79a7b6b1fce9d3ed342fe55a79097504"),
+    # product tripods: both inclusions of Z3xZ4 carry a nonempty factor
+    # basis, Z2xZ2xZ3 folds in two steps, and factored Z30 maps its basis
+    # through a three-prime CRT map
+    ("Z3xZ4", "(1,2,3);", {},
+     "7e6fbeb114e1028c78ad19ea76a57124a7f78911885f8ba798478134781220e1",
+     "18e25bdc49fbb1d8c568085401f502cc55632507a91f5dab166b572f20d8d3b4"),
+    ("Z2xZ2xZ3", "(1,2,3);", {},
+     "49787a5e0becbcdb9fada7a02f57ed0cafccf976b0863ce02898db226473b290",
+     "9e0567902c2ecf317fb92c9d5f04b10b3922de284db3fde497ff17565ba28fd9"),
+    ("Z30", "(1,2,3);", {"mode": "factored"},
+     "2e67cd1be1fe1589b8a8e7fbbf8dd429c1409ff4d62e7348744d8f3ab19a8dbb",
+     "8b8c4fd160bc19ac1ef20165c521e0ebc3c6077533f6f1ada22529aeba25d745"),
 ]
 
 VERIFY_PIN = "4a1fbc9076d57f81b0ae5b99a93e8c1a680b65753d289108ec0f0664dc8cfa31"

@@ -84,20 +84,20 @@ class TestJoinSets:
 
 class TestClawSet:
     def test_four_claw_z2(self):
-        s = claw_set(4, Z2)
+        s = claw_set(4, tripod_set(Z2))
         assert len(s) == 3 == codim(canonical_claw(4), Z2)
         counts = s.counts_by_provenance()
         assert counts["claw-special"] == 1
         assert counts["contracted-from-T'"] == 2
 
     def test_four_claw_z3(self):
-        s = claw_set(4, Z3)
+        s = claw_set(4, tripod_set(Z3))
         assert len(s) == 18
         counts = s.counts_by_provenance()
         assert counts["claw-special"] + counts["claw-nonspecial"] == 2
 
     def test_five_claw_z2(self):
-        s = claw_set(5, Z2)
+        s = claw_set(5, tripod_set(Z2))
         assert len(s) == 10 == codim(canonical_claw(5), Z2)
 
     def test_claw_splits_t_prime_into_tripod_and_smaller_claw(self, monkeypatch):
@@ -111,7 +111,7 @@ class TestClawSet:
             return real(ctx, *args)
 
         monkeypatch.setattr(pipeline, "join_sets", recording)
-        claw_set(7, Z2)
+        claw_set(7, tripod_set(Z2))
         assert len(contexts) == 4
         for n, ctx in zip(range(4, 8), contexts):
             rest = ",".join(map(str, range(3, n + 1)))
@@ -121,8 +121,28 @@ class TestClawSet:
             assert ctx.leaf_map1 == {1: 1, 2: 2}
             assert ctx.leaf_map2 == {k: k + 2 for k in range(1, n - 1)}
 
+    @pytest.mark.parametrize("newick,group,kw", [
+        ("(1,2,3,4,5,6,7);", "Z2", {}),
+        ("((((((1,2),3),4),5),6),7,8);", "Z3", {}),
+        ("((1,2),(3,4),(5,6));", "Z2xZ2", {"seed": 0}),
+    ])
+    def test_generate_builds_one_tripod_set(self, monkeypatch, newick, group,
+                                            kw):
+        # every tripod part and claw level shares the one tripod set
+        calls = []
+        real = pipeline.tripod_set
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "tripod_set", counted)
+        s = gen(newick, group, **kw)
+        assert len(s) == codim(parse_newick(newick), parse_group_spec(group))
+        assert len(calls) == 1
+
     def test_claw_three_is_tripod(self):
-        s = claw_set(3, Z3)
+        s = claw_set(3, tripod_set(Z3))
         assert s.counts_by_provenance() == {"tripod": 2}
 
     def test_quadrics_are_valid_binomials(self):

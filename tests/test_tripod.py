@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense import (admissibility_failure_counter, admissible_condition_matrix,
-                   dense, enumerate_flows, flat, kernel_lattice,
-                   meets_conditions, sparse, spans)
+                   dense, enumerate_flows, factored_basis_reference, flat,
+                   kernel_lattice, meets_conditions, product_basis_reference,
+                   sparse, spans, transpose)
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.tripod import (AdmissibilityError, AdmissibleMatrix,
                              _add_exchange, adm_basis,
@@ -88,8 +89,8 @@ class TestAdmissibility:
     def test_entry_by_elements(self):
         m = cyclic_basis_matrix(3, 1, 2)
         assert m.entries[(Z3.index((1,)), Z3.index((2,)))] == 1
-        assert m.transpose().entries[(Z3.index((2,)), Z3.index((1,)))] == 1
-        assert dense(m.transpose()) == tuple(zip(*dense(m)))
+        assert transpose(m).entries[(Z3.index((2,)), Z3.index((1,)))] == 1
+        assert dense(transpose(m)) == tuple(zip(*dense(m)))
 
 
 PROPERTY_GROUPS = [GroupSpec((g,)) for g in range(2, 7)] + \
@@ -274,7 +275,7 @@ class TestProductBasis:
 
     def test_cubic_shape(self):
         gs = hs = GroupSpec((2,))
-        m = product_cubic(gs, hs, (1,), (1,), (1,), (1,))
+        m = AdmissibleMatrix(GroupSpec((2, 2)), product_cubic(gs, hs, 1, 1, 1, 1))
         assert m.degree == 3
         values = flat(m)
         assert values.count(1) == 3
@@ -284,14 +285,72 @@ class TestProductBasis:
     def test_cubic_rejects_zero_j_or_k(self):
         gs = hs = GroupSpec((2,))
         with pytest.raises(ValueError):
-            product_cubic(gs, hs, (0,), (0,), (1,), (0,))
+            product_cubic(gs, hs, 0, 0, 1, 0)
         with pytest.raises(ValueError):
-            product_cubic(gs, hs, (0,), (1,), (0,), (0,))
+            product_cubic(gs, hs, 0, 1, 0, 0)
 
     def test_bad_input_basis_size(self):
         gs, hs = GroupSpec((3,)), GroupSpec((2,))
         with pytest.raises(ValueError):
             product_basis(gs, hs, [], [])
+
+
+def _presentations(limit):
+    """Every factor tuple (factors >= 2) of order at most ``limit``."""
+    out = []
+
+    def extend(prefix, n):
+        for a in range(2, limit // n + 1):
+            out.append(prefix + (a,))
+            extend(prefix + (a,), n * a)
+
+    extend((), 1)
+    return out
+
+
+PRODUCT_PAIRS = [(g, h) for g in _presentations(12) for h in _presentations(12)
+                 if GroupSpec(g).order * GroupSpec(h).order <= 24]
+
+
+def _layout(basis):
+    """Group and entries of every matrix, entries in stored order."""
+    return [(m.group, list(m.entries.items())) for m in basis]
+
+
+def test_product_basis_matches_element_tuple_reference():
+    # every cyclic or product pair with |G||H| <= 24, matrix by matrix
+    assert len(PRODUCT_PAIRS) == 96
+    for gf, hf in PRODUCT_PAIRS:
+        gs, hs = GroupSpec(gf), GroupSpec(hf)
+        bg, bh = adm_basis(gs), adm_basis(hs)
+        assert _layout(product_basis(gs, hs, bg, bh)) == \
+            _layout(product_basis_reference(gs, hs, bg, bh)), (gf, hf)
+
+
+@pytest.mark.parametrize("g", [6, 12, 30])
+def test_factored_basis_matches_element_tuple_reference(g):
+    spec = GroupSpec((g,))
+    assert _layout(adm_basis(spec, "factored")) == \
+        _layout(factored_basis_reference(spec))
+
+
+def test_factored_basis_evaluates_the_crt_map_once_per_element(monkeypatch):
+    import phyloinv.tripod as tripod_mod
+    calls = []
+    real = tripod_mod.prime_power_refinement
+
+    def counted(spec):
+        refined, back = real(spec)
+
+        def counted_back(el):
+            calls.append(el)
+            return back(el)
+
+        return refined, counted_back
+
+    monkeypatch.setattr(tripod_mod, "prime_power_refinement", counted)
+    assert len(adm_basis(GroupSpec((30,)), "factored")) == 29 * 28
+    assert len(calls) == 30
 
 
 class TestAdmBasis:
@@ -333,8 +392,9 @@ def test_relabel_matrix_preserves_admissibility():
     def phi(e):  # crt isomorphism Z2 x Z3 -> Z6
         return ((3 * e[0] + 4 * e[1]) % 6,)
 
+    to = [tgt.index(phi(e)) for e in src.elements]
     for m in adm_basis(src):
-        out = relabel_matrix(m, phi, tgt)
+        out = relabel_matrix(m, to, tgt)
         assert out.group == tgt
         assert out.degree == m.degree
 
