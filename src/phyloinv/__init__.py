@@ -16,13 +16,12 @@ from .oracle import (LatticeInfo, VerificationReport, codim, lattice_report,
                      verify_complete_intersection)
 from .pipeline import (GenerateOptions, InvariantSet, algebra_text, generate)
 from .trees import (RootedTree, Tree, canonical_rooting, parse_newick)
-from .tripod import (AdmissibleMatrix, cyclic_basis, matrix_to_binomial,
-                     product_basis, tripod_invariants)
+from .tripod import (cyclic_basis, matrix_to_binomial, product_basis,
+                     tripod_invariants)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleMatrix",
     "Binomial",
     "BinomialError",
     "Element",

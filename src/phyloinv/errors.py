@@ -34,10 +34,6 @@ class BinomialError(Error, ValueError):
         self.edge = edge
 
 
-class AdmissibilityError(Error, ValueError):
-    """A tripod basis matrix breaks a row, column or class-sum condition."""
-
-
 class LatticeError(Error, ValueError):
     """A lattice vector or matrix of a shape the lattice routines refuse."""
 

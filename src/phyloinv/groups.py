@@ -57,7 +57,16 @@ class GroupSpec:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(a) for a in self.factors))
+        factors = []
+        for a in self.factors:
+            try:
+                ia = int(a)
+            except (TypeError, ValueError, OverflowError):
+                ia = None
+            if ia is None or ia != a:
+                raise ValueError(f"cyclic factor {a!r} is not an integer")
+            factors.append(ia)
+        object.__setattr__(self, "factors", tuple(factors))
         if not self.factors:
             raise ValueError("a group needs at least one cyclic factor")
         if any(a < 2 for a in self.factors):

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .errors import (AdmissibilityError, BinomialError, FlowCapExceeded,
-                     FlowError, InternalError, InvalidTreeError, LatticeError)
+from .errors import (BinomialError, FlowCapExceeded, FlowError, InternalError,
+                     InvalidTreeError, LatticeError)
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
                     check_flow_cap, flow_from_leaves)
 from .groups import Element, GroupSpec
@@ -56,12 +56,6 @@ class InvariantSet:
 
     def __len__(self) -> int:
         return len(self.binomials)
-
-    def counts_by_provenance(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for tag in self.provenance:
-            out[tag] = out.get(tag, 0) + 1
-        return out
 
     def to_json(self) -> dict:
         # terms stay the stored tuples of element tuples, which json writes
@@ -351,7 +345,7 @@ def generate(tree: Tree, group: GroupSpec,
     try:
         # the only mode-dependent part; every tripod part and claw level shares it
         return _generate(tree, tripod_set(group, opts.mode), rng)
-    except (AdmissibilityError, BinomialError, FlowError, LatticeError) as exc:
+    except (BinomialError, FlowError, LatticeError) as exc:
         raise InternalError(f"{type(exc).__name__}: {exc}") from exc
 
 

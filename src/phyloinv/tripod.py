@@ -17,88 +17,34 @@ six-entry pattern and its transposes, plus the two embedded factor bases);
 the element pair (a, b) of G x H, for element indices a of G and b of H,
 has the combined index a·|H| + b.
 
-Matrices are stored sparse, as their nonzero entries: a cyclic basis
-matrix has O(g) of them and a product cubic six, so building, checking and
-converting a matrix costs time in its nonzeros, not in |G|^2.
+A matrix is a plain dict of its nonzero entries, keyed by (row, column)
+element indices: a cyclic basis matrix has O(g) of them and a product cubic
+six, so building and converting a matrix costs time in its nonzeros, not in
+|G|^2.  Admissibility is checked once per matrix, on its tripod binomial:
+the row, column and class conditions say that the two sides have equal
+multisets on edge 0 (leaf 1), edge 1 (leaf 2) and edge 2 (leaf 3), which
+:func:`binomial_from_multisets` checks.  Matrices of the intermediate
+factors reach that check through the inclusions a -> (a, 0), b -> (0, b)
+and the CRT isomorphism; these are injective homomorphisms, so a matrix is
+admissible exactly when its image is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
-from typing import Mapping
 
-from .errors import AdmissibilityError, InternalError
+from .errors import FlowError, InternalError
 from .flows import Binomial, Flow, binomial_from_multisets, flow_from_leaves
 from .groups import GroupSpec, prime_power_refinement
 from .trees import RootedTree, canonical_rooting, parse_newick
+
+Matrix = dict[tuple[int, int], int]
 
 
 @lru_cache(maxsize=None)
 def tripod_tree() -> RootedTree:
     return canonical_rooting(parse_newick("(1,2,3);"))
-
-
-def admissibility_failure(entries: Mapping[tuple[int, int], int],
-                          spec: GroupSpec) -> str | None:
-    """None when admissible, else a description of the first failing condition.
-
-    ``entries`` maps (row, column) element-index pairs to values; one pass
-    over them sums the rows, the columns and the antidiagonal classes into
-    plain dicts, so the check takes time linear in the nonzeros.
-    Failures are reported rows first, then columns, then classes, each in
-    element order.
-    """
-    els, add = spec.table.elements, spec.table.add
-    n = len(els)
-    in_range = range(n)
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    classes: dict[int, int] = {}
-    for (a, b), v in entries.items():
-        if not (a in in_range and b in in_range):
-            return f"index ({a}, {b}) outside 0..{n - 1} for group {spec}"
-        rows[a] = rows.get(a, 0) + v
-        cols[b] = cols.get(b, 0) + v
-        c = add[a][b]
-        classes[c] = classes.get(c, 0) + v
-    for sums, name in ((rows, "row {}"), (cols, "column {}"),
-                       (classes, "antidiagonal class i+j={}")):
-        k = min((k for k, s in sums.items() if s), default=None)
-        if k is not None:
-            return f"{name.format(els[k])} sums to {sums[k]}"
-    return None
-
-
-@dataclass(frozen=True)
-class AdmissibleMatrix:
-    """An admissible matrix stored sparse: ``entries`` maps (row, column)
-    element-index pairs to the nonzero values.  The constructor rejects a
-    value that is not an integer, drops zeros and enforces admissibility."""
-
-    group: GroupSpec
-    entries: dict[tuple[int, int], int]
-
-    def __post_init__(self):
-        entries = {}
-        for k, v in self.entries.items():
-            try:
-                iv = int(v)
-            except (TypeError, ValueError, OverflowError):
-                iv = None
-            if iv is None or iv != v:
-                raise AdmissibilityError(f"entry {k} is {v!r}, not an integer")
-            if iv:
-                entries[k] = iv
-        object.__setattr__(self, "entries", entries)
-        failure = admissibility_failure(entries, self.group)
-        if failure is not None:
-            raise AdmissibilityError(f"not admissible: {failure}")
-
-    @cached_property
-    def degree(self) -> int:
-        return sum(v for v in self.entries.values() if v > 0)
 
 
 def _add_exchange(acc: dict, g: int, r1: int, r2: int, c1: int, c2: int):
@@ -115,19 +61,19 @@ def _add_exchange(acc: dict, g: int, r1: int, r2: int, c1: int, c2: int):
     acc[r2, c1] = acc.get((r2, c1), 0) - 1
 
 
-def cyclic_basis_matrix(g: int, i: int, j: int) -> AdmissibleMatrix:
+def cyclic_basis_matrix(g: int, i: int, j: int) -> Matrix:
     """The admissible basis matrix for index (i, j) in K over Z_g.
 
     Built as the exchange move at (i,0,j,0) plus a telescoping chain of
     exchange moves with column pair (1, 0); the chain runs over s = 1..i
     when i <= g/2 and over s = 1..g-i (with the row roles of i and j
     exchanged) otherwise.  Chain terms whose two rows coincide are zero and
-    simply dropped.  The result has a lone 1 at (i, j) within K and is
-    admissible of degree <= g.
+    simply dropped, and so are the entries the chain cancels.  The result
+    has a lone 1 at (i, j) within K and is admissible of degree <= g.
     """
     if not (0 < i < g and 1 < j < g):
         raise ValueError(f"(i, j) = ({i}, {j}) is not in K for Z_{g}")
-    acc: dict[tuple[int, int], int] = {}
+    acc: Matrix = {}
     _add_exchange(acc, g, i, 0, j, 0)
     if i <= g // 2:
         for s in range(1, i + 1):
@@ -135,24 +81,25 @@ def cyclic_basis_matrix(g: int, i: int, j: int) -> AdmissibleMatrix:
     else:
         for s in range(1, g - i + 1):
             _add_exchange(acc, g, j - s, i + s - 1, 1, 0)
-    out = AdmissibleMatrix(GroupSpec((g,)), acc)
-    if out.entries.get((i, j)) != 1 or any(
-            a >= 1 and b >= 2 and (a, b) != (i, j) for a, b in out.entries):
+    out = {k: v for k, v in acc.items() if v}
+    if out.get((i, j)) != 1 or any(
+            a >= 1 and b >= 2 and (a, b) != (i, j) for a, b in out):
         raise InternalError(f"basis matrix ({i}, {j}) over Z{g} is not the "
                             f"unit vector of its own index within K")
-    if out.degree > g:
-        raise InternalError(f"degree {out.degree} exceeds {g} at ({i}, {j})")
+    degree = sum(v for v in out.values() if v > 0)
+    if degree > g:
+        raise InternalError(f"degree {degree} exceeds {g} at ({i}, {j})")
     return out
 
 
-def cyclic_basis(g: int) -> list[AdmissibleMatrix]:
+def cyclic_basis(g: int) -> list[Matrix]:
     """The (g-1)(g-2) basis matrices of the admissible lattice of Z_g."""
     return [cyclic_basis_matrix(g, i, j)
             for i in range(1, g) for j in range(2, g)]
 
 
 def product_cubic(gs: GroupSpec, hs: GroupSpec, i: int, j: int, k: int,
-                  l: int) -> dict[tuple[int, int], int]:
+                  l: int) -> Matrix:
     """The six entries of the degree-3 admissible matrix B(i,j,k,l) over
     G x H, for element indices i, j of G and k, l of H (j, k nonzero).
 
@@ -173,9 +120,8 @@ def product_cubic(gs: GroupSpec, hs: GroupSpec, i: int, j: int, k: int,
             (ij0, kl): -1, (ik, l): -1, (i0, jl): -1}
 
 
-def product_basis(gs: GroupSpec, hs: GroupSpec,
-                  basis_g: list[AdmissibleMatrix],
-                  basis_h: list[AdmissibleMatrix]) -> list[AdmissibleMatrix]:
+def product_basis(gs: GroupSpec, hs: GroupSpec, basis_g: list[Matrix],
+                  basis_h: list[Matrix]) -> list[Matrix]:
     """Basis of the admissible lattice of G x H from bases of the factors.
 
     Eight families: cubics B(i,j,k,l) with (1) all of i,j,k,l nonzero,
@@ -191,7 +137,6 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
     if len(basis_h) != (h_ord - 1) * (h_ord - 2):
         raise ValueError(f"basis of H has {len(basis_h)} matrices, "
                          f"expected {(h_ord - 1) * (h_ord - 2)}")
-    combined = GroupSpec(gs.factors + hs.factors)
     G_nz, H_nz = range(1, g_ord), range(1, h_ord)
     # (ranges of i, j, k, l, transposed) of the six cubic families, in order
     families = (
@@ -202,32 +147,30 @@ def product_basis(gs: GroupSpec, hs: GroupSpec,
         (G_nz, G_nz, H_nz, (0,), True),   # (5) transposes of (3)
         ((0,), G_nz, H_nz, (0,), False),  # (6) i = l = 0
     )
-    out: list[AdmissibleMatrix] = []
+    out: list[Matrix] = []
     for *ranges, transposed in families:
         for i, j, k, l in product(*ranges):
             entries = product_cubic(gs, hs, i, j, k, l)
             if transposed:
                 entries = {(b, a): v for (a, b), v in entries.items()}
-            out.append(AdmissibleMatrix(combined, entries))
-    out.extend(relabel_matrix(m, range(0, g_ord * h_ord, h_ord), combined)
-               for m in basis_g)
-    out.extend(relabel_matrix(m, range(h_ord), combined) for m in basis_h)
+            out.append(entries)
+    out.extend(relabel_matrix(m, range(0, g_ord * h_ord, h_ord)) for m in basis_g)
+    out.extend(relabel_matrix(m, range(h_ord)) for m in basis_h)
 
-    expected = (combined.order - 1) * (combined.order - 2)
+    expected = (g_ord * h_ord - 1) * (g_ord * h_ord - 2)
     if len(out) != expected:
         raise InternalError(f"{len(out)} matrices, expected {expected}")
     return out
 
 
-def relabel_matrix(m: AdmissibleMatrix, to, target: GroupSpec) -> AdmissibleMatrix:
-    """Transport an admissible matrix along the element-index map ``to``
-    (source index a goes to ``to[a]`` in ``target``) of a group
-    homomorphism: an isomorphism, or an inclusion of a direct factor."""
-    return AdmissibleMatrix(target, {(to[a], to[b]): v
-                                     for (a, b), v in m.entries.items()})
+def relabel_matrix(m: Matrix, to) -> Matrix:
+    """Transport a matrix along the element-index map ``to`` (source index
+    a goes to ``to[a]``) of a group homomorphism: an isomorphism, or an
+    inclusion of a direct factor."""
+    return {(to[a], to[b]): v for (a, b), v in m.items()}
 
 
-def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMatrix]:
+def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[Matrix]:
     """Generating matrices of the admissible lattice for any presentation.
 
     ``direct-cyclic`` folds the written factors left to right with
@@ -244,7 +187,7 @@ def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMa
         else:
             basis = adm_basis(refined, "direct-cyclic")
             to = [spec.index(back(x)) for x in refined.elements]
-            return [relabel_matrix(m, to, spec) for m in basis]
+            return [relabel_matrix(m, to) for m in basis]
     if mode != "direct-cyclic":
         raise ValueError(f"unknown mode {mode!r}; use 'direct-cyclic' or 'factored'")
     cur = cyclic_basis(spec.factors[0])
@@ -254,34 +197,41 @@ def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[AdmissibleMa
     return cur
 
 
-def matrix_to_binomial(m: AdmissibleMatrix,
+def matrix_to_binomial(m: Matrix, group: GroupSpec,
                        built: dict[tuple[int, int], Flow] | None = None
                        ) -> Binomial:
-    """The tripod binomial of an admissible matrix: the entry of elements
+    """The tripod binomial of a matrix over ``group``: the entry of elements
     (a, b) with value v contributes |v| copies of the flow with leaf values
     (a, b, -a-b) to the positive side when v > 0, negative side when v < 0.
 
-    The flow of (a, b) is taken from ``built`` and added there the first
-    time it is needed, so matrices converted with one dict share flows.
+    An index outside 0..|G|-1 raises :class:`FlowError`, and
+    :func:`binomial_from_multisets` raises :class:`BinomialError` unless
+    the matrix is admissible, naming edge 0, 1 or 2 for a broken row,
+    column or class.  The flow of (a, b) is taken from ``built`` and added
+    there the first time it is needed, so matrices converted with one dict
+    share flows.
     """
     if built is None:
         built = {}
-    spec = m.group
-    els, add, neg = spec.table.elements, spec.table.add, spec.table.neg
+    els, add, neg = group.table.elements, group.table.add, group.table.neg
+    n = len(els)
     rt = tripod_tree()
     lhs: list = []
     rhs: list = []
-    for (a, b), v in m.entries.items():
+    for (a, b), v in m.items():
         f = built.get((a, b))
         if f is None:
+            if not (0 <= a < n and 0 <= b < n):
+                raise FlowError(f"index ({a}, {b}) outside 0..{n - 1} "
+                                f"for group {group}")
             f = built[a, b] = flow_from_leaves(
-                rt, spec, (els[a], els[b], els[neg[add[a][b]]]))
+                rt, group, (els[a], els[b], els[neg[add[a][b]]]))
         (lhs if v > 0 else rhs).extend([f] * abs(v))
-    return binomial_from_multisets(rt, spec, lhs, rhs)
+    return binomial_from_multisets(rt, group, lhs, rhs)
 
 
 def tripod_invariants(group: GroupSpec, mode: str = "direct-cyclic") -> list[Binomial]:
     """The defining binomials of the tripod variety for ``group``; the
     matrices share one flow per element pair."""
     built: dict[tuple[int, int], Flow] = {}
-    return [matrix_to_binomial(m, built) for m in adm_basis(group, mode)]
+    return [matrix_to_binomial(m, group, built) for m in adm_basis(group, mode)]

@@ -7,9 +7,9 @@ the 0/1 monomial matrix and its kernel, every flow as a list, the first
 node where a term does not conserve (residue by residue), the verifier's
 membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, the admissibility check with ``Counter``
-sums, dense views of the sparse admissible matrices, and the product and
-factored tripod bases built on element tuples.  Small instances
-only.
+sums, dense views and degrees of the sparse matrices (dicts of nonzero
+entries keyed by element-index pairs), and the product and factored tripod
+bases built on element tuples.  Small instances only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from phyloinv.flows import (DEFAULT_FLOW_CAP, check_flow_cap, flow_defects,
                             iter_flows, vertex_support)
 from phyloinv.groups import GroupSpec, prime_power_refinement
 from phyloinv.lattice import Echelon
-from phyloinv.tripod import AdmissibleMatrix, cyclic_basis
+from phyloinv.tripod import cyclic_basis
 
 Matrix = list[list[int]]
 
@@ -268,16 +268,20 @@ def admissible_condition_matrix(spec) -> Matrix:
     return rows
 
 
-def dense(m):
-    """The |G| x |G| tuple of rows of an ``AdmissibleMatrix``."""
-    n = m.group.order
-    return tuple(tuple(m.entries.get((a, b), 0) for b in range(n))
-                 for a in range(n))
+def dense(m, n):
+    """The n x n tuple of rows of the sparse matrix ``m`` over a group of
+    order n."""
+    return tuple(tuple(m.get((a, b), 0) for b in range(n)) for a in range(n))
 
 
-def flat(m):
+def flat(m, n):
     """Row-major flattening of :func:`dense`, the oracle's coordinates."""
-    return [x for row in dense(m) for x in row]
+    return [x for row in dense(m, n) for x in row]
+
+
+def degree(m):
+    """The degree of a matrix's binomial: the sum of its positive entries."""
+    return sum(v for v in m.values() if v > 0)
 
 
 def sparse(rows):
@@ -321,18 +325,17 @@ def admissibility_failure_counter(entries, spec):
 
 
 def transpose(m):
-    """The transpose of an ``AdmissibleMatrix``, entries in the same order."""
-    return AdmissibleMatrix(m.group, {(b, a): v for (a, b), v in m.entries.items()})
+    """The transpose of a sparse matrix, entries in the same order."""
+    return {(b, a): v for (a, b), v in m.items()}
 
 
 def product_cubic_reference(gs, hs, i, j, k, l):
-    """The degree-3 matrix B(i,j,k,l) over G x H from element tuples: a
-    fresh combined ``GroupSpec`` and twelve ``GroupSpec.index`` lookups."""
+    """The degree-3 matrix B(i,j,k,l) over G x H from element tuples: the
+    sums taken on the tuples and twelve ``GroupSpec.index`` lookups."""
     if j == gs.zero():
         raise ValueError("j must be a nonzero element of G")
     if k == hs.zero():
         raise ValueError("k must be a nonzero element of H")
-    combined = GroupSpec(gs.factors + hs.factors)
     h = hs.order
 
     def idx(a, b):
@@ -341,22 +344,21 @@ def product_cubic_reference(gs, hs, i, j, k, l):
     z_g, z_h = gs.zero(), hs.zero()
     ij = gs.add(i, j)
     kl = hs.add(k, l)
-    return AdmissibleMatrix(combined, {
+    return {
         (idx(i, k), idx(j, l)): 1,
         (idx(ij, z_h), idx(z_g, l)): 1,
         (idx(i, z_h), idx(z_g, kl)): 1,
         (idx(ij, z_h), idx(z_g, kl)): -1,
         (idx(i, k), idx(z_g, l)): -1,
         (idx(i, z_h), idx(j, l)): -1,
-    })
+    }
 
 
-def relabel_matrix_reference(m, phi, target):
-    """Transport a matrix through the homomorphism ``phi`` on element
-    tuples, looking every image up in ``target``."""
-    to = [target.index(phi(a)) for a in m.group.elements]
-    return AdmissibleMatrix(target, {(to[a], to[b]): v
-                                     for (a, b), v in m.entries.items()})
+def relabel_matrix_reference(m, phi, source, target):
+    """Transport a matrix over ``source`` through the homomorphism ``phi``
+    on element tuples, looking every image up in ``target``."""
+    to = [target.index(phi(a)) for a in source.elements]
+    return {(to[a], to[b]): v for (a, b), v in m.items()}
 
 
 def product_basis_reference(gs, hs, basis_g, basis_h):
@@ -378,9 +380,9 @@ def product_basis_reference(gs, hs, basis_g, basis_h):
         for i, j, k, l in product(*ranges):
             m = product_cubic_reference(gs, hs, i, j, k, l)
             out.append(transpose(m) if transposed else m)
-    out.extend(relabel_matrix_reference(m, lambda a: a + z_h, combined)
+    out.extend(relabel_matrix_reference(m, lambda a: a + z_h, gs, combined)
                for m in basis_g)
-    out.extend(relabel_matrix_reference(m, lambda b: z_g + b, combined)
+    out.extend(relabel_matrix_reference(m, lambda b: z_g + b, hs, combined)
                for m in basis_h)
     return out
 
@@ -395,4 +397,4 @@ def factored_basis_reference(spec):
         nxt = GroupSpec((a,))
         cur = product_basis_reference(cur_spec, nxt, cur, cyclic_basis(a))
         cur_spec = GroupSpec(cur_spec.factors + (a,))
-    return [relabel_matrix_reference(m, back, spec) for m in cur]
+    return [relabel_matrix_reference(m, back, refined, spec) for m in cur]

@@ -23,12 +23,11 @@ from phyloinv.oracle import codim, flow_total, lattice_report, \
     verify_complete_intersection
 from phyloinv.pipeline import InvariantSet, generate
 from phyloinv.trees import parse_newick
-from phyloinv.tripod import (AdmissibleMatrix, adm_basis, cyclic_basis,
-                             cyclic_basis_matrix, matrix_to_binomial,
-                             product_basis)
+from phyloinv.tripod import (adm_basis, cyclic_basis, cyclic_basis_matrix,
+                             matrix_to_binomial, product_basis)
 
-from dense import (admissible_condition_matrix, dense, flat, kernel_lattice,
-                   meets_conditions, sparse, spans)
+from dense import (admissible_condition_matrix, degree, dense, flat,
+                   kernel_lattice, meets_conditions, sparse, spans)
 
 FLOW_CAP = 10 ** 5
 
@@ -101,15 +100,15 @@ def test_criterion_1_cyclic_basis(capsys):
             ok, why = False, f"count for g={g}"
             break
         for m in basis:
-            if not meets_conditions(GroupSpec((g,)), flat(m)):
+            if not meets_conditions(GroupSpec((g,)), flat(m, g)):
                 ok, why = False, f"matrix for g={g}: not admissible"
                 break
-            if m.degree > g:
+            if degree(m) > g:
                 ok, why = False, f"matrix for g={g}: degree"
                 break
         L = adm_lattice(GroupSpec((g,)))
         if L.rank != (g - 1) * (g - 2) or \
-                not spans([flat(m) for m in basis], L):
+                not spans([flat(m, g) for m in basis], L):
             ok, why = False, f"span for g={g}"
         if not ok:
             break
@@ -132,7 +131,7 @@ Z4_MATRICES = {
 
 def test_criterion_2_z4_matrices(capsys):
     t0 = time.monotonic()
-    produced = {(i, j): dense(cyclic_basis_matrix(4, i, j))
+    produced = {(i, j): dense(cyclic_basis_matrix(4, i, j), 4)
                 for i in range(1, 4) for j in range(2, 4)}
     ok = produced == Z4_MATRICES
     elapsed = time.monotonic() - t0
@@ -146,16 +145,15 @@ def test_criterion_3_z3_example(capsys):
     entries = ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
     pos_side = (((0,), (1,), (2,)), ((1,), (2,), (0,)), ((2,), (0,), (1,)))
     neg_side = (((0,), (2,), (1,)), ((1,), (0,), (2,)), ((2,), (1,), (0,)))
-    m = AdmissibleMatrix(z3, sparse(entries))
-    b = matrix_to_binomial(m)
+    m = sparse(entries)
+    b = matrix_to_binomial(m, z3)
     # the matrix convention puts its positive entries at (0,2),(1,0),(2,1);
     # the reference binomial is the same relation with the sides mirrored,
     # which the negated matrix reproduces verbatim
-    ok = m.degree == 3 and dense(m) == entries
+    ok = degree(m) == 3 and dense(m, 3) == entries
     ok = ok and {b.lhs, b.rhs} == {pos_side, neg_side}
-    neg = AdmissibleMatrix(z3, sparse(tuple(tuple(-x for x in r)
-                                            for r in entries)))
-    bn = matrix_to_binomial(neg)
+    neg = sparse(tuple(tuple(-x for x in r) for r in entries))
+    bn = matrix_to_binomial(neg, z3)
     ok = ok and (bn.lhs, bn.rhs) == (pos_side, neg_side)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 1.0
@@ -175,12 +173,13 @@ def test_criterion_4_product_bases(capsys):
         if len(basis) != (n - 1) * (n - 2):
             ok, why = False, f"count for {gf}x{hf}"
             break
-        if any(not meets_conditions(m.group, flat(m)) or m.degree > bound
+        combined = GroupSpec(gf + hf)
+        if any(not meets_conditions(combined, flat(m, n)) or degree(m) > bound
                for m in basis):
             ok, why = False, f"matrix check for {gf}x{hf}"
             break
-        L = adm_lattice(GroupSpec(gf + hf))
-        if not spans([flat(m) for m in basis], L):
+        L = adm_lattice(combined)
+        if not spans([flat(m, n) for m in basis], L):
             ok, why = False, f"span for {gf}x{hf}"
             break
     elapsed = time.monotonic() - t0

@@ -226,8 +226,8 @@ def _raise_binomial_error(*args):
 @pytest.mark.parametrize("module,name,fake,message", [
     ("pipeline", "binomial_from_multisets", _raise_binomial_error,
      "BinomialError: projections differ"),
-    ("tripod", "admissibility_failure", lambda entries, spec: "forced",
-     "AdmissibilityError: not admissible: forced"),
+    ("tripod", "binomial_from_multisets", _raise_binomial_error,
+     "BinomialError: projections differ"),
 ])
 def test_internal_value_error_exit_code(capsys, monkeypatch, module, name,
                                         fake, message):

@@ -46,6 +46,24 @@ def test_parse_error_names_the_factor_not_the_text(spec, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("factor,shown", [
+    (2.5, "2.5"), ("3", "'3'"), (float("inf"), "inf"), (float("nan"), "nan"),
+    ("x", "'x'"), (None, "None"),
+], ids=["fraction", "string", "inf", "nan", "text", "none"])
+def test_spec_rejects_non_integer_factor(factor, shown):
+    # int() would truncate 2.5 to Z2 and read "3" as Z3
+    with pytest.raises(ValueError) as exc:
+        GroupSpec((4, factor))
+    assert str(exc.value) == f"cyclic factor {shown} is not an integer"
+
+
+def test_spec_converts_integral_factors():
+    g = GroupSpec((3.0, 4))
+    assert g.factors == (3, 4)
+    assert all(type(a) is int for a in g.factors)
+    assert g == GroupSpec((3, 4))
+
+
 def test_elements_order_and_zero_first():
     g = GroupSpec((2, 3))
     els = g.elements

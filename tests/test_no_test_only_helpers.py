@@ -1,9 +1,10 @@
 """No test-only helpers in the package: every top-level function or class
 in ``src/phyloinv`` is used by name somewhere else in the package, or is
-public API listed in ``__all__``; every field and property of a class,
-public or not, is read in the package; and every exception class in
-``errors.py`` is raised by the package, itself or through a subclass.
-Dense reference code the tests need lives in ``tests/dense.py``."""
+public API listed in ``__all__``; every field, property and non-dunder
+method of a class, public or not, is read in the package by name; and
+every exception class in ``errors.py`` is raised by the package, itself or
+through a subclass.  Dense reference code the tests need lives in
+``tests/dense.py``."""
 
 import ast
 from pathlib import Path
@@ -41,9 +42,11 @@ def _is_property(node):
                in ("property", "cached_property") for d in node.decorator_list)
 
 
-def test_every_field_and_property_is_read_in_the_package():
-    members = []  # (class, member) of every class
-    read = set()  # every attribute name read anywhere in the package
+def _class_members():
+    """Every attribute name read anywhere in the package, and the (class,
+    member, node) of every member defined in a class body."""
+    members = []
+    read = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         read |= {n.attr for n in ast.walk(tree)
@@ -53,11 +56,29 @@ def test_every_field_and_property_is_read_in_the_package():
                 continue
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    members.append((f"{path.stem}.{cls.name}", node.target.id))
-                elif isinstance(node, ast.FunctionDef) and _is_property(node):
-                    members.append((f"{path.stem}.{cls.name}", node.name))
-    unread = [f"{cls}.{name}" for cls, name in members if name not in read]
+                    members.append((f"{path.stem}.{cls.name}", node.target.id, node))
+                elif isinstance(node, ast.FunctionDef):
+                    members.append((f"{path.stem}.{cls.name}", node.name, node))
+    return members, read
+
+
+def test_every_field_and_property_is_read_in_the_package():
+    members, read = _class_members()
+    unread = [f"{cls}.{name}" for cls, name, node in members
+              if (isinstance(node, ast.AnnAssign) or _is_property(node))
+              and name not in read]
     assert not unread, "fields and properties src/phyloinv never reads: " \
+        + ", ".join(unread)
+
+
+def test_every_method_is_read_in_the_package():
+    # dunders are called by the language, not by name
+    members, read = _class_members()
+    unread = [f"{cls}.{name}" for cls, name, node in members
+              if isinstance(node, ast.FunctionDef) and not _is_property(node)
+              and not (name.startswith("__") and name.endswith("__"))
+              and name not in read]
+    assert not unread, "methods src/phyloinv never reads by name: " \
         + ", ".join(unread)
 
 

@@ -45,14 +45,14 @@ class TestJoinSets:
         ctx = quartet_context()
         s = join_sets(ctx, Z2, tripod_set(Z2), tripod_set(Z2))
         assert len(s) == 2 == codim(ctx.rooted.tree, Z2)
-        assert s.counts_by_provenance() == {"join-edge-quadric": 2}
+        assert Counter(s.provenance) == {"join-edge-quadric": 2}
         assert all(b.degree == 2 for b in s.binomials)
 
     def test_quartet_z3_family_counts(self):
         ctx = quartet_context()
         s = join_sets(ctx, Z3, tripod_set(Z3), tripod_set(Z3))
         assert len(s) == 16 == codim(ctx.rooted.tree, Z3)
-        counts = s.counts_by_provenance()
+        counts = Counter(s.provenance)
         assert counts["join-E1"] == 2
         assert counts["join-E2"] == 2
         assert counts["join-edge-quadric"] == 12
@@ -86,14 +86,14 @@ class TestClawSet:
     def test_four_claw_z2(self):
         s = claw_set(4, tripod_set(Z2))
         assert len(s) == 3 == codim(canonical_claw(4), Z2)
-        counts = s.counts_by_provenance()
+        counts = Counter(s.provenance)
         assert counts["claw-special"] == 1
         assert counts["contracted-from-T'"] == 2
 
     def test_four_claw_z3(self):
         s = claw_set(4, tripod_set(Z3))
         assert len(s) == 18
-        counts = s.counts_by_provenance()
+        counts = Counter(s.provenance)
         assert counts["claw-special"] + counts["claw-nonspecial"] == 2
 
     def test_five_claw_z2(self):
@@ -143,7 +143,7 @@ class TestClawSet:
 
     def test_claw_three_is_tripod(self):
         s = claw_set(3, tripod_set(Z3))
-        assert s.counts_by_provenance() == {"tripod": 2}
+        assert Counter(s.provenance) == {"tripod": 2}
 
     def test_quadrics_are_valid_binomials(self):
         rt = canonical_rooting(canonical_claw(5))

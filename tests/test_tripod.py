@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense import (admissibility_failure_counter, admissible_condition_matrix,
-                   dense, enumerate_flows, factored_basis_reference, flat,
-                   kernel_lattice, meets_conditions, product_basis_reference,
-                   sparse, spans, transpose)
+                   degree, dense, enumerate_flows, factored_basis_reference,
+                   flat, kernel_lattice, meets_conditions,
+                   product_basis_reference, sparse, spans, transpose)
+from phyloinv.errors import BinomialError, FlowError, InternalError
 from phyloinv.groups import GroupSpec, parse_group_spec
-from phyloinv.tripod import (AdmissibilityError, AdmissibleMatrix,
-                             _add_exchange, adm_basis,
-                             admissibility_failure, cyclic_basis,
+from phyloinv.pipeline import generate
+from phyloinv.trees import parse_newick
+from phyloinv.tripod import (_add_exchange, adm_basis, cyclic_basis,
                              cyclic_basis_matrix, matrix_to_binomial,
                              product_basis, product_cubic, relabel_matrix,
                              tripod_invariants, tripod_tree)
@@ -28,69 +29,65 @@ def adm_lattice(spec):
     return kernel_lattice(admissible_condition_matrix(spec))
 
 
+def assert_admissible(basis, spec):
+    """Every matrix meets the ``Counter`` reference check over ``spec``."""
+    for m in basis:
+        assert admissibility_failure_counter(m, spec) is None, m
+
+
 class TestAdmissibility:
+    """The one admissibility check: the tripod binomial's per-edge
+    multisets, edge 0 for rows, 1 for columns and 2 for classes."""
+
     def test_zero_is_admissible(self):
-        assert admissibility_failure({}, Z3) is None
-        assert admissibility_failure(sparse(((0, 0, 0),) * 3), Z3) is None
+        for m in ({}, {(0, 0): 0}):
+            b = matrix_to_binomial(m, Z3)
+            assert (b.lhs, b.rhs) == ((), ())
 
     def test_row_sum_violation(self):
-        # the i+j=0 class fails too; rows are reported first
+        # the i+j classes fail too; edge 0 (rows) is compared first
+        m = sparse(((1, 0, 0), (-1, 0, 0), (0, 0, 0)))
+        with pytest.raises(BinomialError, match=r"edge 0 \(4, 1\) differ") as e:
+            matrix_to_binomial(m, Z3)
+        assert e.value.edge == 0
+        # unbalanced in total: the sides differ in size
         m = sparse(((1, 0, 0), (0, 0, 0), (0, 0, 0)))
-        assert admissibility_failure(m, Z3) == "row (0,) sums to 1"
+        with pytest.raises(BinomialError, match="multiset sizes differ: 1 vs 0"):
+            matrix_to_binomial(m, Z3)
 
     def test_column_sum_violation(self):
         # rows balance but the first and last columns do not
         m = sparse(((1, -1, 0), (0, 1, -1), (0, 0, 0)))
-        assert admissibility_failure(m, Z3) == "column (0,) sums to 1"
+        with pytest.raises(BinomialError, match=r"edge 1 \(4, 2\) differ") as e:
+            matrix_to_binomial(m, Z3)
+        assert e.value.edge == 1
 
     def test_antidiagonal_violation(self):
         # rows and columns balance but the i+j=0 class does not
         m = sparse(((1, -1, 0), (-1, 0, 1), (0, 1, -1)))
-        assert admissibility_failure(m, Z3) == \
-            "antidiagonal class i+j=(0,) sums to 3"
+        with pytest.raises(BinomialError, match=r"edge 2 \(4, 3\) differ") as e:
+            matrix_to_binomial(m, Z3)
+        assert e.value.edge == 2
 
     def test_index_outside_group(self):
-        assert admissibility_failure({(0, 3): 1, (0, 0): -1}, Z3) == \
-            "index (0, 3) outside 0..2 for group Z3"
-        assert admissibility_failure({(-1, 0): 1}, Z3) == \
-            "index (-1, 0) outside 0..2 for group Z3"
-        with pytest.raises(AdmissibilityError):
-            AdmissibleMatrix(Z3, {(3, 0): 1, (0, 0): -1})
-
-    def test_constructor_rejects_bad(self):
-        with pytest.raises(AdmissibilityError):
-            AdmissibleMatrix(Z3, sparse(((1, 0, 0), (0, 0, 0), (0, 0, 0))))
+        with pytest.raises(FlowError, match=r"index \(0, 3\) outside 0\.\.2 for group Z3"):
+            matrix_to_binomial({(0, 3): 1, (0, 0): -1}, Z3)
+        # a negative index is not read from the end of the element list
+        with pytest.raises(FlowError, match=r"index \(-1, 0\) outside 0\.\.2"):
+            matrix_to_binomial({(-1, 0): 1, (2, 0): -1}, Z3)
 
     def test_constructor_drops_zeros(self):
-        m = AdmissibleMatrix(Z3, {(0, 0): 0, **sparse(Z3_REFERENCE_MATRIX)})
-        assert m.entries == sparse(Z3_REFERENCE_MATRIX)
-
-    def test_constructor_rejects_fractions(self):
-        # 0.5 would truncate to 0: stored zeros and a trivial binomial
-        with pytest.raises(AdmissibilityError,
-                           match=r"entry \(0, 1\) is 0\.5"):
-            AdmissibleMatrix(Z3, {(0, 1): 0.5, (1, 0): -0.5})
-        for v in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(AdmissibilityError, match="not an integer"):
-                AdmissibleMatrix(Z3, {(0, 1): v, (1, 0): -v})
-
-    def test_constructor_rejects_strings(self):
-        with pytest.raises(AdmissibilityError, match=r"entry \(0, 0\) is '1'"):
-            AdmissibleMatrix(Z3, {(0, 0): "1"})
-        with pytest.raises(AdmissibilityError, match="not an integer"):
-            AdmissibleMatrix(Z3, {(0, 0): "x"})
-
-    def test_constructor_converts_integral_values(self):
-        m = AdmissibleMatrix(Z3, {(0, 0): 0.0, **{
-            k: float(v) for k, v in sparse(Z3_REFERENCE_MATRIX).items()}})
-        assert m.entries == sparse(Z3_REFERENCE_MATRIX)
-        assert all(type(v) is int for v in m.entries.values())
+        # cyclic_basis_matrix builds a matrix from exchange moves that
+        # partly cancel; the cancelled entries are not stored
+        for g in range(3, 9):
+            for m in cyclic_basis(g):
+                assert all(m.values())
 
     def test_entry_by_elements(self):
         m = cyclic_basis_matrix(3, 1, 2)
-        assert m.entries[(Z3.index((1,)), Z3.index((2,)))] == 1
-        assert transpose(m).entries[(Z3.index((2,)), Z3.index((1,)))] == 1
-        assert dense(transpose(m)) == tuple(zip(*dense(m)))
+        assert m[(Z3.index((1,)), Z3.index((2,)))] == 1
+        assert transpose(m)[(Z3.index((2,)), Z3.index((1,)))] == 1
+        assert dense(transpose(m), 3) == tuple(zip(*dense(m, 3)))
 
 
 PROPERTY_GROUPS = [GroupSpec((g,)) for g in range(2, 7)] + \
@@ -113,7 +110,7 @@ def candidate_matrices(draw):
     if _basis(spec):
         for m in draw(st.lists(st.sampled_from(_basis(spec)), max_size=3)):
             c = draw(st.integers(-2, 2))
-            for k, v in m.entries.items():
+            for k, v in m.items():
                 acc[k] += c * v
     idx = st.integers(0, n - 1)
     kind = draw(st.sampled_from(["none", "exchange", "entries"]))
@@ -130,39 +127,50 @@ def candidate_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(candidate_matrices())
 def test_admissibility_matches_condition_oracle(case):
+    # matrix_to_binomial refuses a matrix exactly when it is not admissible
     spec, entries = case
     n = spec.order
     values = [entries.get((a, b), 0) for a in range(n) for b in range(n)]
-    assert (admissibility_failure(entries, spec) is None) == \
-        meets_conditions(spec, values)
+    try:
+        matrix_to_binomial(entries, spec)
+        refused = False
+    except BinomialError:
+        refused = True
+    assert refused == (not meets_conditions(spec, values))
 
 
-@st.composite
-def indexed_candidates(draw):
-    """A candidate matrix, sometimes with one entry at a negative or
-    out-of-range index, or with a move inside one row (the row stays
-    balanced, two columns do not)."""
-    spec, entries = draw(candidate_matrices())
-    n = spec.order
-    ok = st.integers(0, n - 1)
-    kind = draw(st.sampled_from(["none", "index", "row move"]))
-    if kind == "index":
-        bad = st.one_of(st.integers(-3, -1), st.integers(n, n + 2))
-        key = draw(st.sampled_from([(bad, ok), (ok, bad), (bad, bad)]))
-        entries[draw(key[0]), draw(key[1])] = draw(st.integers(-2, 2))
-    elif kind == "row move":
-        a, b, c, v = draw(ok), draw(ok), draw(ok), draw(st.integers(1, 2))
-        entries[a, b] = entries.get((a, b), 0) + v
-        entries[a, c] = entries.get((a, c), 0) - v
-    return spec, entries
+def _break_row(m):  # rows 1 and 3 off by one; every column stays balanced
+    m[1, 2] = m.get((1, 2), 0) + 1
+    m[3, 2] = m.get((3, 2), 0) - 1
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(indexed_candidates())
-def test_admissibility_message_matches_counter_reference(case):
-    spec, entries = case
-    assert admissibility_failure(entries, spec) == \
-        admissibility_failure_counter(entries, spec)
+def _break_column(m):  # columns 2 and 3 off by one; every row stays balanced
+    m[1, 2] = m.get((1, 2), 0) + 1
+    m[1, 3] = m.get((1, 3), 0) - 1
+
+
+def _break_class(m):  # one exchange move: rows and columns stay balanced
+    _add_exchange(m, 5, 0, 1, 0, 2)
+
+
+@pytest.mark.parametrize("breaks,edge", [
+    (_break_row, r"edge 0 \(4, 1\)"),
+    (_break_column, r"edge 1 \(4, 2\)"),
+    (_break_class, r"edge 2 \(4, 3\)"),
+])
+def test_generate_refuses_a_broken_basis_matrix(monkeypatch, breaks, edge):
+    # each admissibility condition is still enforced on the way to generate
+    import phyloinv.tripod as tripod_mod
+    real = tripod_mod.adm_basis
+
+    def broken(spec, mode="direct-cyclic"):
+        basis = real(spec, mode)
+        breaks(basis[3])
+        return basis
+
+    monkeypatch.setattr(tripod_mod, "adm_basis", broken)
+    with pytest.raises(InternalError, match=f"BinomialError: projections to {edge} differ"):
+        generate(parse_newick("(1,2,3,4);"), GroupSpec((5,)))
 
 
 class TestExchange:
@@ -191,9 +199,10 @@ class TestCyclicBasis:
     def test_count_admissible_degree(self, g):
         basis = cyclic_basis(g)
         assert len(basis) == (g - 1) * (g - 2)
+        assert_admissible(basis, GroupSpec((g,)))
         for m in basis:
-            assert m.degree <= g
-        assert max(m.degree for m in basis) == g
+            assert degree(m) <= g
+        assert max(degree(m) for m in basis) == g
 
     @pytest.mark.parametrize("g", range(3, 9))
     def test_identity_pattern_on_k(self, g):
@@ -203,7 +212,7 @@ class TestCyclicBasis:
                 m = cyclic_basis_matrix(g, i, j)
                 for a in range(1, g):
                     for b in range(2, g):
-                        assert dense(m)[a][b] == (1 if (a, b) == (i, j) else 0)
+                        assert dense(m, g)[a][b] == (1 if (a, b) == (i, j) else 0)
 
     def test_rejects_outside_k(self):
         with pytest.raises(ValueError):
@@ -215,7 +224,7 @@ class TestCyclicBasis:
     def test_spans_admissible_lattice(self, g):
         L = adm_lattice(GroupSpec((g,)))
         assert L.rank == (g - 1) * (g - 2)
-        assert spans([flat(m) for m in cyclic_basis(g)], L)
+        assert spans([flat(m, g) for m in cyclic_basis(g)], L)
 
 
 # the six Z4 basis matrices, fixed reference values
@@ -231,7 +240,7 @@ Z4_REFERENCE = {
 
 def test_z4_reference_matrices():
     for (i, j), want in Z4_REFERENCE.items():
-        assert dense(cyclic_basis_matrix(4, i, j)) == want
+        assert dense(cyclic_basis_matrix(4, i, j), 4) == want
 
 
 # reference degree-3 matrix over Z3 and its binomial
@@ -241,16 +250,15 @@ Z3_REFERENCE_RHS = (((0,), (2,), (1,)), ((1,), (0,), (2,)), ((2,), (1,), (0,)))
 
 
 def test_z3_reference_binomial():
-    m = AdmissibleMatrix(Z3, sparse(Z3_REFERENCE_MATRIX))
-    assert dense(m) == Z3_REFERENCE_MATRIX
-    assert m.degree == 3
-    b = matrix_to_binomial(m)
+    m = sparse(Z3_REFERENCE_MATRIX)
+    assert dense(m, 3) == Z3_REFERENCE_MATRIX
+    assert degree(m) == 3
+    b = matrix_to_binomial(m, Z3)
     # positive entries sit at (0,2), (1,0), (2,1), so the sides come out
     # with that orientation; the opposite matrix gives the mirror binomial
     assert (b.lhs, b.rhs) == (Z3_REFERENCE_RHS, Z3_REFERENCE_LHS)
-    neg = AdmissibleMatrix(Z3, sparse(tuple(tuple(-x for x in row)
-                                            for row in Z3_REFERENCE_MATRIX)))
-    bn = matrix_to_binomial(neg)
+    neg = sparse(tuple(tuple(-x for x in row) for row in Z3_REFERENCE_MATRIX))
+    bn = matrix_to_binomial(neg, Z3)
     assert (bn.lhs, bn.rhs) == (Z3_REFERENCE_LHS, Z3_REFERENCE_RHS)
 
 
@@ -267,20 +275,21 @@ class TestProductBasis:
         assert len(basis) == (n - 1) * (n - 2)
         bound = max(3, *gf, *hf)
         combined = GroupSpec(gf + hf)
+        assert_admissible(basis, combined)
         for m in basis:
-            assert m.group == combined
-            assert m.degree <= bound
+            assert degree(m) <= bound
         L = adm_lattice(combined)
-        assert spans([flat(m) for m in basis], L)
+        assert spans([flat(m, n) for m in basis], L)
 
     def test_cubic_shape(self):
         gs = hs = GroupSpec((2,))
-        m = AdmissibleMatrix(GroupSpec((2, 2)), product_cubic(gs, hs, 1, 1, 1, 1))
-        assert m.degree == 3
-        values = flat(m)
+        m = product_cubic(gs, hs, 1, 1, 1, 1)
+        assert_admissible([m], GroupSpec((2, 2)))
+        assert degree(m) == 3
+        values = flat(m, 4)
         assert values.count(1) == 3
         assert values.count(-1) == 3
-        assert len(m.entries) == 6
+        assert len(m) == 6
 
     def test_cubic_rejects_zero_j_or_k(self):
         gs = hs = GroupSpec((2,))
@@ -313,8 +322,8 @@ PRODUCT_PAIRS = [(g, h) for g in _presentations(12) for h in _presentations(12)
 
 
 def _layout(basis):
-    """Group and entries of every matrix, entries in stored order."""
-    return [(m.group, list(m.entries.items())) for m in basis]
+    """The entries of every matrix, in stored order."""
+    return [list(m.items()) for m in basis]
 
 
 def test_product_basis_matches_element_tuple_reference():
@@ -323,15 +332,18 @@ def test_product_basis_matches_element_tuple_reference():
     for gf, hf in PRODUCT_PAIRS:
         gs, hs = GroupSpec(gf), GroupSpec(hf)
         bg, bh = adm_basis(gs), adm_basis(hs)
-        assert _layout(product_basis(gs, hs, bg, bh)) == \
+        basis = product_basis(gs, hs, bg, bh)
+        assert_admissible(basis, GroupSpec(gf + hf))
+        assert _layout(basis) == \
             _layout(product_basis_reference(gs, hs, bg, bh)), (gf, hf)
 
 
 @pytest.mark.parametrize("g", [6, 12, 30])
 def test_factored_basis_matches_element_tuple_reference(g):
     spec = GroupSpec((g,))
-    assert _layout(adm_basis(spec, "factored")) == \
-        _layout(factored_basis_reference(spec))
+    basis = adm_basis(spec, "factored")
+    assert_admissible(basis, spec)
+    assert _layout(basis) == _layout(factored_basis_reference(spec))
 
 
 def test_factored_basis_evaluates_the_crt_map_once_per_element(monkeypatch):
@@ -358,27 +370,30 @@ class TestAdmBasis:
         spec = GroupSpec((2, 2, 2))
         basis = adm_basis(spec)
         assert len(basis) == 7 * 6
+        assert_admissible(basis, spec)
         L = adm_lattice(spec)
-        assert spans([flat(m) for m in basis], L)
+        assert spans([flat(m, 8) for m in basis], L)
 
     def test_factored_equals_direct_span_z6(self):
         spec = GroupSpec((6,))
         direct = adm_basis(spec, "direct-cyclic")
         factored = adm_basis(spec, "factored")
         assert len(direct) == len(factored) == 20
+        assert_admissible(direct + factored, spec)
         L = adm_lattice(spec)
-        assert spans([flat(m) for m in direct], L)
-        assert spans([flat(m) for m in factored], L)
+        assert spans([flat(m, 6) for m in direct], L)
+        assert spans([flat(m, 6) for m in factored], L)
         # factored mode goes through the prime-power presentation, so its
         # matrices stay degree <= 3 wherever the factors allow
-        assert max(m.degree for m in factored) == 3
-        assert max(m.degree for m in direct) == 6
+        assert max(degree(m) for m in factored) == 3
+        assert max(degree(m) for m in direct) == 6
 
     def test_factored_falls_back_for_prime_powers(self):
         spec = GroupSpec((4,))
         a = adm_basis(spec, "direct-cyclic")
         b = adm_basis(spec, "factored")
-        assert [m.entries for m in a] == [m.entries for m in b]
+        assert_admissible(b, spec)
+        assert a == b
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -394,9 +409,10 @@ def test_relabel_matrix_preserves_admissibility():
 
     to = [tgt.index(phi(e)) for e in src.elements]
     for m in adm_basis(src):
-        out = relabel_matrix(m, to, tgt)
-        assert out.group == tgt
-        assert out.degree == m.degree
+        out = relabel_matrix(m, to)
+        assert_admissible([m], src)
+        assert_admissible([out], tgt)
+        assert degree(out) == degree(m)
 
 
 class TestTripodInvariants:
@@ -420,7 +436,7 @@ class TestTripodInvariants:
     def test_binomial_degree_equals_matrix_degree(self):
         for g in (3, 4, 5):
             for m in cyclic_basis(g):
-                assert matrix_to_binomial(m).degree == m.degree
+                assert matrix_to_binomial(m, GroupSpec((g,))).degree == degree(m)
 
     def test_converts_through_the_public_name(self, monkeypatch):
         # a tracer that wraps the module attribute sees every conversion
@@ -428,9 +444,9 @@ class TestTripodInvariants:
         calls = []
         real = tripod_mod.matrix_to_binomial
 
-        def counted(m, built=None):
+        def counted(m, group, built=None):
             calls.append(m)
-            return real(m, built)
+            return real(m, group, built)
 
         monkeypatch.setattr(tripod_mod, "matrix_to_binomial", counted)
         assert len(tripod_invariants(GroupSpec((5,)))) == 12
@@ -438,8 +454,9 @@ class TestTripodInvariants:
 
     def test_shared_flows_match_fresh_conversion(self):
         built = {}
+        z5 = GroupSpec((5,))
         for m in cyclic_basis(5):
-            assert matrix_to_binomial(m, built) == matrix_to_binomial(m)
+            assert matrix_to_binomial(m, z5, built) == matrix_to_binomial(m, z5)
         assert len(built) <= 25
 
     def test_kimura_model(self):
