@@ -6,8 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import (FlowCapExceeded, GroupParseError, InternalError,
-                     InvalidTreeError, NewickParseError)
+from .errors import FlowCapExceeded, InternalError
 from .flows import DEFAULT_FLOW_CAP
 from .groups import parse_group_spec
 from .oracle import lattice_report, verify_complete_intersection
@@ -124,8 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL_ERROR
-    except (GroupParseError, NewickParseError, InvalidTreeError, OSError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

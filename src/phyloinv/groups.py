@@ -82,9 +82,6 @@ class GroupSpec:
     def zero(self) -> Element:
         return (0,) * len(self.factors)
 
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.factors))
-
     def neg(self, a: Element) -> Element:
         return tuple((-x) % m for x, m in zip(a, self.factors))
 

@@ -8,14 +8,15 @@ The complete intersection on the dense torus orbit is assembled bottom-up:
   part flows relative to a path flow (``join-edge-quadric``); the three
   family sizes always add up to the codimension of T;
 * a claw with l >= 4 leaves is handled through the auxiliary tree T' (a
-  tripod carrying leaves {1, 2} joined to an (l-1)-claw, split at its one
-  interior edge like any other tree): T's set is the T' set with the
-  interior-edge coordinate dropped (``contracted-from-T'``) plus one
+  tripod carrying leaves {1, 2} joined to an (l-1)-claw), which goes
+  through the same recursion as any other tree: T's set is the T' set with
+  the interior-edge coordinate dropped (``contracted-from-T'``) plus one
   quadric per nonzero group element (``claw-special`` for embedded unit
   generators, ``claw-nonspecial`` otherwise).
 
-Every constructed binomial is re-validated through the per-edge multiset
-check, and every assembled set is counted against the codimension formula.
+Every binomial a join or a claw quadric builds goes once through the
+per-edge multiset check (a contracted binomial keeps its T' join's), and
+every assembled set is counted against the codimension formula.
 """
 
 from __future__ import annotations
@@ -286,32 +287,29 @@ def claw_set(n_leaves: int, tripod: InvariantSet) -> InvariantSet:
     if n_leaves == 3:
         return tripod
     group = tripod.group
-    s2 = claw_set(n_leaves - 1, tripod)
     # T': node ``top`` holds leaves 1, 2 and node ``low`` holds the rest;
-    # the split gives the 3-claw (v1 = 3) and the (n_leaves-1)-claw
+    # its one interior edge splits it into the 3-claw and the (n-1)-claw
     top, low = n_leaves + 1, n_leaves + 2
     aux_tree = Tree(n_leaves, [(top, 1), (top, 2), (top, low)]
                     + [(low, i) for i in range(3, n_leaves + 1)])
-    ctx = decompose_at_edge(canonical_rooting(aux_tree), (top, low))
-    aux = join_sets(ctx, group, tripod, s2)
+    aux = _generate(aux_tree, tripod, None)
 
     claw_rt = canonical_rooting(canonical_claw(n_leaves))
     binomials: list[Binomial] = []
     provenance: list[str] = []
     for b in aux.binomials:
-        # the claw flow is the leaf-value part: only the interior-edge
-        # coordinate of T' is dropped
-        restricted = binomial_from_multisets(
-            claw_rt, group,
-            [f[:n_leaves] for f in b.lhs], [f[:n_leaves] for f in b.rhs])
+        # a T' flow is fixed by its leaf values, the claw flow, so the slice
+        # keeps each side sorted and reduced; the T' join checked its columns
+        restricted = Binomial(tuple(f[:n_leaves] for f in b.lhs),
+                              tuple(f[:n_leaves] for f in b.rhs))
         if restricted.is_trivial:
             raise InternalError("a T' binomial restricts to a trivial claw binomial")
         binomials.append(restricted)
         provenance.append("contracted-from-T'")
+    units = group.units()
     for b in group.elements[1:]:
-        if b in group.units():
-            j = next(k + 1 for k, r in enumerate(b) if r)
-            binomials.append(special_quadric(claw_rt, group, j))
+        if b in units:
+            binomials.append(special_quadric(claw_rt, group, units.index(b) + 1))
             provenance.append("claw-special")
         else:
             binomials.append(nonspecial_quadric(claw_rt, group, b))

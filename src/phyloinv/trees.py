@@ -114,9 +114,6 @@ class Tree:
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._adj[u]
 
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
-
     def canonical_root(self) -> int:
         """The interior node adjacent to leaf 1."""
         return self._adj[1][0]

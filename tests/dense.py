@@ -8,8 +8,8 @@ node where a term does not conserve (residue by residue), the verifier's
 membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, the admissibility check with ``Counter``
 sums, dense views and degrees of the sparse matrices (dicts of nonzero
-entries keyed by element-index pairs), and the product and factored tripod
-bases built on element tuples.  Small instances only.
+entries keyed by element-index pairs), group addition and the product and
+factored tripod bases on element tuples.  Small instances only.
 """
 
 from __future__ import annotations
@@ -235,7 +235,15 @@ def membership(rt, group, binomials) -> tuple[bool, list[str]]:
 
 
 def is_trivalent(tree) -> bool:
-    return all(tree.degree(u) == 3 for u in tree.interior_nodes)
+    return all(len(tree.neighbors(u)) == 3 for u in tree.interior_nodes)
+
+
+# -- group arithmetic on element tuples -----------------------------------
+
+
+def add(spec, a, b):
+    """``a + b`` in ``spec``, residue by residue on the element tuples."""
+    return tuple((x + y) % m for x, y, m in zip(a, b, spec.factors))
 
 
 # -- admissible matrices -----------------------------------------------
@@ -262,7 +270,7 @@ def admissible_condition_matrix(spec) -> Matrix:
         row = [0] * (n * n)
         for i, a in enumerate(els):
             for j, b in enumerate(els):
-                if spec.add(a, b) == k:
+                if add(spec, a, b) == k:
                     row[i * n + j] = 1
         rows.append(row)
     return rows
@@ -342,8 +350,8 @@ def product_cubic_reference(gs, hs, i, j, k, l):
         return gs.index(a) * h + hs.index(b)
 
     z_g, z_h = gs.zero(), hs.zero()
-    ij = gs.add(i, j)
-    kl = hs.add(k, l)
+    ij = add(gs, i, j)
+    kl = add(hs, k, l)
     return {
         (idx(i, k), idx(j, l)): 1,
         (idx(ij, z_h), idx(z_g, l)): 1,

@@ -4,7 +4,11 @@ public API listed in ``__all__``; every field, property and non-dunder
 method of a class, public or not, is read in the package by name; and
 every exception class in ``errors.py`` is raised by the package, itself or
 through a subclass.  Dense reference code the tests need lives in
-``tests/dense.py``."""
+``tests/dense.py``.
+
+The checks match names only: a member that shares its name with one the
+package reads elsewhere (a ``GroupSpec.add`` beside ``CayleyTable.add``)
+passes unseen."""
 
 import ast
 from pathlib import Path

@@ -4,14 +4,15 @@ import json
 import re
 from collections import Counter
 from collections.abc import Mapping
-from functools import reduce
+from functools import partial, reduce
 from math import inf, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense import enumerate_flows, membership, monomial_matrix, oracle_kernel
+from dense import (add, enumerate_flows, membership, monomial_matrix,
+                   oracle_kernel)
 from test_acceptance import BATTERY_GROUPS, BATTERY_TREES, FLOW_CAP
 from test_flows import FLOW_GROUPS, random_trees
 from phyloinv import oracle
@@ -342,7 +343,7 @@ def swap_flows(rt, group, vals, order):
                                             for m in range(1, n + 1)])
 
     def total(S):
-        return reduce(group.add, (x[m] for m in S), zero)
+        return reduce(partial(add, group), (x[m] for m in S), zero)
 
     for u, v in rt.edges:
         B = leaf_side(rt, u, v)
@@ -359,7 +360,7 @@ def swap_flows(rt, group, vals, order):
                    for w in rt.tree.neighbors(v))
                for v in rt.tree.interior_nodes)
     i, j, r = N[:3]
-    s = group.add(x[i], x[j])
+    s = add(group, x[i], x[j])
     return (on({i: x[i], j: x[j], r: group.neg(s)}),
             on({**{m: x[m] for m in N[2:]}, i: s}),
             on({i: s, r: group.neg(s)}))
@@ -375,7 +376,7 @@ def swap_cases(draw):
     group = draw(st.sampled_from(FLOW_GROUPS))
     head = draw(st.lists(st.sampled_from(group.elements),
                          min_size=n - 1, max_size=n - 1))
-    vals = head + [group.neg(reduce(group.add, head, group.zero()))]
+    vals = head + [group.neg(reduce(partial(add, group), head, group.zero()))]
     assume(sum(v != group.zero() for v in vals) >= 4)
     return rt, group, vals, draw(st.permutations(range(1, n + 1)))
 
@@ -598,7 +599,7 @@ class TestNonFlows:
                     if any(f[4] == h[4] for f in b.lhs for h in b.rhs))
         p, q = next((p, q) for p, f in enumerate(b.lhs)
                     for q, h in enumerate(b.rhs) if f[4] == h[4])
-        new = Z3.add(b.lhs[p][4], (1,))
+        new = add(Z3, b.lhs[p][4], (1,))
         lhs, rhs = list(b.lhs), list(b.rhs)
         lhs[p] = lhs[p][:4] + (new,)
         rhs[q] = rhs[q][:4] + (new,)

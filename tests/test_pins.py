@@ -62,6 +62,14 @@ GENERATE_PINS = [
     ("Z30", "(1,2,3);", {"mode": "factored"},
      "2e67cd1be1fe1589b8a8e7fbbf8dd429c1409ff4d62e7348744d8f3ab19a8dbb",
      "8b8c4fd160bc19ac1ef20165c521e0ebc3c6077533f6f1ada22529aeba25d745"),
+    # the Z3 6-claw takes three T' levels with nonspecial quadrics; the
+    # Z2xZ2 5-claw has two unit quadrics and one nonspecial per level
+    ("Z3", "(1,2,3,4,5,6);", {},
+     "542f9494a78d01c19e2916c3da3882cd0bab962085448ab83464023726dd035a",
+     "9bd3380206bbb4ed5969f8476db35b3fce8e7bfe801605240cb813845ac6c68d"),
+    ("Z2xZ2", "(1,2,3,4,5);", {},
+     "8688a9f7e3750cf88c73f243a593bf349b206b7a0426b94aa14209ec705091a0",
+     "f958c8d40a3b00feda4ddc4048fb56d4a46b0b31701be2e1e777b1dc336ec3f1"),
 ]
 
 VERIFY_PIN = "4a1fbc9076d57f81b0ae5b99a93e8c1a680b65753d289108ec0f0664dc8cfa31"

@@ -141,6 +141,63 @@ class TestClawSet:
         assert len(s) == codim(parse_newick(newick), parse_group_spec(group))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("group,mode", [
+        ("Z2", "direct-cyclic"), ("Z3", "direct-cyclic"),
+        ("Z4", "direct-cyclic"), ("Z2xZ2", "direct-cyclic"),
+        ("Z6", "factored"),
+    ])
+    def test_contracted_binomials_are_valid_claw_binomials(self, group, mode):
+        # the T' binomials are sliced to the claw without a second check:
+        # checking the slice again must give back the same binomial
+        g = parse_group_spec(group)
+        tripod = tripod_set(g, mode)
+        for n in range(4, 7):
+            s = claw_set(n, tripod)
+            claw_rt = canonical_rooting(canonical_claw(n))
+            contracted = [b for b, tag in zip(s.binomials, s.provenance)
+                          if tag == "contracted-from-T'"]
+            assert len(contracted) == len(s) - (g.order - 1)
+            for b in contracted:
+                assert binomial_from_multisets(claw_rt, g, b.lhs, b.rhs) == b
+
+    def test_each_constructed_binomial_is_checked_once(self, monkeypatch):
+        # one check per binomial a join or a claw quadric builds: the join
+        # families of every T' plus g-1 quadrics per claw level
+        calls = []
+        real = pipeline.binomial_from_multisets
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "binomial_from_multisets", counted)
+        s = gen("(1,2,3,4,5);", "Z6", mode="factored")
+        families = sum(e["family_e1"] + e["family_e2"] + e["family_quadric"]
+                       for e in s.join_log)
+        assert len(s.join_log) == 2  # T' of the 4- and the 5-claw
+        assert len(calls) == families + 2 * 5 == 1465
+
+    def test_broken_lifted_flow_is_caught_in_the_t_prime_join(self,
+                                                               monkeypatch):
+        # swap the values of leaves 1 and 2 in the first joined flow where
+        # they differ: the T' join check must name a claw (pendant) edge
+        real = pipeline.flow_from_leaves
+        broken = []
+
+        def swapping(rt, group, vals):
+            vals = tuple(vals)
+            if not broken and vals[0] != vals[1]:
+                broken.append(vals)
+                vals = (vals[1], vals[0]) + vals[2:]
+            return real(rt, group, vals)
+
+        monkeypatch.setattr(pipeline, "flow_from_leaves", swapping)
+        with pytest.raises(InternalError,
+                           match=r"BinomialError: projections to edge [0-3] "
+                                 r"\(\d+, [1-4]\)"):
+            gen("(1,2,3,4);", "Z3")
+        assert broken
+
     def test_claw_three_is_tripod(self):
         s = claw_set(3, tripod_set(Z3))
         assert Counter(s.provenance) == {"tripod": 2}

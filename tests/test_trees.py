@@ -38,7 +38,7 @@ class TestParsing:
         # "((1,2),(3,4));" puts a binary node at the top; the resulting
         # unrooted tree must still have all interior valencies >= 3
         t = quartet()
-        assert all(t.degree(v) >= 3 for v in t.interior_nodes)
+        assert all(len(t.neighbors(v)) >= 3 for v in t.interior_nodes)
 
     def test_claw_from_newick(self):
         t = parse_newick("(1,2,3,4,5);")
