@@ -24,10 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import (BinomialError, FlowCapExceeded, FlowError, InternalError,
-                     InvalidTreeError, LatticeError)
+                     InvalidTreeError)
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
                     check_flow_cap, flow_from_leaves)
 from .groups import Element, GroupSpec
@@ -85,12 +86,8 @@ def algebra_text(s: InvariantSet) -> str:
     """One line per binomial: product of x[..] terms, '-', product.  Each
     distinct term is rendered once, however many binomials it recurs in."""
     text = {f: _term(f) for f in {f for b in s.binomials for f in b.lhs + b.rhs}}
-    lines = []
-    for b in s.binomials:
-        lhs = "*".join(map(text.get, b.lhs))
-        rhs = "*".join(map(text.get, b.rhs))
-        lines.append(f"{lhs} - {rhs}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{'*'.join(map(text.get, b.lhs))} - "
+                   f"{'*'.join(map(text.get, b.rhs))}\n" for b in s.binomials)
 
 
 def canonical_claw(n: int) -> Tree:
@@ -111,38 +108,35 @@ def tripod_set(group: GroupSpec, mode: str = "direct-cyclic") -> InvariantSet:
     return InvariantSet(rt, group, binomials, ["tripod"] * len(binomials))
 
 
-def _fixed_leaf_values(n: int, group: GroupSpec, leaf: int,
-                       value: Element) -> Iterator[tuple[Element, ...]]:
-    """Leaf values of the flows on an n-leaf tree with ``value`` at ``leaf``,
-    in lexicographic order of the remaining free leaves (the last free leaf
-    is forced)."""
-    others = [x for x in range(1, n + 1) if x != leaf]
-    free, forced = others[:-1], others[-1]
+def _halves(n: int, group: GroupSpec,
+            total: Element) -> Iterator[tuple[Element, ...]]:
+    """The n-tuples of elements that sum to ``total``, in lexicographic
+    order of the first n - 1 (the last is forced)."""
     elements, index, add, neg = group.table
-    v = index[value]
-    for combo in product(range(group.order), repeat=len(free)):
-        s = v
+    start = neg[index[total]]
+    for combo in product(range(group.order), repeat=n - 1):
+        s = start
         for i in combo:
             s = add[s][i]
-        vals = {leaf: v, forced: neg[s]}
-        vals.update(zip(free, combo))
-        yield tuple(elements[vals[x]] for x in range(1, n + 1))
+        yield tuple(elements[i] for i in combo) + (elements[neg[s]],)
 
 
 def join_sets(ctx: JoinContext, group: GroupSpec,
               s1: InvariantSet, s2: InvariantSet) -> InvariantSet:
     """Assemble the set for a joined tree from complete sets for the parts.
 
-    The distinguished leaves are the lowest-labelled leaf of each part other
-    than the identified one.  Every joined flow is built from part leaf
-    values alone: those of the surviving leaves go to their joined labels
-    (``leaf_map1``/``leaf_map2``), and the values at v1 and v2 are dropped.
+    A joined flow is fixed by its two halves: h1, its values at T1's leaves
+    other than the fresh one (1..k1-1), and h2, those at T2's (1..k2-1);
+    ``leaf_map1``/``leaf_map2`` send them to their joined labels.  A part
+    flow is lifted by rerouting its fresh-leaf value to leaf 1 of the other
+    part, and the path flow of g0 carries g0 from T1's leaf 1 to T2's.
 
     Sign convention: an edge carries its value in the away-from-root
     orientation, so reading it against that orientation negates.  The
     shared edge points from the T1 side into the T2 side, while T2's own
-    pendant edge at v2 points the other way; two part flows f1, f2 agree on
-    the shared edge exactly when f1[v1] + f2[v2] = 0.
+    pendant edge at its fresh leaf points the other way; two part flows
+    agree on the shared edge exactly when their fresh-leaf values add to 0,
+    so h1 sums to -g0 where h2 sums to g0.
     """
     t1, t2 = ctx.t1, ctx.t2
     if s1.rooted.tree != t1 or s2.rooted.tree != t2:
@@ -150,72 +144,51 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     _check_codim(len(s1.binomials), t1, group, "part set T1")
     _check_codim(len(s2.binomials), t2, group, "part set T2")
     k1, k2 = t1.leaf_count, t2.leaf_count
-    v1, v2 = ctx.v1, ctx.v2
-    l1 = min(x for x in range(1, k1 + 1) if x != v1)
-    l2 = min(x for x in range(1, k2 + 1) if x != v2)
     rt = ctx.rooted
-    zero = group.zero()
-    slots1 = [(w - 1, lab - 1) for w, lab in ctx.leaf_map1.items()]
-    slots2 = [(w - 1, lab - 1) for w, lab in ctx.leaf_map2.items()]
+    zeros1 = (group.zero(),) * (k1 - 2)
+    zeros2 = (group.zero(),) * (k2 - 2)
+    # joined leaf lab takes entry order[lab - 1] of h1 + h2
+    order = [0] * rt.leaf_count
+    for w, lab in ctx.leaf_map1.items():
+        order[lab - 1] = w - 1
+    for w, lab in ctx.leaf_map2.items():
+        order[lab - 1] = k1 - 2 + w
+    leaves = itemgetter(*order)
 
     # every joined flow but the edge quadrics' first term recurs (a lifted
     # part flow is also a mixed quadric term), so each is built once
-    built: dict[tuple[Element, ...], Flow] = {}
+    built: dict[tuple[tuple[Element, ...], tuple[Element, ...]], Flow] = {}
 
-    def leaves(vals1, vals2) -> tuple[Element, ...]:
-        vals = [zero] * rt.leaf_count
-        for w, lab in slots1:
-            vals[lab] = vals1[w]
-        for w, lab in slots2:
-            vals[lab] = vals2[w]
-        return tuple(vals)
-
-    def joined(vals1, vals2) -> Flow:
-        vals = leaves(vals1, vals2)
-        f = built.get(vals)
+    def joined(h1, h2) -> Flow:
+        f = built.get((h1, h2))
         if f is None:
-            f = built[vals] = flow_from_leaves(rt, group, vals)
+            f = built[h1, h2] = flow_from_leaves(rt, group, leaves(h1 + h2))
         return f
-
-    def part(n: int, at: dict[int, Element]) -> tuple[Element, ...]:
-        """Leaf values of an n-leaf part: zero except at the given leaves."""
-        vals = [zero] * n
-        for leaf, x in at.items():
-            vals[leaf - 1] = x
-        return tuple(vals)
 
     binomials: list[Binomial] = []
     provenance: list[str] = []
-
-    # a part flow is lifted by rerouting its v-value to the other part's
-    # distinguished leaf
-    for b in s1.binomials:
-        lhs = [joined(f, part(k2, {l2: f[v1 - 1]})) for f in b.lhs]
-        rhs = [joined(f, part(k2, {l2: f[v1 - 1]})) for f in b.rhs]
-        binomials.append(binomial_from_multisets(rt, group, lhs, rhs))
-        provenance.append("join-E1")
-    for b in s2.binomials:
-        lhs = [joined(part(k1, {l1: f[v2 - 1]}), f) for f in b.lhs]
-        rhs = [joined(part(k1, {l1: f[v2 - 1]}), f) for f in b.rhs]
-        binomials.append(binomial_from_multisets(rt, group, lhs, rhs))
-        provenance.append("join-E2")
+    for s, lift, tag in (
+            (s1, lambda f: joined(f[:k1 - 1], (f[k1 - 1],) + zeros2), "join-E1"),
+            (s2, lambda f: joined((f[k2 - 1],) + zeros1, f[:k2 - 1]), "join-E2")):
+        for b in s.binomials:
+            binomials.append(binomial_from_multisets(
+                rt, group, [lift(f) for f in b.lhs], [lift(f) for f in b.rhs]))
+            provenance.append(tag)
 
     n_quadrics = 0
     for g0 in group.elements:
         ng0 = group.neg(g0)
-        # the path flow carrying g0 from leaf l1 to leaf l2, on each part
-        fg0_1 = part(k1, {l1: ng0, v1: g0})
-        fg0_2 = part(k2, {l2: g0, v2: ng0})
-        fg0 = joined(fg0_1, fg0_2)
-        pairs2 = [(w, joined(fg0_1, w))
-                  for w in _fixed_leaf_values(k2, group, v2, ng0) if w != fg0_2]
-        for u in _fixed_leaf_values(k1, group, v1, g0):
-            if u == fg0_1:
+        p1, p2 = (ng0,) + zeros1, (g0,) + zeros2  # the path flow's halves
+        fg0 = joined(p1, p2)
+        pairs2 = [(h2, joined(p1, h2))
+                  for h2 in _halves(k2 - 1, group, g0) if h2 != p2]
+        for h1 in _halves(k1 - 1, group, ng0):
+            if h1 == p1:
                 continue
-            mix1 = joined(u, fg0_2)
-            for w, mix2 in pairs2:
-                # u and w both differ from the path flow: f is new
-                f = flow_from_leaves(rt, group, leaves(u, w))
+            mix1 = joined(h1, p2)
+            for h2, mix2 in pairs2:
+                # h1 and h2 both differ from the path flow's: f is new
+                f = flow_from_leaves(rt, group, leaves(h1 + h2))
                 binomials.append(binomial_from_multisets(
                     rt, group, [f, fg0], [mix1, mix2]))
                 provenance.append("join-edge-quadric")
@@ -325,11 +298,12 @@ def generate(tree: Tree, group: GroupSpec,
     Non-claw trees are decomposed at an interior edge (by default the edge
     adjacent to the canonical root whose far side holds the most leaves;
     with a seed, a uniformly random interior edge) and the parts are
-    handled recursively.  A flow, binomial, admissibility or lattice error
-    raised inside the construction is a broken invariant, not bad input,
-    and comes out as :class:`InternalError`.  An instance over the flow cap,
-    or whose codim x degree bound exceeds 4 x the flow cap, is refused with
-    :class:`FlowCapExceeded` before anything is built.
+    handled recursively.  A flow, binomial or tree error raised inside the
+    construction is a broken invariant, not bad input (a ``Tree`` is
+    validated when it is built), and comes out as :class:`InternalError`.
+    An instance over the flow cap, or whose codim x degree bound exceeds
+    4 x the flow cap, is refused with :class:`FlowCapExceeded` before
+    anything is built.
     """
     opts = options or GenerateOptions()
     check_flow_cap(tree, group, opts.flow_cap)
@@ -343,7 +317,7 @@ def generate(tree: Tree, group: GroupSpec,
     try:
         # the only mode-dependent part; every tripod part and claw level shares it
         return _generate(tree, tripod_set(group, opts.mode), rng)
-    except (BinomialError, FlowError, LatticeError) as exc:
+    except (BinomialError, FlowError, InvalidTreeError) as exc:
         raise InternalError(f"{type(exc).__name__}: {exc}") from exc
 
 

@@ -371,17 +371,16 @@ class JoinContext:
     """Bookkeeping for T = T1 * T2, the parts joined at one interior edge.
 
     ``rooted`` is the rooted tree T itself; ``t1`` and ``t2`` are the parts,
-    each with a fresh leaf (``v1``, ``v2``) standing in for the other side.
+    each with a fresh leaf, labelled last (``t1.leaf_count``,
+    ``t2.leaf_count``), standing in for the other side.
     ``leaf_map1``/``leaf_map2`` send the other leaves of each part to their
     labels in T.
     """
 
     rooted: RootedTree
     t1: Tree
-    v1: int
     leaf_map1: dict[int, int]
     t2: Tree
-    v2: int
     leaf_map2: dict[int, int]
 
 
@@ -422,10 +421,9 @@ def decompose_at_edge(rt: RootedTree, edge: Edge) -> JoinContext:
             if a in node_map and b in node_map:
                 part_edges.append((node_map[a], node_map[b]))
         part_edges.append((node_map[attach_node], fresh))
-        return (Tree(k + 1, part_edges), fresh,
+        return (Tree(k + 1, part_edges),
                 {i + 1: old for i, old in enumerate(side_leaves)})
 
-    t1, v1, map1 = build_part(side1_leaves, u, below_nodes)
-    t2, v2, map2 = build_part(side2_leaves, v, set(tree._adj) - below_nodes)
-    return JoinContext(rooted=rt, t1=t1, v1=v1, leaf_map1=map1,
-                       t2=t2, v2=v2, leaf_map2=map2)
+    t1, map1 = build_part(side1_leaves, u, below_nodes)
+    t2, map2 = build_part(side2_leaves, v, set(tree._adj) - below_nodes)
+    return JoinContext(rooted=rt, t1=t1, leaf_map1=map1, t2=t2, leaf_map2=map2)

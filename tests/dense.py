@@ -9,7 +9,8 @@ membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, the admissibility check with ``Counter``
 sums, dense views and degrees of the sparse matrices (dicts of nonzero
 entries keyed by element-index pairs), group addition and the product and
-factored tripod bases on element tuples.  Small instances only.
+factored tripod bases on element tuples, and the join on full part leaf
+tuples.  Small instances only.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from phyloinv.errors import LatticeError
-from phyloinv.flows import (DEFAULT_FLOW_CAP, check_flow_cap, flow_defects,
+from phyloinv.errors import InvalidTreeError, LatticeError
+from phyloinv.flows import (DEFAULT_FLOW_CAP, binomial_from_multisets,
+                            check_flow_cap, flow_defects, flow_from_leaves,
                             iter_flows, vertex_support)
 from phyloinv.groups import GroupSpec, prime_power_refinement
 from phyloinv.lattice import Echelon
+from phyloinv.pipeline import InvariantSet, _check_codim
 from phyloinv.tripod import cyclic_basis
 
 Matrix = list[list[int]]
@@ -406,3 +409,101 @@ def factored_basis_reference(spec):
         cur = product_basis_reference(cur_spec, nxt, cur, cyclic_basis(a))
         cur_spec = GroupSpec(cur_spec.factors + (a,))
     return [relabel_matrix_reference(m, back, refined, spec) for m in cur]
+
+
+# -- joins on full part leaf tuples --------------------------------------
+
+
+def _fixed_leaf_values(n, group, leaf, value):
+    """Leaf values of the flows on an n-leaf tree with ``value`` at ``leaf``,
+    in lexicographic order of the remaining free leaves (the last free leaf
+    is forced)."""
+    others = [x for x in range(1, n + 1) if x != leaf]
+    free, forced = others[:-1], others[-1]
+    for combo in product(group.elements, repeat=len(free)):
+        s = value
+        for x in combo:
+            s = add(group, s, x)
+        vals = {leaf: value, forced: group.neg(s)}
+        vals.update(zip(free, combo))
+        yield tuple(vals[x] for x in range(1, n + 1))
+
+
+def join_sets_reference(ctx, group, s1, s2):
+    """The join on full part leaf tuples, fresh-leaf values included.
+
+    Each part keeps its fresh leaf v (labelled last) in every tuple; the
+    distinguished leaf l of a part is its lowest leaf other than v.  A part
+    flow is lifted by putting its v-value at the other part's l, the path
+    flow of g0 runs from l1 to l2, and the quadrics enumerate the part
+    tuples with the v-value fixed.  Joined flows are built from the tuples
+    with the v-slots dropped.  Returns the same set as ``join_sets``.
+    """
+    t1, t2 = ctx.t1, ctx.t2
+    if s1.rooted.tree != t1 or s2.rooted.tree != t2:
+        raise InvalidTreeError("part sets do not match the join context trees")
+    _check_codim(len(s1.binomials), t1, group, "part set T1")
+    _check_codim(len(s2.binomials), t2, group, "part set T2")
+    k1, k2 = t1.leaf_count, t2.leaf_count
+    v1, v2 = k1, k2
+    l1 = min(x for x in range(1, k1 + 1) if x != v1)
+    l2 = min(x for x in range(1, k2 + 1) if x != v2)
+    rt = ctx.rooted
+    zero = group.zero()
+
+    def leaves(vals1, vals2):
+        vals = [zero] * rt.leaf_count
+        for w, lab in ctx.leaf_map1.items():
+            vals[lab - 1] = vals1[w - 1]
+        for w, lab in ctx.leaf_map2.items():
+            vals[lab - 1] = vals2[w - 1]
+        return tuple(vals)
+
+    def joined(vals1, vals2):
+        return flow_from_leaves(rt, group, leaves(vals1, vals2))
+
+    def part(n, at):
+        vals = [zero] * n
+        for leaf, x in at.items():
+            vals[leaf - 1] = x
+        return tuple(vals)
+
+    binomials, provenance = [], []
+    for b in s1.binomials:
+        lhs = [joined(f, part(k2, {l2: f[v1 - 1]})) for f in b.lhs]
+        rhs = [joined(f, part(k2, {l2: f[v1 - 1]})) for f in b.rhs]
+        binomials.append(binomial_from_multisets(rt, group, lhs, rhs))
+        provenance.append("join-E1")
+    for b in s2.binomials:
+        lhs = [joined(part(k1, {l1: f[v2 - 1]}), f) for f in b.lhs]
+        rhs = [joined(part(k1, {l1: f[v2 - 1]}), f) for f in b.rhs]
+        binomials.append(binomial_from_multisets(rt, group, lhs, rhs))
+        provenance.append("join-E2")
+
+    n_quadrics = 0
+    for g0 in group.elements:
+        ng0 = group.neg(g0)
+        fg0_1 = part(k1, {l1: ng0, v1: g0})
+        fg0_2 = part(k2, {l2: g0, v2: ng0})
+        fg0 = joined(fg0_1, fg0_2)
+        for u in _fixed_leaf_values(k1, group, v1, g0):
+            if u == fg0_1:
+                continue
+            for w in _fixed_leaf_values(k2, group, v2, ng0):
+                if w == fg0_2:
+                    continue
+                binomials.append(binomial_from_multisets(
+                    rt, group, [joined(u, w), fg0],
+                    [joined(u, fg0_2), joined(fg0_1, w)]))
+                provenance.append("join-edge-quadric")
+                n_quadrics += 1
+
+    log = list(s1.join_log) + list(s2.join_log) + [{
+        "tree": rt.tree.canonical_newick(),
+        "leaves": rt.leaf_count,
+        "family_e1": len(s1.binomials),
+        "family_e2": len(s2.binomials),
+        "family_quadric": n_quadrics,
+        "codim": _check_codim(len(binomials), rt.tree, group, "joined set"),
+    }]
+    return InvariantSet(rt, group, binomials, provenance, log)

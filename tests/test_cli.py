@@ -242,6 +242,22 @@ def test_internal_value_error_exit_code(capsys, monkeypatch, module, name,
     assert err == f"internal error: {message}\n"
 
 
+def test_internal_tree_error_exit_code(capsys, monkeypatch):
+    # the input tree is valid, so a tree error inside the construction is
+    # a bug, not bad input
+    import phyloinv.pipeline as pipeline_mod
+
+    real = pipeline_mod.join_sets
+    monkeypatch.setattr(pipeline_mod, "join_sets",
+                        lambda ctx, group, s1, s2: real(ctx, group, s2, s1))
+    code, out, err = run(capsys, "generate", "--group", "Z2",
+                         "--tree", "((1,2),(3,4,5));")
+    assert code == EXIT_INTERNAL_ERROR
+    assert out == ""
+    assert err == ("internal error: InvalidTreeError: part sets do not match "
+                   "the join context trees\n")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import phyloinv.cli as cli_mod
 

@@ -14,7 +14,7 @@ from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
                             flow_defects, flow_from_leaves, flow_index,
                             vertex_support)
 from phyloinv.groups import GroupSpec
-from phyloinv.pipeline import _fixed_leaf_values, join_sets, tripod_set
+from phyloinv.pipeline import _halves, join_sets, tripod_set
 from phyloinv.trees import (RootedTree, canonical_rooting, decompose_at_edge,
                             parse_newick)
 
@@ -112,12 +112,18 @@ def test_enumerate_flows_count_and_order(quartet):
         assert not flow_defects(quartet, Z3, [f])
 
 
-def test_fixed_leaf_enumeration(quartet):
-    fixed = list(_fixed_leaf_values(4, Z3, 2, (1,)))
+def test_halves_enumeration(quartet):
+    for n, group, total in [(3, Z3, (1,)), (2, Z3, (0,)), (1, Z3, (2,)),
+                            (3, Z2Z2, (1, 0))]:
+        halves = list(_halves(n, group, total))
+        assert len(halves) == len(set(halves)) == group.order ** (n - 1)
+        assert all(reduce(partial(add, group), h, group.zero()) == total
+                   for h in halves)
+        # lexicographic in the first n - 1 entries, the last one forced
+        assert [h[:-1] for h in halves] == sorted(h[:-1] for h in halves)
+    # with the negated total at leaf 4, each is the leaf part of a flow
+    fixed = [h + ((2,),) for h in _halves(3, Z3, (1,))]
     assert len(fixed) == 9
-    assert all(vals[1] == (1,) for vals in fixed)
-    assert len(set(fixed)) == 9
-    # every tuple is the leaf part of a flow
     assert all(flow_from_leaves(quartet, Z3, vals)[:4] == vals for vals in fixed)
 
 

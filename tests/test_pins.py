@@ -2,7 +2,8 @@
 
 The instances cover every join and claw branch: seeds 0 and 1 on the
 three-cherry tree lift the 234-binomial part set across the shared edge
-from either side, the seeded Z3 tree joins unequal parts, and the claws
+from either side, the seeded Z3 tree joins unequal parts, two trees join
+parts whose leaves go to interleaved labels, and the claws
 go through the auxiliary-tree recursion with special and nonspecial
 quadrics in both tripod modes, the Z12 and Z13 tripods take both
 branches of the cyclic basis chain, and three product tripods cover the
@@ -70,6 +71,15 @@ GENERATE_PINS = [
     ("Z2xZ2", "(1,2,3,4,5);", {},
      "8688a9f7e3750cf88c73f243a593bf349b206b7a0426b94aa14209ec705091a0",
      "f958c8d40a3b00feda4ddc4048fb56d4a46b0b31701be2e1e777b1dc336ec3f1"),
+    # parts whose labels interleave: the Z2 top join splits into two 5-leaf
+    # claws on the odd and the even labels, and the Z3 joins send each
+    # part's leaves to labels that are not contiguous
+    ("Z2", "((1,3,5,7),(2,4,6,8));", {},
+     "92a7dcbd7d2c461b61a541f82f1cd2e71fcad4b98765a240a5ff471f708c4d69",
+     "6f83a6e2d906032dd947a228c351458928c017a03971a884dbf3d9bfc9260106"),
+    ("Z3", "((1,4),(2,5),(3,6));", {},
+     "2ceb3646f58458af1c482b0e709603066edc78dbcd5a1b3fa81399305f3a3910",
+     "72a82f59be3887f802bfd0d9741def47b0bf65a2661ac1e1419af67ecb4ea631"),
 ]
 
 VERIFY_PIN = "4a1fbc9076d57f81b0ae5b99a93e8c1a680b65753d289108ec0f0664dc8cfa31"

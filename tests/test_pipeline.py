@@ -3,7 +3,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense import join_sets_reference
 from phyloinv import pipeline
 from phyloinv.errors import FlowCapExceeded, InternalError
 from phyloinv.flows import binomial_from_multisets
@@ -67,7 +70,7 @@ class TestJoinSets:
         rt = canonical_rooting(parse_newick("((1,2),((3,4),5));"))
         ctx = decompose_at_edge(rt, (rt.parent[1], rt.parent[5]))
         t2 = parse_newick("((1,2),(3,4));")
-        assert ctx.t2 == t2 and ctx.v2 == 4
+        assert ctx.t2 == t2 and ctx.t2.leaf_count == 4
         s = join_sets(ctx, Z2, tripod_set(Z2), generate(t2, Z2))
         (entry,) = [e for e in s.join_log if e["leaves"] == 5]
         assert entry["family_quadric"] == 2 * (2 ** 1 - 1) * (2 ** 2 - 1)
@@ -116,8 +119,9 @@ class TestClawSet:
         for n, ctx in zip(range(4, 8), contexts):
             rest = ",".join(map(str, range(3, n + 1)))
             assert ctx.rooted.tree == parse_newick(f"((1,2),{rest});")
-            assert ctx.t1 == canonical_claw(3) and ctx.v1 == 3
-            assert ctx.t2 == canonical_claw(n - 1) and ctx.v2 == n - 1
+            assert ctx.t1 == canonical_claw(3) and ctx.t1.leaf_count == 3
+            assert ctx.t2 == canonical_claw(n - 1)
+            assert ctx.t2.leaf_count == n - 1
             assert ctx.leaf_map1 == {1: 1, 2: 2}
             assert ctx.leaf_map2 == {k: k + 2 for k in range(1, n - 1)}
 
@@ -270,6 +274,15 @@ class TestGenerate:
         assert len(lines) == 2
         assert all(" - " in line for line in lines)
 
+    @pytest.mark.parametrize("newick,group", [
+        ("(1,2,3);", "Z2"), ("(1,2,3);", "Z3"), ("((1,2),(3,4));", "Z2")])
+    def test_algebra_text_has_one_line_per_binomial(self, newick, group):
+        # the Z2 tripod has codim 0 and writes nothing, not one blank line
+        s = gen(newick, group)
+        text = algebra_text(s)
+        assert text.count("\n") == len(s)
+        assert len(s) or text == ""
+
     def test_factored_mode_on_composite_factor(self):
         t = parse_newick("((1,2),(3,4));")
         g = parse_group_spec("Z6")
@@ -299,3 +312,33 @@ def test_join_builds_each_flow_once(monkeypatch):
         s = join_sets(ctx, Z3, s1, s2)
         assert len(s) == codim(ctx.rooted.tree, Z3)
         assert builds and max(builds.values()) == 1
+
+
+@st.composite
+def join_cases(draw):
+    """A random tree with 4-7 leaves, interior nodes of any degree, and a
+    group of order at most 4."""
+    n = draw(st.integers(4, 7))
+    items = [str(x) for x in draw(st.permutations(range(1, n + 1)))]
+    while len(items) > 3:
+        k = draw(st.integers(2, len(items) - 1))
+        items = items[k:] + ["(" + ",".join(items[:k]) + ")"]
+    group = draw(st.sampled_from(["Z2", "Z3", "Z4", "Z2xZ2"]))
+    return parse_newick("(" + ",".join(items) + ");"), parse_group_spec(group)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(join_cases())
+def test_join_matches_the_full_tuple_reference(case):
+    # every interior edge: the join on halves and the join on full part
+    # tuples give the same binomials, provenance and join log
+    tree, group = case
+    rt = canonical_rooting(tree)
+    for edge in rt.interior_edges():
+        ctx = decompose_at_edge(rt, edge)
+        s1, s2 = generate(ctx.t1, group), generate(ctx.t2, group)
+        got = join_sets(ctx, group, s1, s2)
+        want = join_sets_reference(ctx, group, s1, s2)
+        assert got.binomials == want.binomials
+        assert got.provenance == want.provenance
+        assert got.join_log == want.join_log
