@@ -12,16 +12,24 @@ point anywhere).  Lattice vectors are sparse ``{column: value}`` maps:
   of the rows as they are;
 * ``det`` (fraction-free Bareiss) gives the index of a full-rank lattice
   as the absolute determinant of its echelon rows;
-* ``sparse_span_certificate`` unit-pivots its way through a very sparse
-  generator set and hands the small block that resisted to
-  ``invariant_factors``, a Smith elimination that keeps only the diagonal.
-  The row span is saturated exactly when every leftover factor is 1.
+* ``sparse_span_certificate`` first peels a very sparse generator set:
+  it removes, one at a time, a row with a +-1 in a column that no other
+  remaining row touches.  The peeled rows form a triangular +-1 block T,
+  and in the block form [[T, X], [0, Y]] the invariant factors are 1s
+  followed by those of the rest Y, and the rank is |T| + rank(Y).  A
+  unit-pivot elimination then runs on Y and hands the small block that
+  resisted to ``invariant_factors``, a Smith elimination that keeps only
+  the diagonal.  The row span is saturated exactly when every leftover
+  factor is 1.  When a factor above 1 is left, the elimination reruns on
+  all rows, so that a failing report lists the same leftover factors, 1s
+  included, as an elimination without the peel.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import defaultdict
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -211,13 +219,65 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def sparse_span_certificate(rows_in: Sequence[dict[int, int]]
                             ) -> tuple[int, list[int]]:
+    """The rank of sparse integer rows and the invariant factors that decide
+    whether their span is saturated.
+
+    Returns ``(rank, leftover)``: the invariant factors of the whole input
+    are ``leftover`` plus 1s, so the row span is saturated in Z^n iff every
+    leftover factor is 1.
+
+    A peel runs first.  It repeatedly removes a row with a +-1 in a column
+    that no other remaining row touches.  Put the peeled rows first, in
+    peel order, with their peel columns first in the same order, and the
+    rows read [[T, X], [0, Y]]: no row left at a peel touches its column,
+    so T is triangular with a +-1 diagonal and the remaining rows Y are
+    zero under it.  Column operations with T's unit diagonal clear X, so
+    the invariant factors are 1s followed by those of Y, and the rank is
+    |T| + rank(Y).  ``_eliminate`` (unit-pivot elimination, then Smith
+    factors of the block that resisted) runs on Y only.  A column index
+    stored with a zero counts as touched, which can only keep a row from
+    peeling.
+
+    If Y leaves a factor above 1, the elimination reruns on all rows and
+    its result is returned: a failing report then lists the same leftover
+    factors, 1s included, whether or not a peel ran.  Only sets whose span
+    is not saturated pay for the second run.
+    """
+    touching: defaultdict[int, list[int]] = defaultdict(list)  # column -> row ids
+    for rid, r in enumerate(rows_in):
+        for c in r:
+            touching[c].append(rid)
+    count = {c: len(rids) for c, rids in touching.items()}  # remaining rows
+    live = [True] * len(rows_in)
+    stack = [c for c, n in count.items() if n == 1]
+    while stack:
+        c = stack.pop()
+        if count[c] != 1:
+            continue  # its row was peeled through another column
+        for rid in touching[c]:
+            if live[rid]:
+                break
+        r = rows_in[rid]
+        if r[c] not in (1, -1):
+            continue
+        live[rid] = False
+        for k in r:
+            count[k] -= 1
+            if count[k] == 1:
+                stack.append(k)
+    rest = [r for r, keep in zip(rows_in, live) if keep]
+    rank, leftover = _eliminate(rest)
+    if any(d != 1 for d in leftover):
+        return _eliminate(rows_in)
+    return len(rows_in) - len(rest) + rank, leftover
+
+
+def _eliminate(rows_in: Sequence[dict[int, int]]) -> tuple[int, list[int]]:
     """Eliminate sparse integer rows preferring +-1 pivots.
 
     Returns ``(rank, leftover)`` where ``leftover`` lists the invariant
-    factors of the block that resisted unit pivoting; the
-    invariant factors of the whole input are 1 for every unit pivot plus
-    ``leftover``.  The row span is saturated in Z^n iff every leftover
-    factor is 1.
+    factors of the block that resisted unit pivoting; the invariant factors
+    of the whole input are 1 for every unit pivot plus ``leftover``.
     """
     rows: dict[int, dict[int, int]] = {}
     colmap: dict[int, set[int]] = {}

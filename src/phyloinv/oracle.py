@@ -5,9 +5,11 @@ integers, the kernel lattice of the monomial map sending each flow to its
 0/1 vertex point.  The checks here never reuse the construction's own
 reasoning: membership is verified against the vertex points, the kernel
 rank against the matrix rank, and the spanning property through a
-saturation certificate (unit-pivot elimination plus leftover invariant
-factors), which for sparse generator sets is exact and cheap even when a
-dense Hermite form would be far out of reach.
+saturation certificate (a peel of the rows with a +-1 in a column of their
+own, unit-pivot elimination of the rest, and the leftover invariant
+factors; see ``lattice.sparse_span_certificate``), which for sparse
+generator sets is exact and cheap even when a dense Hermite form would be
+far out of reach.
 
 Per-term work is done once per distinct term: each term's vertex point is
 packed into one integer, wide enough per column that a side's sum never

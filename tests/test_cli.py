@@ -1,13 +1,20 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import phyloinv
 from phyloinv.cli import (EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR,
                           EXIT_INTERNAL_ERROR, EXIT_OK, EXIT_VERIFY_FAILED,
                           main)
+from test_pins import CLI_PINS
 
 
 def run(capsys, *argv):
@@ -297,3 +304,18 @@ def test_mode_factored(capsys):
     doc = json.loads(out)
     assert len(doc["invariants"]) == 20
     assert max(inv["degree"] for inv in doc["invariants"]) == 3
+
+
+def test_module_entry_point_without_asserts():
+    # ``python -O`` strips asserts, so the certificate must not rest on them;
+    # ``python -m phyloinv`` runs the CLI from a source checkout
+    src = str(Path(phyloinv.__file__).resolve().parents[1])
+    newick = "((1,2),(3,4),(5,6));"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "phyloinv", "verify", "--group", "Z2xZ2",
+         "--tree", newick],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    pins = {pin[:4]: pin[4] for pin in CLI_PINS}
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        pins[("verify", "Z2xZ2", newick, "json")]

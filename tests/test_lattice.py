@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dense import (LatticeBasis, OutsideSpanError, hnf, kernel_lattice,
                    lattice_equal, matmul, spans)
 from phyloinv.errors import LatticeError
-from phyloinv.lattice import (Echelon, det, invariant_factors,
+from phyloinv.lattice import (Echelon, _eliminate, det, invariant_factors,
                               sparse_span_certificate)
 
 
@@ -271,3 +271,62 @@ class TestSparseCertificate:
         assert rank == len(dense)
         assert sorted(x for x in leftover if x != 1) == [x for x in dense if x != 1]
 
+
+
+@st.composite
+def sparse_row_sets(draw):
+    """Sparse rows with entries in -3..3, +-1 and zero the most likely, plus
+    duplicated rows, sums of two rows (rank deficiency) and zero rows,
+    some of them written with explicit zero entries."""
+    width = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3])
+    rows = [{j: x for j, x in enumerate(r) if x} for r in draw(st.lists(
+        st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=8))]
+    for kind in draw(st.lists(st.sampled_from(["dup", "sum", "zero"]), max_size=3)):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        if kind == "dup":
+            extra = dict(rows[i])
+        elif kind == "sum":
+            extra = {c: rows[i].get(c, 0) + rows[j].get(c, 0)
+                     for c in set(rows[i]) | set(rows[j])}
+        else:
+            extra = draw(st.sampled_from([{}, {draw(st.integers(0, width - 1)): 0}]))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return width, rows
+
+
+class TestPeel:
+    """The peel in front of the elimination: exact, and invisible in the
+    leftover of a span that is not saturated."""
+
+    @pytest.mark.parametrize("rows,rank,leftover", [
+        # a lone +-2 in a column only its row touches is not a unit pivot
+        ([{0: 1, 1: -2}, {0: 1}], 2, [2]),
+        # a +-1 column shared by two rows does not peel either row
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [2]),
+        ([{0: 1, 1: 1, 2: 1}, {0: -1, 1: 1, 2: 3}], 2, [2]),
+    ])
+    def test_non_peelable_rows(self, rows, rank, leftover):
+        assert sparse_span_certificate(rows) == (rank, leftover)
+
+    def test_unsaturated_span_reports_the_whole_elimination(self):
+        # the last row peels through column 2; the three left alone reach
+        # leftover [4], and the elimination of all four rows [1, 4]
+        rows = [{0: -2, 3: -2}, {0: 2, 1: 3}, {0: 1, 1: 1, 3: 1},
+                {0: -1, 1: 1, 2: 1}]
+        assert _eliminate(rows[:3]) == (3, [4])
+        assert sparse_span_certificate(rows) == _eliminate(rows) == (4, [1, 4])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sparse_row_sets())
+    def test_matches_dense_smith_and_the_full_elimination(self, case):
+        width, rows = case
+        rank, leftover = sparse_span_certificate(rows)
+        dense = invariant_factors([[r.get(c, 0) for c in range(width)]
+                                   for r in rows])
+        assert rank == len(dense)
+        assert sorted(d for d in leftover if d != 1) == [d for d in dense if d != 1]
+        if any(d != 1 for d in leftover):
+            # a span that is not saturated reports the whole elimination's
+            # leftover, 1s included
+            assert (rank, leftover) == _eliminate(rows)

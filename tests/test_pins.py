@@ -90,6 +90,12 @@ VERIFY_PIN = "4a1fbc9076d57f81b0ae5b99a93e8c1a680b65753d289108ec0f0664dc8cfa31"
 FAILING_VERIFY_PIN = \
     "a6d2b68a4f2c934d3057a914be3bf1ebe62d12ecaf46747daeec435a704d8f40"
 
+# Z2xZ2 on two 3-claws with binomial 0 raised to the power 2 (the
+# ``doubled`` construction of the benchmark's verify-foreign workload): 1,002
+# rows whose span has index 2 and whose leftover is [2]
+DOUBLED_VERIFY_PIN = \
+    "da45cf6724cd36a88e3a3c9cfc0fc28cf1b2e492fc991605941a2239c5485d65"
+
 
 # CLI output of ``verify`` and ``lattice-info`` on two trees with four
 # interior nodes each, where the rank and index come from a witness
@@ -148,6 +154,18 @@ def test_failing_verify_output_pinned():
         InvariantSet(s.rooted, s.group, binomials, list(s.provenance)))
     assert report.failures[-1].endswith("(leftover invariant factors [1, 2, 6])")
     assert sha256(dump(report.to_json())) == FAILING_VERIFY_PIN
+
+
+def test_doubled_verify_output_pinned():
+    s = gen("Z2xZ2", "((1,2,3),(4,5,6));", {})
+    binomials = list(s.binomials)
+    b = binomials[0]
+    binomials[0] = Binomial(tuple(sorted(b.lhs * 2)), tuple(sorted(b.rhs * 2)))
+    report = verify_complete_intersection(
+        InvariantSet(s.rooted, s.group, binomials, list(s.provenance)))
+    assert len(binomials) == 1002
+    assert report.failures[-1].endswith("(leftover invariant factors [2])")
+    assert sha256(dump(report.to_json())) == DOUBLED_VERIFY_PIN
 
 
 @pytest.mark.parametrize("command,group,newick,output,pin", CLI_PINS)
