@@ -126,6 +126,12 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
+    except MemoryError:
+        sys.stderr.write(f"error: {args.subcommand} ran out of memory\n")
+        return EXIT_CAP_EXCEEDED
+    except Exception as exc:  # a bug: one line, not a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

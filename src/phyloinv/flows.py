@@ -59,46 +59,6 @@ def _complete(rt: RootedTree, table: CayleyTable, idx: list[int]) -> Flow:
     return tuple(map(table.elements.__getitem__, idx))
 
 
-def flow_defects(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow]) -> dict[Flow, str]:
-    """Why each of ``terms`` is not a flow on ``rt``: not a tuple, a wrong
-    length, a value outside ``group``, or an interior node that does not
-    conserve.  Terms that are flows do not appear in the result.
-
-    One scan over the interior nodes, in id order, compares on element
-    indices each node's incoming value (zero at the root) with the sum of
-    its outgoing values; the first node where they differ is the one named.
-    """
-    e = rt.edge_count
-    table = group.table
-    add, index = table.add, table.index
-    # per interior node: its incoming edge (None at the root), its outgoing edges
-    nodes = [(u, None if rt.parent[u] is None else rt.edge_index[(rt.parent[u], u)],
-              [rt.edge_index[(u, c)] for c in rt.children[u]])
-             for u in rt.tree.interior_nodes]
-
-    def leaking_node(idx: list[int]) -> int | None:
-        for u, up, down in nodes:
-            s = 0
-            for ei in down:
-                s = add[s][idx[ei]]
-            if s != (0 if up is None else idx[up]):
-                return u
-        return None
-
-    out: dict[Flow, str] = {}
-    for f in terms:
-        if not isinstance(f, tuple):
-            out[f] = f"is not a tuple of {e} edge values"
-        elif len(f) != e:
-            out[f] = f"has {len(f)} edge values, expected {e}"
-        elif None in (idx := list(map(index.get, f))):
-            ei = idx.index(None)
-            out[f] = f"value {f[ei]} on edge {ei} {rt.edges[ei]} is not in {group}"
-        elif (u := leaking_node(idx)) is not None:
-            out[f] = f"values do not conserve at node {u}"
-    return out
-
-
 def flow_total(tree: Tree, group: GroupSpec) -> int:
     return group.order ** (tree.leaf_count - 1)
 
@@ -151,13 +111,6 @@ def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:
     for i in map(index.__getitem__, f[:rt.leaf_count - 1]):
         idx = idx * g + i
     return idx
-
-
-def vertex_support(rt: RootedTree, group: GroupSpec, f: Flow) -> tuple[int, ...]:
-    """Flat indices of the ones in a flow's 0/1 vertex point: one block of
-    size |G| per edge, with a 1 at the enumeration index of its value."""
-    g, index = group.order, group.table.index
-    return tuple(ei * g + i for ei, i in enumerate(map(index.__getitem__, f)))
 
 
 @dataclass(frozen=True)

@@ -11,32 +11,32 @@ factors; see ``lattice.sparse_span_certificate``), which for sparse
 generator sets is exact and cheap even when a dense Hermite form would be
 far out of reach.
 
-Per-term work is done once per distinct term: each term's vertex point is
-packed into one integer, wide enough per column that a side's sum never
-carries, so a binomial is in the kernel exactly when its two sides' packed
-sums are equal; each term's enumeration index is read once into a column
-map for the exponent vectors.
+A flow is read one way only, as its element indices.  Each distinct term
+is read once (``_read_terms``) into its defect or, for a flow, its column
+in the exponent vectors and its vertex point packed into one integer, wide
+enough per column that a side's sum never carries, so a binomial is in the
+kernel exactly when its two sides' packed sums are equal.
 
 The rank of the monomial matrix and the index of the vertex-difference
 lattice come from a small witness: the flows with at most three nonzero
 leaf values, whose vertex points span every flow's over the integers.
-Both quantities have a proven bound, the rank from above and the index
-from below.  A pass folds the witness sparsest first and stops once the
-bound is met (see ``_fold_witness``).
+Each is encoded as its vertex-point difference in the degree-zero basis,
+and the rank is the dimension of that lattice plus one.  Both quantities
+have a proven bound, the rank from above and the index from below.  A pass
+folds the witness sparsest first and stops once the bound is met (see
+``_fold_witness``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import inf, prod
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import InternalError
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, check_flow_cap,
-                    flow_defects, flow_index, flow_total, iter_flows,
-                    vertex_support)
+                    flow_index, flow_total, iter_flows)
 from .groups import GroupSpec
 from .lattice import Echelon, det, sparse_span_certificate
 from .trees import RootedTree, Tree
@@ -54,12 +54,14 @@ def degree_bound(group: GroupSpec) -> int:
     return max(3, max(group.factors))
 
 
-def _fold_witness(rt: RootedTree, group: GroupSpec, ech: Echelon,
-                  encode: Callable[[Flow], Mapping[int, int]],
-                  reached: Callable[[Echelon], bool]) -> None:
-    """Fold the encoded witness flows, those with at most three nonzero
-    leaf values, into ``ech`` until ``reached(ech)``; ``reached`` is asked
-    only when an ``add`` changed ``ech``.
+def _fold_witness(rt: RootedTree, group: GroupSpec,
+                  reached: Callable[[Echelon], bool]) -> Echelon:
+    """The echelon of the witness flows, those with at most three nonzero
+    leaf values, folded until ``reached(ech)``; ``reached`` is asked only
+    when an ``add`` changed ``ech``.  With g = |G| and e the edge count, a
+    flow f is encoded in the basis unit(edge, h) - unit(edge, 0), h != 0, of
+    the degree-zero lattice D = Z^((g-1)e): Q_f - Q_0 has a 1 at
+    ei*(g-1) + i-1 for each edge ei whose value index i is not 0.
 
     One ``iter_flows`` pass sorts the witness by its count of nonzero leaf
     values (0 for the zero flow, then 2, then 3; never 1, as the leaf
@@ -87,61 +89,55 @@ def _fold_witness(rt: RootedTree, group: GroupSpec, ech: Echelon,
       at i; p is x_i + x_j at i with -(x_i + x_j) at r.  The multisets
       match one component at a time.
 
-    Q_0 is a witness point, so the witness echelon has the rank of the
-    monomial matrix A and the lattice L of all vertex differences.  Each
-    has a bound, and a pass stops when the echelon meets it.  Let g = |G|
-    and e the edge count.
+    So the witness echelon has the lattice L of all vertex differences.
+    Each of its two invariants has a bound, and a pass stops when the
+    echelon meets it.
 
-    * Rank: A has e blocks of g rows, and every column has exactly one 1 per
-      block, so the rows of each block sum to the all-ones row.  Those e - 1
-      independent relations give rank(A) <= (g-1)e + 1.
-    * Index: let D be the degree-zero lattice Z^((g-1)e), with basis
-      unit(edge, h) - unit(edge, 0) for h != 0, and let psi map D to
-      G^(interior nodes): the coordinate (edge, h) adds h at the edge's
-      upper end and -h at its lower end, when that end is interior.  A
-      vertex-point difference Q_f - Q_0 goes to the conservation defect of
-      f, which is zero, so L lies in ker psi.  psi is onto: pick one child
-      edge per interior node; in depth order from the root the system
-      these edges give is unitriangular.  Hence
+    * Dimension: dim L <= (g-1)e, the width of the echelon.
+    * Index: let psi map D to G^(interior nodes): the coordinate (edge, h)
+      adds h at the edge's upper end and -h at its lower end, when that
+      end is interior.  A vertex-point difference Q_f - Q_0 goes to the
+      conservation defect of f, which is zero, so L lies in ker psi.  psi
+      is onto: pick one child edge per interior node; in depth order from
+      the root the system these edges give is unitriangular.  Hence
       [D : L] >= [D : ker psi] = g^(interior nodes).
     """
     n = rt.leaf_count
+    index = group.table.index
     zero = group.table.elements[0]
+    per_edge = group.order - 1
     witness: list[list[Flow]] = [[], [], [], []]  # by nonzero leaf count
     for f in iter_flows(rt, group):
         k = n - f[:n].count(zero)
         if k <= 3:
             witness[k].append(f)
+    ech = Echelon(per_edge * rt.edge_count)
     for f in chain.from_iterable(witness):
-        if ech.add(encode(f)) and reached(ech):
-            return
+        vec = {ei * per_edge + i - 1: 1
+               for ei, i in enumerate(map(index.__getitem__, f)) if i}
+        if ech.add(vec) and reached(ech):
+            break
+    return ech
 
 
 def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
-    """Exact rank of the monomial matrix, via an incremental echelon over
-    the sparse vertex-point columns of a witness (see ``_fold_witness``).
-    The caller checks the flow cap first."""
-    bound = (group.order - 1) * rt.edge_count + 1
-
-    def reached(ech: Echelon) -> bool:
-        if ech.rank > bound:
-            raise InternalError(
-                f"monomial matrix rank {ech.rank} exceeds its bound {bound}")
-        return ech.rank == bound
-
-    ech = Echelon(rt.edge_count * group.order)
-    _fold_witness(rt, group, ech,
-                  lambda f: dict.fromkeys(vertex_support(rt, group, f), 1),
-                  reached)
-    return ech.rank
+    """Exact rank of the monomial matrix A: dim L + 1, with L the witness
+    lattice of vertex-point differences Q_f - Q_0 (see ``_fold_witness``).
+    Every vertex point has one 1 per edge block, so Q_0 lies outside the
+    degree-zero subspace that holds every Q_f - Q_0.  The bound rank(A) <=
+    (g-1)e + 1 is the echelon's width.  The caller checks the flow cap."""
+    full = (group.order - 1) * rt.edge_count
+    return _fold_witness(rt, group, lambda ech: ech.rank == full).rank + 1
 
 
 def exponent_vector(column: Mapping[Flow, int], b: Binomial) -> dict[int, int]:
     """Sparse exponent vector of a binomial over flow enumeration indices:
     +multiplicity for the positive side, -multiplicity for the negative.
     ``column`` maps each term of ``b`` to its index (``flow_index``)."""
-    out = Counter(map(column.__getitem__, b.lhs))
-    out.subtract(map(column.__getitem__, b.rhs))
+    out: dict[int, int] = {}
+    for sign, side in ((1, b.lhs), (-1, b.rhs)):
+        for c in map(column.__getitem__, side):
+            out[c] = out.get(c, 0) + sign
     return {k: v for k, v in out.items() if v}
 
 
@@ -174,11 +170,6 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
     block-degree-zero vectors (per-edge coordinate sums zero); the expected
     index is |G|^(interior nodes), and it is also a lower bound, so the
     witness stops once its pivots multiply to it (see ``_fold_witness``).
-
-    In the basis {unit(edge, h) - unit(edge, 0) : h != 0} of that lattice,
-    Q_f - Q_0 has a 1 at (edge, f[edge]) for every edge whose value is not
-    the identity: f's vertex support without its identity columns, column
-    ei*g + i becoming ei*(g-1) + i-1.
     """
     check_flow_cap(rt.tree, group, flow_cap)
     g = group.order
@@ -194,12 +185,7 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
                                 f"its bound {expected_index}")
         return pivots == expected_index
 
-    ech = Echelon(expected_dim)
-    _fold_witness(rt, group, ech,
-                  lambda f: dict.fromkeys(
-                      [c - c // g - 1 for c in vertex_support(rt, group, f)
-                       if c % g], 1),
-                  reached)
+    ech = _fold_witness(rt, group, reached)
     dim = ech.rank
     if dim < expected_dim:
         index: int | float = inf
@@ -296,6 +282,51 @@ def _tuple_terms(b: Binomial) -> Binomial:
     return Binomial(side(b.lhs), side(b.rhs))
 
 
+def _read_terms(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow],
+                width: int
+                ) -> tuple[dict[Flow, str], dict[Flow, int], dict[Flow, int]]:
+    """The defects, packed vertex points and columns of ``terms``, each
+    term read once as its element indices.  A term that is not a flow on
+    ``rt`` gets a defect: not a tuple, a wrong length, a value outside
+    ``group``, or the first interior node in id order whose incoming value
+    (zero at the root) is not the sum of its outgoing values.  A flow gets
+    its vertex point, a 1 in the ``width``-bit slot of column ei*g + i for
+    each edge ei and its value index i, and its ``flow_index``."""
+    e, g = rt.edge_count, group.order
+    table = group.table
+    add, index = table.add, table.index
+    # per interior node: its incoming edge (None at the root), its outgoing edges
+    nodes = [(u, None if rt.parent[u] is None else rt.edge_index[(rt.parent[u], u)],
+              [rt.edge_index[(u, c)] for c in rt.children[u]])
+             for u in rt.tree.interior_nodes]
+    defects: dict[Flow, str] = {}
+    point: dict[Flow, int] = {}
+    column: dict[Flow, int] = {}
+    for f in terms:
+        if not isinstance(f, tuple):
+            defects[f] = f"is not a tuple of {e} edge values"
+            continue
+        if len(f) != e:
+            defects[f] = f"has {len(f)} edge values, expected {e}"
+            continue
+        idx = list(map(index.get, f))
+        if None in idx:
+            ei = idx.index(None)
+            defects[f] = f"value {f[ei]} on edge {ei} {rt.edges[ei]} is not in {group}"
+            continue
+        for u, up, down in nodes:
+            s = 0
+            for ei in down:
+                s = add[s][idx[ei]]
+            if s != (0 if up is None else idx[up]):
+                defects[f] = f"values do not conserve at node {u}"
+                break
+        else:
+            point[f] = sum(1 << width * (ei * g + i) for ei, i in enumerate(idx))
+            column[f] = flow_index(rt, group, f)
+    return defects, point, column
+
+
 def verify_complete_intersection(s: "InvariantSet",
                                  flow_cap: int = DEFAULT_FLOW_CAP
                                  ) -> VerificationReport:
@@ -320,8 +351,6 @@ def verify_complete_intersection(s: "InvariantSet",
     if not count_ok:
         failures.append(f"count: expected {expected} generators, found {actual}")
 
-    terms = {f for b in binomials for f in b.lhs + b.rhs}
-    defects = flow_defects(rt, group, terms)
     # A binomial is in the kernel iff both sides have the same sum of vertex
     # points.  Each point is packed into one integer, a slot of ``width``
     # bits per column: a slot of one side's sum counts at most len(side) <
@@ -329,8 +358,8 @@ def verify_complete_intersection(s: "InvariantSet",
     # sums are equal exactly when the two sums of points are.
     width = max((len(side) for b in binomials for side in (b.lhs, b.rhs)),
                 default=0).bit_length()
-    point = {f: sum(1 << width * c for c in vertex_support(rt, group, f))
-             for f in terms if f not in defects}
+    defects, point, column = _read_terms(
+        rt, group, {f for b in binomials for f in b.lhs + b.rhs}, width)
     membership_ok = True
     for i, b in enumerate(binomials):
         if defects:
@@ -358,7 +387,6 @@ def verify_complete_intersection(s: "InvariantSet",
             f"kernel rank {kernel_rank} differs from codimension formula {expected}")
 
     if membership_ok:
-        column = {f: flow_index(rt, group, f) for f in point}
         rows = [exponent_vector(column, b) for b in binomials]
         span_rank, leftover = sparse_span_certificate(rows)
         spans_ok = span_rank == kernel_rank and all(d == 1 for d in leftover)

@@ -3,8 +3,9 @@
 The package certifies with sparse vectors only.  These dense versions are
 the independent references the tests compare it against: a row Hermite
 normal form with its transform, saturated kernels and lattice equality,
-the 0/1 monomial matrix and its kernel, every flow as a list, the first
-node where a term does not conserve (residue by residue), the verifier's
+the 0/1 monomial matrix and its kernel, every flow as a list, a flow's
+0/1 vertex point as its support, why a term is not a flow (the first node
+where it does not conserve, residue by residue), the verifier's
 membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, the admissibility check with ``Counter``
 sums, dense views and degrees of the sparse matrices (dicts of nonzero
@@ -22,8 +23,7 @@ from typing import Iterable, Sequence
 
 from phyloinv.errors import InvalidTreeError, LatticeError
 from phyloinv.flows import (DEFAULT_FLOW_CAP, binomial_from_multisets,
-                            check_flow_cap, flow_defects, flow_from_leaves,
-                            iter_flows, vertex_support)
+                            check_flow_cap, flow_from_leaves, iter_flows)
 from phyloinv.groups import GroupSpec, prime_power_refinement
 from phyloinv.lattice import Echelon
 from phyloinv.pipeline import InvariantSet, _check_codim
@@ -179,6 +179,13 @@ def enumerate_flows(rt, group, cap: int = DEFAULT_FLOW_CAP) -> list:
     return list(iter_flows(rt, group))
 
 
+def vertex_support(rt, group, f) -> tuple[int, ...]:
+    """Flat indices of the ones in a flow's 0/1 vertex point: one block of
+    size |G| per edge, with a 1 at the enumeration index of its value."""
+    g, index = group.order, group.table.index
+    return tuple(ei * g + i for ei, i in enumerate(map(index.__getitem__, f)))
+
+
 def monomial_matrix(rt, group, flow_cap: int = DEFAULT_FLOW_CAP) -> Matrix:
     """The (edges * |G|) x (number of flows) 0/1 matrix whose columns are the
     vertex points, in flow enumeration order."""
@@ -210,13 +217,29 @@ def leaking_node(rt, group, f):
     return None
 
 
+def flow_defect(rt, group, t) -> str | None:
+    """Why ``t`` is not a flow on ``rt``, in the verifier's words, checked in
+    its order (a tuple, its length, each value in ``group``, conservation at
+    ``leaking_node``); None for a flow."""
+    e = rt.edge_count
+    if not isinstance(t, tuple):
+        return f"is not a tuple of {e} edge values"
+    if len(t) != e:
+        return f"has {len(t)} edge values, expected {e}"
+    for ei, x in enumerate(t):
+        if x not in group.elements:
+            return f"value {x} on edge {ei} {rt.edges[ei]} is not in {group}"
+    u = leaking_node(rt, group, t)
+    return None if u is None else f"values do not conserve at node {u}"
+
+
 def membership(rt, group, binomials) -> tuple[bool, list[str]]:
     """The verifier's kernel-membership verdict and failure messages for
     binomials with hashable tuple sides: every term must be a flow, and
     the vertex supports of each side, counted with a ``Counter``, must
     agree."""
     terms = {f for b in binomials for f in b.lhs + b.rhs}
-    defects = flow_defects(rt, group, terms)
+    defects = {f: d for f in terms if (d := flow_defect(rt, group, f))}
     support = {f: vertex_support(rt, group, f) for f in terms if f not in defects}
     ok, failures = True, []
     for i, b in enumerate(binomials):

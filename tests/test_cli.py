@@ -265,6 +265,43 @@ def test_internal_tree_error_exit_code(capsys, monkeypatch):
                    "the join context trees\n")
 
 
+def _raising(exc):
+    def fake(*args, **kwargs):
+        raise exc
+    return fake
+
+
+@pytest.mark.parametrize("sub,name,output", [
+    ("generate", "generate", "json"),
+    ("verify", "verify_complete_intersection", "json"),
+    ("generate", "algebra_text", "algebra-text"),
+])
+@pytest.mark.parametrize("exc,code,message", [
+    (MemoryError(), EXIT_CAP_EXCEEDED, "error: {sub} ran out of memory\n"),
+    (RuntimeError("boom"), EXIT_INTERNAL_ERROR,
+     "internal error: RuntimeError: boom\n"),
+], ids=["memory", "unexpected"])
+def test_unexpected_exception_is_one_line(capsys, monkeypatch, sub, name,
+                                          output, exc, code, message):
+    # no traceback, and never exit 1, which says the set failed to verify
+    import phyloinv.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, name, _raising(exc))
+    got, out, err = run(capsys, sub, "--group", "Z2", "--tree",
+                        "((1,2),(3,4));", "--output", output)
+    assert got == code
+    assert out == ""
+    assert err == message.format(sub=sub)
+
+
+def test_keyboard_interrupt_is_not_caught(capsys, monkeypatch):
+    import phyloinv.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "generate", _raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["generate", "--group", "Z2", "--tree", "((1,2),(3,4));"])
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import phyloinv.cli as cli_mod
 

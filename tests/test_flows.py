@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phyloinv.errors import BinomialError, FlowCapExceeded, FlowError
-from dense import add, enumerate_flows, leaking_node
+from dense import add, enumerate_flows, flow_defect, vertex_support
 from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
-                            flow_defects, flow_from_leaves, flow_index,
-                            vertex_support)
+                            flow_from_leaves, flow_index)
 from phyloinv.groups import GroupSpec
+from phyloinv.oracle import _read_terms
 from phyloinv.pipeline import _halves, join_sets, tripod_set
 from phyloinv.trees import (RootedTree, canonical_rooting, decompose_at_edge,
                             parse_newick)
@@ -21,6 +21,11 @@ from phyloinv.trees import (RootedTree, canonical_rooting, decompose_at_edge,
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
 Z2Z2 = GroupSpec((2, 2))
+
+
+def flow_defects(rt, group, terms):
+    """The defects the verifier's per-term read finds in ``terms``."""
+    return _read_terms(rt, group, terms, 1)[0]
 
 
 @pytest.fixture
@@ -153,35 +158,56 @@ def test_flow_defects_on_a_claw():
 @st.composite
 def perturbed_terms(draw):
     """A random rooted tree, a group, and flows with 1-3 edge values each
-    replaced by a random element (which may leave a flow a flow)."""
+    replaced by a random element (which may leave a flow a flow); some
+    terms are then broken further: not a tuple, one value short or long,
+    or with a value outside the group."""
     rt, group, vals = draw(rooted_flows())
     f = flow_from_leaves(rt, group, vals)
+    element = st.sampled_from(group.elements)
+    outside = st.sampled_from([group.factors, (-1,) * len(group.factors),
+                               group.zero() + (0,), 5])
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         t = list(f)
         for _ in range(draw(st.integers(1, 3))):
-            t[draw(st.integers(0, rt.edge_count - 1))] = \
-                draw(st.sampled_from(group.elements))
-        terms.append(tuple(t))
+            t[draw(st.integers(0, rt.edge_count - 1))] = draw(element)
+        how = draw(st.sampled_from(["kept", "kept", "not a tuple", "short",
+                                    "long", "outside"]))
+        if how == "not a tuple":
+            t = draw(st.sampled_from([5, None, "flow", frozenset(t)]))
+        elif how == "short":
+            t.pop()
+        elif how == "long":
+            t.append(draw(element))
+        elif how == "outside":
+            t[draw(st.integers(0, rt.edge_count - 1))] = draw(outside)
+        terms.append(tuple(t) if isinstance(t, list) else t)
     return rt, group, terms
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(perturbed_terms())
-def test_flow_defects_match_rebuild_and_residues(case):
+@given(perturbed_terms(), st.integers(1, 6))
+def test_flow_defects_match_rebuild_and_residues(case, width):
+    # the verifier's one read of each term against the dense references
     rt, group, terms = case
-    defects = flow_defects(rt, group, terms)
+    defects, point, column = _read_terms(rt, group, terms, width)
     n = rt.leaf_count
     for t in terms:
-        # reference verdict: the leaf values sum to zero and rebuild ``t``
-        leaf_sum = reduce(partial(add, group), t[:n], group.zero())
-        is_flow = leaf_sum == group.zero() \
-            and flow_from_leaves(rt, group, t[:n]) == t
-        assert (t not in defects) == is_flow
-        assert (leaking_node(rt, group, t) is None) == is_flow
-        if not is_flow:
-            assert defects[t] == ("values do not conserve at node "
-                                  f"{leaking_node(rt, group, t)}")
+        want = flow_defect(rt, group, t)
+        assert defects.get(t) == want
+        if want is None:
+            assert point[t] == sum(1 << width * c
+                                   for c in vertex_support(rt, group, t))
+            assert column[t] == flow_index(rt, group, t)
+        else:
+            assert t not in point and t not in column
+        if isinstance(t, tuple) and len(t) == rt.edge_count \
+                and all(x in group.elements for x in t):
+            # reference verdict: the leaf values sum to zero and rebuild ``t``
+            leaf_sum = reduce(partial(add, group), t[:n], group.zero())
+            is_flow = leaf_sum == group.zero() \
+                and flow_from_leaves(rt, group, t[:n]) == t
+            assert (want is None) == is_flow
 
 
 def test_vertex_support_shape(quartet):

@@ -12,13 +12,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense import (add, enumerate_flows, membership, monomial_matrix,
-                   oracle_kernel)
+                   oracle_kernel, vertex_support)
 from test_acceptance import BATTERY_GROUPS, BATTERY_TREES, FLOW_CAP
 from test_flows import FLOW_GROUPS, random_trees
 from phyloinv import oracle
 from phyloinv.errors import FlowCapExceeded, InternalError
-from phyloinv.flows import (Binomial, flow_from_leaves, flow_index,
-                            vertex_support)
+from phyloinv.flows import Binomial, flow_from_leaves, flow_index
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.lattice import Echelon
 from phyloinv.oracle import (LatticeInfo, codim, degree_bound, exponent_vector,
@@ -152,40 +151,43 @@ class TestVerify:
         assert r.kernel_rank == r.expected_codim == 16
 
     def test_echelon_sees_only_sparse_vectors(self, monkeypatch):
-        seen = {}  # echelon width -> the vectors folded into it
+        seen = {}  # echelon -> the vectors folded into it, one per pass
         real = Echelon.add
 
         def recording(ech, vec):
-            seen.setdefault(ech.width, []).append(vec)
+            seen.setdefault(ech, []).append(vec)
             return real(ech, vec)
 
         monkeypatch.setattr("phyloinv.lattice.Echelon.add", recording)
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
         assert verify_complete_intersection(s).passed
-        # a vertex point per folded flow in the rank pass (width e*g = 15),
-        # a difference from the zero flow in the lattice pass (width 10):
-        # at most one add per flow, and only witness flows, of which the
-        # quartet has 21 (the 6 flows with four nonzero leaves are not)
+        # both passes, rank and lattice summary, fold the same differences
+        # from the zero flow (width (g-1)e = 10): at most one add per flow,
+        # and only witness flows, of which the quartet has 21 (the 6 flows
+        # with four nonzero leaves are not)
         e = s.rooted.edge_count
-        assert set(seen) == {15, 10}
+        assert {ech.width for ech in seen} == {10}
         assert sum(nonzero_leaves(s.rooted, Z3, f) <= 3
                    for f in enumerate_flows(s.rooted, Z3)) == 21
-        assert [len(seen[15]), len(seen[10])] == [17, 17]
-        for vec in seen[15] + seen[10]:
+        rank_pass, lattice_pass = seen.values()
+        assert [len(rank_pass), len(lattice_pass)] == [17, 17]
+        assert rank_pass == lattice_pass
+        for vec in rank_pass:
             assert isinstance(vec, Mapping)
             assert sum(1 for x in vec.values() if x) <= e
 
     def test_each_term_is_encoded_once(self, monkeypatch):
-        calls = []
+        read = []
         indexed = []
         adds = []
-        real = oracle.vertex_support
+        real_read = oracle._read_terms
         real_index = oracle.flow_index
         real_add = Echelon.add
 
-        def counting(rt, group, f):
-            calls.append(f)
-            return real(rt, group, f)
+        def reading(rt, group, terms, width):
+            terms = list(terms)
+            read.extend(terms)
+            return real_read(rt, group, terms, width)
 
         def indexing(rt, group, f):
             indexed.append(f)
@@ -195,34 +197,54 @@ class TestVerify:
             adds.append(vec)
             return real_add(ech, vec)
 
-        monkeypatch.setattr(oracle, "vertex_support", counting)
+        class CountingIndex(dict):
+            """Element to index, counting every lookup."""
+            lookups = 0
+
+            def get(self, key, default=None):
+                CountingIndex.lookups += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                CountingIndex.lookups += 1
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(oracle, "_read_terms", reading)
         monkeypatch.setattr(oracle, "flow_index", indexing)
         monkeypatch.setattr("phyloinv.lattice.Echelon.add", adding)
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        table = s.group.table
+        monkeypatch.setitem(vars(s.group), "table",
+                            table._replace(index=CountingIndex(table.index)))
         assert verify_complete_intersection(s).passed
         terms = {f for b in s.binomials for f in b.lhs + b.rhs}
         assert sum(len(b.lhs) + len(b.rhs) for b in s.binomials) > len(terms)
-        # one support per flow folded in either pass, one per distinct term
-        assert len(calls) == len(adds) + len(terms)
+        # each distinct term is read once, not once per occurrence, and
+        # given one enumeration index
+        assert sorted(read) == sorted(indexed) == sorted(terms)
         assert len(adds) <= 2 * 27
-        # one enumeration index per distinct term, not one per occurrence
-        assert sorted(indexed) == sorted(terms)
+        # element indices: e per read term and per folded witness flow,
+        # l - 1 per flow_index; nothing else looks a value up
+        e, l = s.rooted.edge_count, s.rooted.leaf_count
+        assert CountingIndex.lookups == e * (len(terms) + len(adds)) \
+            + (l - 1) * len(terms)
 
     def test_tripod_witness_meets_its_bounds_early(self, monkeypatch):
         # every flow of a tripod is a witness; folded sparsest first, the
         # Z30 tripod meets both bounds within 110 of its 900 flows (the
         # lexicographic order needed 871 in each pass)
-        adds = Counter()
+        adds = Counter()  # echelon -> adds, one echelon per pass
         real = Echelon.add
 
         def counting(ech, vec):
-            adds[ech.width] += 1
+            adds[ech] += 1
             return real(ech, vec)
 
         monkeypatch.setattr("phyloinv.lattice.Echelon.add", counting)
         s = generate(parse_newick("(1,2,3);"), GroupSpec((30,)))
         assert verify_complete_intersection(s).passed
-        assert set(adds) == {90, 87}
+        assert {ech.width for ech in adds} == {87}
+        assert len(adds) == 2
         assert max(adds.values()) <= 110
 
     def test_doubled_generator_breaks_span(self):
@@ -452,17 +474,19 @@ class TestWitness:
             passes.clear()
             s = generate(parse_newick(text), parse_group_spec(gtext))
             assert verify_complete_intersection(s).passed
-            # one full pass for the rank, one for the lattice summary
+            # one full pass for the rank, one for the lattice summary; the
+            # rank pass folds a prefix of the lattice pass's vectors, so one
+            # pass would serve both, but bench/ checks 2 g^(l-1) flows per
+            # verify
             assert passes == [flow_total(s.rooted.tree, s.group)] * 2
 
-    @pytest.mark.parametrize("certificate", [monomial_matrix_rank,
-                                             lattice_report])
+    # the rank pass has no such check: its echelon's width is its bound
+    @pytest.mark.parametrize("certificate", [lattice_report])
     def test_passing_a_proven_bound_is_an_internal_error(self, monkeypatch,
                                                          certificate):
         class Leaky(Echelon):
             """Folds every unit vector beside each vector and reports a
-            change: the rank passes (g-1)e+1, and the degree-zero index
-            drops to 1."""
+            change: the degree-zero index drops to 1."""
 
             def add(self, vec):
                 for c in range(self.width):
