@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from itertools import islice
+from json import JSONEncoder
 
 from .errors import FlowCapExceeded, InternalError
 from .flows import DEFAULT_FLOW_CAP
@@ -18,6 +19,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
+
+_WRITE_BATCH = 8192  # encoder chunks joined into one write
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,8 +66,16 @@ def _read_tree_arg(text: str) -> str:
     return text
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _write(result, text, fmt: str) -> None:
+    """Write ``text(result)``, or ``json.dumps(result.to_json(), indent=2)``
+    and a newline, to stdout; the JSON is written as it is encoded."""
+    if fmt != "json":
+        sys.stdout.write(text(result))
+        return
+    chunks = JSONEncoder(indent=2).iterencode(result.to_json())
+    while batch := list(islice(chunks, _WRITE_BATCH)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _verify_text(report) -> str:
@@ -95,8 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "lattice-info":
             info = lattice_report(canonical_rooting(tree), group,
                                   flow_cap=args.flow_cap)
-            out = _dump(info.to_json()) if args.output == "json" else _lattice_text(info)
-            sys.stdout.write(out)
+            _write(info, _lattice_text, args.output)
             return EXIT_OK
 
         options = GenerateOptions(mode=args.mode, flow_cap=args.flow_cap,
@@ -104,17 +114,11 @@ def main(argv: list[str] | None = None) -> int:
         invset = generate(tree, group, options)
 
         if args.subcommand == "generate":
-            if args.output == "json":
-                sys.stdout.write(_dump(invset.to_json()))
-            else:
-                sys.stdout.write(algebra_text(invset))
+            _write(invset, algebra_text, args.output)
             return EXIT_OK
 
         report = verify_complete_intersection(invset, flow_cap=args.flow_cap)
-        if args.output == "json":
-            sys.stdout.write(_dump(report.to_json()))
-        else:
-            sys.stdout.write(_verify_text(report))
+        _write(report, _verify_text, args.output)
         return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
     except FlowCapExceeded as exc:

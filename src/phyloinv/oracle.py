@@ -23,7 +23,7 @@ leaf values, whose vertex points span every flow's over the integers.
 Each is encoded as its vertex-point difference in the degree-zero basis,
 and the rank is the dimension of that lattice plus one.  Both quantities
 have a proven bound, the rank from above and the index from below.  A pass
-folds the witness sparsest first and stops once the bound is met (see
+folds the witness sparsest first and stops once both bounds are met (see
 ``_fold_witness``).
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import inf, prod
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InternalError
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, check_flow_cap,
@@ -54,14 +54,15 @@ def degree_bound(group: GroupSpec) -> int:
     return max(3, max(group.factors))
 
 
-def _fold_witness(rt: RootedTree, group: GroupSpec,
-                  reached: Callable[[Echelon], bool]) -> Echelon:
+def _fold_witness(rt: RootedTree, group: GroupSpec) -> Echelon:
     """The echelon of the witness flows, those with at most three nonzero
-    leaf values, folded until ``reached(ech)``; ``reached`` is asked only
-    when an ``add`` changed ``ech``.  With g = |G| and e the edge count, a
-    flow f is encoded in the basis unit(edge, h) - unit(edge, 0), h != 0, of
-    the degree-zero lattice D = Z^((g-1)e): Q_f - Q_0 has a 1 at
-    ei*(g-1) + i-1 for each edge ei whose value index i is not 0.
+    leaf values, folded until it meets both bounds proven below: after an
+    ``add`` that changed it at full rank (g-1)e, a pivot product below
+    g^(interior nodes) raises ``InternalError`` and one equal to it stops
+    the fold.  With g = |G| and e the edge count, a flow f is encoded in
+    the basis unit(edge, h) - unit(edge, 0), h != 0, of the degree-zero
+    lattice D = Z^((g-1)e): Q_f - Q_0 has a 1 at ei*(g-1) + i-1 for each
+    edge ei whose value index i is not 0.
 
     One ``iter_flows`` pass sorts the witness by its count of nonzero leaf
     values (0 for the zero flow, then 2, then 3; never 1, as the leaf
@@ -90,8 +91,8 @@ def _fold_witness(rt: RootedTree, group: GroupSpec,
       match one component at a time.
 
     So the witness echelon has the lattice L of all vertex differences.
-    Each of its two invariants has a bound, and a pass stops when the
-    echelon meets it.
+    Each of its two invariants has a bound, and the fold stops when the
+    echelon meets both.
 
     * Dimension: dim L <= (g-1)e, the width of the echelon.
     * Index: let psi map D to G^(interior nodes): the coordinate (edge, h)
@@ -112,11 +113,17 @@ def _fold_witness(rt: RootedTree, group: GroupSpec,
         if k <= 3:
             witness[k].append(f)
     ech = Echelon(per_edge * rt.edge_count)
+    bound = group.order ** rt.tree.interior_node_count
     for f in chain.from_iterable(witness):
         vec = {ei * per_edge + i - 1: 1
                for ei, i in enumerate(map(index.__getitem__, f)) if i}
-        if ech.add(vec) and reached(ech):
-            break
+        if ech.add(vec) and ech.rank == ech.width:
+            pivots = prod(row[j] for row, j in zip(ech.rows, ech.pivcols))
+            if pivots < bound:
+                raise InternalError(f"vertex-difference index {pivots} is "
+                                    f"below its bound {bound}")
+            if pivots == bound:
+                break
     return ech
 
 
@@ -126,8 +133,7 @@ def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
     Every vertex point has one 1 per edge block, so Q_0 lies outside the
     degree-zero subspace that holds every Q_f - Q_0.  The bound rank(A) <=
     (g-1)e + 1 is the echelon's width.  The caller checks the flow cap."""
-    full = (group.order - 1) * rt.edge_count
-    return _fold_witness(rt, group, lambda ech: ech.rank == full).rank + 1
+    return _fold_witness(rt, group).rank + 1
 
 
 def exponent_vector(column: Mapping[Flow, int], b: Binomial) -> dict[int, int]:
@@ -174,18 +180,7 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
     check_flow_cap(rt.tree, group, flow_cap)
     g = group.order
     expected_dim = (g - 1) * rt.edge_count
-    expected_index = g ** rt.tree.interior_node_count
-
-    def reached(ech: Echelon) -> bool:
-        if ech.rank < expected_dim:
-            return False
-        pivots = prod(row[j] for row, j in zip(ech.rows, ech.pivcols))
-        if pivots < expected_index:
-            raise InternalError(f"vertex-difference index {pivots} is below "
-                                f"its bound {expected_index}")
-        return pivots == expected_index
-
-    ech = _fold_witness(rt, group, reached)
+    ech = _fold_witness(rt, group)
     dim = ech.rank
     if dim < expected_dim:
         index: int | float = inf
@@ -198,7 +193,7 @@ def lattice_report(rt: RootedTree, group: GroupSpec,
         vertex_diff_dim=dim,
         expected_dim=expected_dim,
         index_in_degree_zero=index,
-        expected_index=expected_index,
+        expected_index=g ** rt.tree.interior_node_count,
         interior_nodes=rt.tree.interior_node_count,
     )
 

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,14 @@ import phyloinv
 from phyloinv.cli import (EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR,
                           EXIT_INTERNAL_ERROR, EXIT_OK, EXIT_VERIFY_FAILED,
                           main)
-from test_pins import CLI_PINS
+from test_pins import CLI_PINS, GENERATE_CLI_PINS
+
+# the benchmark's caterpillar-join instance: a 4,814,350-byte generate JSON
+CATERPILLAR = ("generate", "--group", "Z3", "--tree",
+               "((((((1,2),3),4),5),6),7,8);")
+CATERPILLAR_PIN = next(pin for group, _, _, output, pin in GENERATE_CLI_PINS
+                       if group == "Z3" and output == "json")
+CATERPILLAR_BYTES = 4_814_350
 
 
 def run(capsys, *argv):
@@ -300,6 +309,84 @@ def test_keyboard_interrupt_is_not_caught(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "generate", _raising(KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
         main(["generate", "--group", "Z2", "--tree", "((1,2),(3,4));"])
+
+
+class HashSink:
+    """A stdout that keeps only the sha256 and the size of what it is sent."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.size = 0
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self.hash.update(data)
+        self.size += len(data)
+        return len(text)
+
+
+def test_json_writer_holds_no_copy_of_the_document(monkeypatch):
+    # the JSON is written as it is encoded: past the set itself, the peak
+    # stays far below the document (1.2 MB here; building the whole string
+    # first, as json.dumps does, takes 27 MB)
+    import phyloinv.cli as cli_mod
+
+    sink = HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    real = cli_mod.generate
+    built = []  # traced bytes once the set is built
+
+    def traced(*args):
+        s = real(*args)
+        tracemalloc.reset_peak()
+        built.append(tracemalloc.get_traced_memory()[0])
+        return s
+
+    monkeypatch.setattr(cli_mod, "generate", traced)
+    tracemalloc.start()
+    try:
+        code = main(list(CATERPILLAR))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert (sink.size, sink.hash.hexdigest()) == (CATERPILLAR_BYTES,
+                                                  CATERPILLAR_PIN)
+    assert peak - built[0] < CATERPILLAR_BYTES // 2
+
+
+class FailingSink:
+    """A stdout that keeps its first write and raises ``exc`` on the next."""
+
+    def __init__(self, exc):
+        self.exc = exc
+        self.text = None
+
+    def write(self, text):
+        if self.text is not None:
+            raise self.exc
+        self.text = text
+        return len(text)
+
+
+@pytest.mark.parametrize("exc,code,message", [
+    (MemoryError(), EXIT_CAP_EXCEEDED, "error: generate ran out of memory\n"),
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), EXIT_INPUT_ERROR,
+     f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"),
+], ids=["memory", "disk-full"])
+def test_failure_mid_write_leaves_a_truncated_document(capsys, monkeypatch,
+                                                       exc, code, message):
+    # stdout is written as it is encoded, so a failure leaves part of the
+    # document behind it; the exit code says it is not the whole
+    _, document, _ = run(capsys, *CATERPILLAR)
+    assert hashlib.sha256(document.encode()).hexdigest() == CATERPILLAR_PIN
+    sink = FailingSink(exc)
+    monkeypatch.setattr(sys, "stdout", sink)
+    got = main(list(CATERPILLAR))
+    assert got == code
+    assert capsys.readouterr().err == message
+    assert sink.text and document.startswith(sink.text)
+    assert len(sink.text) < len(document)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -466,6 +466,28 @@ class TestWitness:
         assert monomial_matrix_rank(rt, group) == full_rank(rt, group)
         assert lattice_report(rt, group) == full_lattice_report(rt, group)
 
+    def test_both_passes_fold_the_same_vectors(self, monkeypatch):
+        # on this tree the echelon reaches full rank after 42 adds, well
+        # before its pivots meet the index bound at add 77: both passes
+        # fold on to the one stopping point
+        seen = {}  # echelon -> the vectors folded into it, one per pass
+        real = Echelon.add
+
+        def recording(ech, vec):
+            seen.setdefault(ech, []).append(vec)
+            return real(ech, vec)
+
+        monkeypatch.setattr("phyloinv.lattice.Echelon.add", recording)
+        s = generate(parse_newick("((1,2,3),(4,5,6));"),
+                     parse_group_spec("Z2xZ2"))
+        assert verify_complete_intersection(s).passed
+        rank_pass, lattice_pass = seen.values()
+        assert len(rank_pass) == 77
+        assert rank_pass == lattice_pass
+        ech = Echelon(3 * s.rooted.edge_count)
+        ranks = [ech.add(vec) and ech.rank for vec in rank_pass]
+        assert ranks.index(ech.width) == 41
+
     def test_verify_enumerates_the_flows_twice(self, monkeypatch):
         passes = count_passes(monkeypatch)
         for text, gtext in [("((((1,2),3),4),5,6);", "Z3"),
@@ -474,14 +496,13 @@ class TestWitness:
             passes.clear()
             s = generate(parse_newick(text), parse_group_spec(gtext))
             assert verify_complete_intersection(s).passed
-            # one full pass for the rank, one for the lattice summary; the
-            # rank pass folds a prefix of the lattice pass's vectors, so one
-            # pass would serve both, but bench/ checks 2 g^(l-1) flows per
-            # verify
+            # one full pass for the rank, one for the lattice summary; both
+            # fold the same vectors, so one pass would serve both, but
+            # bench/ checks 2 g^(l-1) flows per verify
             assert passes == [flow_total(s.rooted.tree, s.group)] * 2
 
-    # the rank pass has no such check: its echelon's width is its bound
-    @pytest.mark.parametrize("certificate", [lattice_report])
+    @pytest.mark.parametrize("certificate", [monomial_matrix_rank,
+                                             lattice_report])
     def test_passing_a_proven_bound_is_an_internal_error(self, monkeypatch,
                                                          certificate):
         class Leaky(Echelon):

@@ -118,6 +118,25 @@ CLI_PINS = [
      "98be8c2a22fb92229f16a8f7b83ff0185668b48ff16a25672d7fe42c6e817f9c"),
 ]
 
+# CLI output of ``generate``, recorded from ``json.dumps`` so that they gate
+# the streamed JSON: the Z2 tripod has codim 0 ("invariants": [] and empty
+# text), and the Z3 caterpillar and the factored Z6 5-claw are the
+# benchmark's caterpillar-join and claw-factored instances, with its pins
+GENERATE_CLI_PINS = [
+    ("Z2", "(1,2,3);", (), "json",
+     "5b3d564135eb3205bc4d47879b73297173ddf55acf11d59a0c6b7f9f0f6d0645"),
+    ("Z2", "(1,2,3);", (), "algebra-text",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("Z3", "((((((1,2),3),4),5),6),7,8);", (), "json",
+     "55ef5a4ab47cf5c348d23a7991f0e6a67a89e43355d8aeabe4d37d8224933bf1"),
+    ("Z3", "((((((1,2),3),4),5),6),7,8);", (), "algebra-text",
+     "433ee1ef565643c01a5515c939b22c452df73b5bea369752bbd942a7234a59e8"),
+    ("Z6", "(1,2,3,4,5);", ("--mode", "factored"), "json",
+     "3dcf23dc8283d285f07a25c8525b2c4e326b24c4cb6964535652a1a686247618"),
+    ("Z6", "(1,2,3,4,5);", ("--mode", "factored"), "algebra-text",
+     "596b701e0552795877d285336ac198de608fb10f7854177373a73781b1835a33"),
+]
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -172,6 +191,14 @@ def test_doubled_verify_output_pinned():
 def test_cli_certificate_outputs_pinned(capsys, command, group, newick, output,
                                         pin):
     code = main([command, "--group", group, "--tree", newick,
+                 "--output", output])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == pin
+
+
+@pytest.mark.parametrize("group,newick,extra,output,pin", GENERATE_CLI_PINS)
+def test_cli_generate_outputs_pinned(capsys, group, newick, extra, output, pin):
+    code = main(["generate", "--group", group, "--tree", newick, *extra,
                  "--output", output])
     assert code == 0
     assert sha256(capsys.readouterr().out) == pin
