@@ -67,8 +67,8 @@ def _read_tree_arg(text: str) -> str:
 
 
 def _write(result, text, fmt: str) -> None:
-    """Write ``text(result)``, or ``json.dumps(result.to_json(), indent=2)``
-    and a newline, to stdout; the JSON is written as it is encoded."""
+    """Write ``text(result)`` to stdout, or ``result.to_json()`` as JSON
+    with indent 2 and a final newline, written as it is encoded."""
     if fmt != "json":
         sys.stdout.write(text(result))
         return
