@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 from json import JSONEncoder
@@ -68,14 +69,43 @@ def _read_tree_arg(text: str) -> str:
 
 def _write(result, text, fmt: str) -> None:
     """Write ``text(result)`` to stdout, or ``result.to_json()`` as JSON
-    with indent 2 and a final newline, written as it is encoded."""
-    if fmt != "json":
-        sys.stdout.write(text(result))
+    with indent 2 and a final newline, written as it is encoded, and flush
+    it.  A stdout that fails is silenced before the error goes on."""
+    try:
+        if fmt != "json":
+            sys.stdout.write(text(result))
+        else:
+            chunks = JSONEncoder(indent=2).iterencode(result.to_json())
+            while batch := list(islice(chunks, _WRITE_BATCH)):
+                sys.stdout.write("".join(batch))
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError:
+        _silence(sys.stdout)
+        raise
+
+
+def _error(line: str) -> None:
+    """Write one error line to stderr; a stderr that fails loses it."""
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        _silence(sys.stderr)
+
+
+def _silence(stream) -> None:
+    """Point a broken stream's descriptor at ``os.devnull``, so that the
+    flush at interpreter exit neither raises nor prints (the recipe in the
+    Python docs' note on SIGPIPE).  A stream without a descriptor is left
+    as it is."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
         return
-    chunks = JSONEncoder(indent=2).iterencode(result.to_json())
-    while batch := list(islice(chunks, _WRITE_BATCH)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _verify_text(report) -> str:
@@ -122,20 +152,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
     except FlowCapExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP_EXCEEDED
+        code, line = EXIT_CAP_EXCEEDED, f"error: {exc}"
     except InternalError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_INTERNAL_ERROR
+        code, line = EXIT_INTERNAL_ERROR, f"internal error: {exc}"
     except (OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
+        code, line = EXIT_INPUT_ERROR, f"error: {exc}"
     except MemoryError:
-        sys.stderr.write(f"error: {args.subcommand} ran out of memory\n")
-        return EXIT_CAP_EXCEEDED
+        code, line = EXIT_CAP_EXCEEDED, f"error: {args.subcommand} ran out of memory"
     except Exception as exc:  # a bug: one line, not a traceback
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        return EXIT_INTERNAL_ERROR
+        code = EXIT_INTERNAL_ERROR
+        line = f"internal error: {type(exc).__name__}: {exc}"
+    # written once the try has ended, when a MemoryError's traceback and
+    # the memory it holds are freed
+    _error(line)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -113,7 +112,7 @@ def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binomial:
     """A reduced pair of flow multisets with equal per-edge projections.
 
@@ -124,7 +123,7 @@ class Binomial:
     lhs: tuple[Flow, ...]
     rhs: tuple[Flow, ...]
 
-    @cached_property
+    @property
     def degree(self) -> int:
         return max(len(self.lhs), len(self.rhs))
 

@@ -8,16 +8,16 @@ normalisation happens here.  Element enumeration is lexicographic
 mixed-radix with the identity first, and that order fixes every matrix and
 flow indexing in the package.
 
-Element indices ``0..g-1`` follow that order.  Every presentation has one
-:class:`CayleyTable` (element list, index map, add and neg tables on the
-indices), built on first use and shared by all equal ``GroupSpec`` values.
+Element indices ``0..g-1`` follow that order.  Each ``GroupSpec`` builds
+its :class:`CayleyTable` (element list, index map, add and neg tables on
+the indices) on first use and keeps it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -90,7 +90,7 @@ class GroupSpec:
 
     @cached_property
     def table(self) -> "CayleyTable":
-        """The Cayley table shared by every spec with these factors."""
+        """The Cayley table of these factors, built once per spec."""
         return cayley_table(self.factors)
 
     @cached_property
@@ -125,14 +125,11 @@ class CayleyTable(NamedTuple):
     neg: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def cayley_table(factors: tuple[int, ...]) -> CayleyTable:
-    """The table of ``Z_{a1} x ... x Z_{ak}``, built once per factor tuple.
+    """The table of ``Z_{a1} x ... x Z_{ak}``.
 
-    Keyed by the factors rather than stored per ``GroupSpec``: constructions
-    build many equal specs (one per cyclic basis matrix), and all of them
-    share this one table.  Its g^2 entries never outnumber the g^(l-1)
-    flows of a tree with l >= 3 leaves.
+    Its g^2 entries never outnumber the g^(l-1) flows of a tree with
+    l >= 3 leaves.  ``GroupSpec.table`` keeps the one a spec builds.
     """
     els = [()]
     for a in factors:

@@ -5,11 +5,8 @@ point anywhere).  Lattice vectors are sparse ``{column: value}`` maps:
 
 * ``Echelon`` folds a stream of sparse vectors into an integer row echelon
   with unimodular steps, for the monomial-matrix rank and the
-  vertex-difference lattice.  The pivot column of every row whose pivot is
-  1 is kept zero in all other rows, so an incoming vector clears each such
-  entry with one subtraction.  Each step subtracts an integer multiple of
-  one row from another, which leaves the lattice, the rank and ``|det|``
-  of the rows as they are;
+  vertex-difference lattice.  No step changes the lattice, the rank or
+  ``|det|`` of the rows;
 * ``det`` (fraction-free Bareiss) gives the index of a full-rank lattice
   as the absolute determinant of its echelon rows;
 * ``sparse_span_certificate`` first peels a very sparse generator set:
@@ -115,22 +112,14 @@ class Echelon:
 
     Vectors and rows are sparse ``{column: value}`` maps.  ``add`` folds a
     vector in with unimodular row operations (the pivot of a stored row may
-    shrink to the gcd).  Pivots are positive and ``pivcols`` ascends.
-
-    The echelon is kept partly reduced: the pivot column of every row whose
-    pivot is 1 is zero in every other row.  A vector coming in first loses
-    its entries in those columns, one subtraction each, and no subtraction
-    brings back an entry in another of them; only the few rows with a
-    larger pivot then reduce it step by step.  Every step subtracts an
-    integer multiple of one row from another, so the lattice, the rank and
-    the ``|det|`` of the rows are those of the plain echelon.
+    shrink to the gcd).  Pivots are positive and ``pivcols`` ascends; the
+    rows are not reduced above their pivots.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[dict[int, int]] = []
         self.pivcols: list[int] = []
-        self._unit: dict[int, dict[int, int]] = {}  # pivot column -> row, pivot 1
 
     @property
     def rank(self) -> int:
@@ -142,9 +131,6 @@ class Echelon:
         if v and not 0 <= min(v) <= max(v) < self.width:
             c = min(v) if min(v) < 0 else max(v)
             raise LatticeError(f"column {c} outside 0..{self.width - 1}")
-        unit = self._unit
-        for c in [c for c in v if c in unit]:
-            _subtract(v, v[c], unit[c])
         changed = False
         while v:
             j = min(v)
@@ -160,27 +146,13 @@ class Echelon:
                     self.rows[k] = _combine(row, x, v, y)
                     v = _combine(v, a // g, row, -(b // g))
                     changed = True
-                    if g == 1:
-                        self._clear_above(k)
             else:
                 if v[j] < 0:
                     v = {c: -x for c, x in v.items()}
                 self.rows.insert(k, v)
                 self.pivcols.insert(k, j)
-                if v[j] == 1:
-                    self._clear_above(k)
                 return True
         return changed
-
-    def _clear_above(self, k: int) -> None:
-        """Row ``k`` has pivot 1: zero its pivot column in the rows above it
-        (the rows below start right of that column)."""
-        row, j = self.rows[k], self.pivcols[k]
-        self._unit[j] = row
-        for other in self.rows[:k]:
-            q = other.get(j)
-            if q:
-                _subtract(other, q, row)
 
 
 def _subtract(v: dict[int, int], q: int, row: dict[int, int]) -> None:

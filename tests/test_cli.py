@@ -324,6 +324,9 @@ class HashSink:
         self.size += len(data)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def test_json_writer_holds_no_copy_of_the_document(monkeypatch):
     # the JSON is written as it is encoded: past the set itself, the peak
@@ -443,3 +446,56 @@ def test_module_entry_point_without_asserts():
     pins = {pin[:4]: pin[4] for pin in CLI_PINS}
     assert hashlib.sha256(proc.stdout).hexdigest() == \
         pins[("verify", "Z2xZ2", newick, "json")]
+
+
+SRC = str(Path(phyloinv.__file__).resolve().parents[1])
+TRIPOD = ("generate", "--group", "Z2", "--tree", "(1,2,3);")
+
+
+@pytest.mark.parametrize("argv", [TRIPOD, CATERPILLAR], ids=["tripod", "caterpillar"])
+@pytest.mark.parametrize("keep", [0, 10], ids=["true", "head-c10"])
+@pytest.mark.parametrize("joined", [False, True], ids=["stderr", "joined"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_0_or_2(argv, keep, joined, unbuffered):
+    # the reader takes ``keep`` bytes and closes the pipe, as `| head -c 10`
+    # or `| true` would; the exit-time flush must not turn that into exit
+    # 120 or an error line escaping main into exit 1
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "phyloinv", *argv], env=env,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT if joined
+                          else subprocess.PIPE) as proc:
+        proc.stdout.read(keep)
+        proc.stdout.close()
+        err = "" if joined else proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code in (EXIT_OK, EXIT_INPUT_ERROR)
+    if not joined:
+        assert err == ("" if code == EXIT_OK else
+                       f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+
+def test_address_space_limit_exits_3_with_one_line():
+    # the child caps its own address space; only it is limited
+    resource = pytest.importorskip("resource")
+    cap = 25 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    def child(*argv):
+        return subprocess.run([sys.executable, *argv], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              preexec_fn=limit, timeout=120)
+
+    if child("-c", "import phyloinv.cli").returncode != 0:
+        pytest.skip("the interpreter cannot start under a 25 MiB cap")
+    proc = child("-m", "phyloinv", "generate", "--group", "Z3", "--tree",
+                 "((((((((1,2),3),4),5),6),7),8),9,10);",
+                 "--output", "algebra-text")
+    assert proc.returncode == EXIT_CAP_EXCEEDED
+    assert proc.stderr == b"error: generate ran out of memory\n"
+    assert proc.stdout == b""

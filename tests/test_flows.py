@@ -14,7 +14,7 @@ from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
                             flow_from_leaves, flow_index)
 from phyloinv.groups import GroupSpec
 from phyloinv.oracle import _read_terms
-from phyloinv.pipeline import _halves, join_sets, tripod_set
+from phyloinv.pipeline import _halves, generate, join_sets, tripod_set
 from phyloinv.trees import (RootedTree, canonical_rooting, decompose_at_edge,
                             parse_newick)
 
@@ -232,6 +232,15 @@ def test_binomial_cancels_common_flows(quartet):
                                 [flows[1], flows[0]])
     assert b.is_trivial
     assert b.degree == 0
+
+
+def test_binomial_keeps_no_instance_dict(quartet):
+    b = generate(parse_newick("((1,2),(3,4));"), Z3).binomials[0]
+    assert not hasattr(b, "__dict__")
+    assert b.degree == len(b.lhs) == len(b.rhs) == 3
+    f0, f1, f2 = enumerate_flows(quartet, Z2)[:3]
+    assert Binomial((f0, f1), (f2,)).degree == 2
+    assert Binomial((f2,), (f0, f1)).degree == 2
 
 
 def test_edge_swap_binomial(quartet):

