@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from itertools import islice
@@ -70,7 +71,11 @@ def _read_tree_arg(text: str) -> str:
 def _write(result, text, fmt: str) -> None:
     """Write ``text(result)`` to stdout, or ``result.to_json()`` as JSON
     with indent 2 and a final newline, written as it is encoded, and flush
-    it.  A stdout that fails is silenced before the error goes on."""
+    it.  A stdout that fails is silenced before the error goes on; one
+    closed before the process started (``sys.stdout`` is None) fails as
+    a bad descriptor."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
         if fmt != "json":
             sys.stdout.write(text(result))
@@ -86,7 +91,10 @@ def _write(result, text, fmt: str) -> None:
 
 
 def _error(line: str) -> None:
-    """Write one error line to stderr; a stderr that fails loses it."""
+    """Write one error line to stderr; a stderr that fails or is closed
+    (``sys.stderr`` is None) loses it."""
+    if sys.stderr is None:
+        return
     try:
         sys.stderr.write(line + "\n")
         sys.stderr.flush()

@@ -7,6 +7,10 @@ values sum to zero).  Flows are stored as the tuple of edge values in the
 tree's canonical edge order; the first ``leaf_count`` entries are the leaf
 values, and those determine the whole flow (the value on any edge is the
 sum of the leaf values below it).  Leaf values must sum to zero.
+
+A binomial is checked on vertex points: a flow's point has a 1 in column
+ei*g + i for each edge ei and the index i of its value there, and the
+construction packs it into one integer, ``width`` bits per column.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BinomialError, FlowCapExceeded, FlowError
 from .groups import CayleyTable, Element, GroupSpec
@@ -56,6 +60,61 @@ def _complete(rt: RootedTree, table: CayleyTable, idx: list[int]) -> Flow:
             s = add[s][idx[c]]
         idx[ei] = s
     return tuple(map(table.elements.__getitem__, idx))
+
+
+def point_width(group: GroupSpec) -> int:
+    """Bits per (edge, element) slot of a packed vertex point: enough that a
+    side of up to the degree bound max(3, largest factor) terms, fewer than
+    2**width, never carries out of a slot."""
+    return max(3, *group.factors).bit_length()
+
+
+def packed_point(rt: RootedTree, group: GroupSpec, width: int, f: Flow) -> int:
+    """The vertex point of ``f``, read from its first ``edge_count`` values:
+    a 1 in the ``width``-bit slot of column ei*g + i for each edge ei and
+    the index i of its value there."""
+    g, index = group.order, group.table.index
+    try:
+        return sum(1 << width * (ei * g + index[x])
+                   for ei, x in zip(range(rt.edge_count), f))
+    except KeyError as exc:
+        raise FlowError(f"value {exc.args[0]} is not in {group}") from None
+
+
+def packed_flows(rt: RootedTree, group: GroupSpec, width: int
+                 ) -> Callable[[Sequence[int]], tuple[Flow, int]]:
+    """A builder of flows from the element indices of all their leaf values.
+
+    One bottom-up walk, the one :func:`_complete` makes, gives both the
+    flow and its :func:`packed_point`; it is repeated here without the
+    per-call set-up.  The root must conserve (its outgoing values sum to
+    zero, i.e. the leaf values do), or :class:`FlowError` is raised.
+    """
+    table = group.table
+    add, elements = table.add, table.elements
+    g, e = group.order, rt.edge_count
+    pad = [0] * (e - rt.leaf_count)
+    bottom_up = rt.bottom_up
+    at_root = [rt.edge_index[rt.root, c] for c in rt.children[rt.root]]
+    slots = [[1 << width * (ei * g + i) for i in range(g)] for ei in range(e)]
+
+    def build(leaves: Sequence[int]) -> tuple[Flow, int]:
+        idx = [*leaves, *pad]
+        for ei, below in bottom_up:
+            s = 0
+            for c in below:
+                s = add[s][idx[c]]
+            idx[ei] = s
+        s = 0
+        for c in at_root:
+            s = add[s][idx[c]]
+        if s:
+            raise FlowError(f"leaf values {tuple(elements[i] for i in leaves)} "
+                            f"do not sum to zero")
+        return (tuple(map(elements.__getitem__, idx)),
+                sum(map(list.__getitem__, slots, idx)))
+
+    return build
 
 
 def flow_total(tree: Tree, group: GroupSpec) -> int:
@@ -133,25 +192,40 @@ class Binomial:
 
 
 def binomial_from_multisets(rt: RootedTree, group: GroupSpec,
-                            m1: Iterable[Flow], m2: Iterable[Flow]) -> Binomial:
+                            m1: Iterable[Flow], m2: Iterable[Flow],
+                            points: tuple[int, Sequence[int], Sequence[int]]
+                            | None = None) -> Binomial:
     """Validate the per-edge multiset condition and build the reduced binomial.
 
-    The sides are compared one edge column at a time; a column is sorted
-    only when it differs from its partner as it stands.
+    Each term stands for its :func:`packed_point`; ``points`` is
+    ``(width, p1, p2)``, the points of ``m1`` and ``m2`` in order, and
+    without it each term is packed here, ``point_width(group)`` bits per
+    slot.  The sides' per-edge multisets are equal exactly when their
+    summed points are, as long as no slot can carry: a side of fewer than
+    2**width terms.  A longer side, or sums that differ, takes the edge
+    columns, and the first edge whose sorted projections differ is raised
+    with ``edge=``; only then is anything sorted.
     """
     a = list(m1)
     b = list(m2)
     if len(a) != len(b):
         raise BinomialError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    for ei, ca, cb in zip(range(rt.edge_count), zip(*a), zip(*b)):
-        if ca != cb:
-            pa, pb = sorted(ca), sorted(cb)
-            if pa != pb:
-                raise BinomialError(
-                    f"projections to edge {ei} {rt.edges[ei]} differ: {pa} vs {pb}",
-                    edge=ei,
-                )
-    if set(a).isdisjoint(b):
+    if points is None:
+        width = point_width(group)
+        pa = [packed_point(rt, group, width, f) for f in a]
+        pb = [packed_point(rt, group, width, f) for f in b]
+    else:
+        width, pa, pb = points
+    if sum(pa) != sum(pb) or len(a) >= 1 << width:
+        for ei, ca, cb in zip(range(rt.edge_count), zip(*a), zip(*b)):
+            if ca != cb:
+                sa, sb = sorted(ca), sorted(cb)
+                if sa != sb:
+                    raise BinomialError(
+                        f"projections to edge {ei} {rt.edges[ei]} differ: "
+                        f"{sa} vs {sb}", edge=ei)
+    # a term's point is a function of the term: disjoint points, disjoint sides
+    if set(pa).isdisjoint(pb):
         return Binomial(tuple(sorted(a)), tuple(sorted(b)))
     ca = Counter(a)
     cb = Counter(b)

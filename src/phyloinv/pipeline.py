@@ -16,7 +16,9 @@ The complete intersection on the dense torus orbit is assembled bottom-up:
 
 Every binomial a join or a claw quadric builds goes once through the
 per-edge multiset check (a contracted binomial keeps its T' join's), and
-every assembled set is counted against the codimension formula.
+every assembled set is counted against the codimension formula.  A join
+works on element indices and builds each joined flow once, with the packed
+vertex point the check compares.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .errors import (BinomialError, FlowCapExceeded, FlowError, InternalError,
                      InvalidTreeError)
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
-                    check_flow_cap, flow_from_leaves)
+                    check_flow_cap, flow_from_leaves, packed_flows,
+                    point_width)
 from .groups import Element, GroupSpec
 from .oracle import codim, degree_bound
 from .trees import (JoinContext, RootedTree, Tree, canonical_rooting,
@@ -108,28 +111,29 @@ def tripod_set(group: GroupSpec, mode: str = "direct-cyclic") -> InvariantSet:
     return InvariantSet(rt, group, binomials, ["tripod"] * len(binomials))
 
 
-def _halves(n: int, group: GroupSpec,
-            total: Element) -> Iterator[tuple[Element, ...]]:
-    """The n-tuples of elements that sum to ``total``, in lexicographic
-    order of the first n - 1 (the last is forced)."""
-    elements, index, add, neg = group.table
-    start = neg[index[total]]
+def _halves(n: int, group: GroupSpec, total: int) -> Iterator[tuple[int, ...]]:
+    """The n-tuples of element indices that sum to index ``total``, in
+    lexicographic order of the first n - 1 (the last is forced)."""
+    add, neg = group.table.add, group.table.neg
+    start = neg[total]
     for combo in product(range(group.order), repeat=n - 1):
         s = start
         for i in combo:
             s = add[s][i]
-        yield tuple(elements[i] for i in combo) + (elements[neg[s]],)
+        yield combo + (neg[s],)
 
 
 def join_sets(ctx: JoinContext, group: GroupSpec,
               s1: InvariantSet, s2: InvariantSet) -> InvariantSet:
     """Assemble the set for a joined tree from complete sets for the parts.
 
-    A joined flow is fixed by its two halves: h1, its values at T1's leaves
-    other than the fresh one (1..k1-1), and h2, those at T2's (1..k2-1);
-    ``leaf_map1``/``leaf_map2`` send them to their joined labels.  A part
-    flow is lifted by rerouting its fresh-leaf value to leaf 1 of the other
-    part, and the path flow of g0 carries g0 from T1's leaf 1 to T2's.
+    A joined flow is fixed by its two halves, tuples of element indices:
+    h1, its values at T1's leaves other than the fresh one (1..k1-1), and
+    h2, those at T2's (1..k2-1); ``leaf_map1``/``leaf_map2`` send them to
+    their joined labels.  A part flow is lifted by rerouting its fresh-leaf
+    value to leaf 1 of the other part, and the path flow of g0 carries g0
+    from T1's leaf 1 to T2's.  Each joined flow is built once, with its
+    packed vertex point, and every binomial is checked on those points.
 
     Sign convention: an edge carries its value in the away-from-root
     orientation, so reading it against that orientation negates.  The
@@ -145,56 +149,72 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     _check_codim(len(s2.binomials), t2, group, "part set T2")
     k1, k2 = t1.leaf_count, t2.leaf_count
     rt = ctx.rooted
-    zeros1 = (group.zero(),) * (k1 - 2)
-    zeros2 = (group.zero(),) * (k2 - 2)
-    # joined leaf lab takes entry order[lab - 1] of h1 + h2
-    order = [0] * rt.leaf_count
+    g, l = group.order, rt.leaf_count
+    index, neg = group.table.index, group.table.neg
+    zeros1, zeros2 = (0,) * (k1 - 2), (0,) * (k2 - 2)
+    # joined leaf lab takes entry order[lab - 1] of h1 + h2, whose weight
+    # in the joined flow's flow_index is g^(l-1-lab) (0 for the last leaf)
+    order = [0] * l
     for w, lab in ctx.leaf_map1.items():
         order[lab - 1] = w - 1
     for w, lab in ctx.leaf_map2.items():
         order[lab - 1] = k1 - 2 + w
     leaves = itemgetter(*order)
+    weight = [0] * l
+    for lab, at in enumerate(order[:-1], 1):
+        weight[at] = g ** (l - 1 - lab)
+    width = point_width(group)
+    build = packed_flows(rt, group, width)
 
     # every joined flow but the edge quadrics' first term recurs (a lifted
-    # part flow is also a mixed quadric term), so each is built once
-    built: dict[tuple[tuple[Element, ...], tuple[Element, ...]], Flow] = {}
+    # part flow is also a mixed quadric term), so each is built once and
+    # kept under its flow_index
+    built: dict[int, tuple[Flow, int]] = {}
 
-    def joined(h1, h2) -> Flow:
-        f = built.get((h1, h2))
-        if f is None:
-            f = built[h1, h2] = flow_from_leaves(rt, group, leaves(h1 + h2))
-        return f
+    def joined(h: tuple[int, ...]) -> tuple[Flow, int]:
+        key = sum(map(mul, h, weight))
+        fp = built.get(key)
+        if fp is None:
+            fp = built[key] = build(leaves(h))
+        return fp
+
+    def lift1(f: Flow) -> tuple[Flow, int]:
+        h = tuple(map(index.__getitem__, f[:k1]))
+        return joined(h + zeros2)
+
+    def lift2(f: Flow) -> tuple[Flow, int]:
+        h = tuple(map(index.__getitem__, f[:k2]))
+        return joined(h[-1:] + zeros1 + h[:-1])
 
     binomials: list[Binomial] = []
     provenance: list[str] = []
-    for s, lift, tag in (
-            (s1, lambda f: joined(f[:k1 - 1], (f[k1 - 1],) + zeros2), "join-E1"),
-            (s2, lambda f: joined((f[k2 - 1],) + zeros1, f[:k2 - 1]), "join-E2")):
+    for s, lift, tag in ((s1, lift1, "join-E1"), (s2, lift2, "join-E2")):
         for b in s.binomials:
+            lhs, lp = zip(*map(lift, b.lhs))
+            rhs, rp = zip(*map(lift, b.rhs))
             binomials.append(binomial_from_multisets(
-                rt, group, [lift(f) for f in b.lhs], [lift(f) for f in b.rhs]))
+                rt, group, lhs, rhs, (width, lp, rp)))
             provenance.append(tag)
 
     n_quadrics = 0
-    for g0 in group.elements:
-        ng0 = group.neg(g0)
-        p1, p2 = (ng0,) + zeros1, (g0,) + zeros2  # the path flow's halves
-        fg0 = joined(p1, p2)
-        pairs2 = [(h2, joined(p1, h2))
+    for g0 in range(g):
+        p1, p2 = (neg[g0],) + zeros1, (g0,) + zeros2  # the path flow's halves
+        fg0, pg0 = joined(p1 + p2)
+        pairs2 = [(h2, *joined(p1 + h2))
                   for h2 in _halves(k2 - 1, group, g0) if h2 != p2]
-        for h1 in _halves(k1 - 1, group, ng0):
+        for h1 in _halves(k1 - 1, group, neg[g0]):
             if h1 == p1:
                 continue
-            mix1 = joined(h1, p2)
-            for h2, mix2 in pairs2:
+            mix1, pm1 = joined(h1 + p2)
+            for h2, mix2, pm2 in pairs2:
                 # h1 and h2 both differ from the path flow's: f is new
-                f = flow_from_leaves(rt, group, leaves(h1 + h2))
+                f, pf = build(leaves(h1 + h2))
                 binomials.append(binomial_from_multisets(
-                    rt, group, [f, fg0], [mix1, mix2]))
+                    rt, group, [f, fg0], [mix1, mix2],
+                    (width, [pf, pg0], [pm1, pm2])))
                 provenance.append("join-edge-quadric")
                 n_quadrics += 1
 
-    g = group.order
     expected_quadrics = g * (g ** (k1 - 2) - 1) * (g ** (k2 - 2) - 1)
     if n_quadrics != expected_quadrics:
         raise InternalError(

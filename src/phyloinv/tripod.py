@@ -35,7 +35,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import FlowError, InternalError
-from .flows import Binomial, Flow, binomial_from_multisets, flow_from_leaves
+from .flows import (Binomial, Flow, binomial_from_multisets, flow_from_leaves,
+                    packed_point, point_width)
 from .groups import GroupSpec, prime_power_refinement
 from .trees import RootedTree, canonical_rooting, parse_newick
 
@@ -198,7 +199,7 @@ def adm_basis(spec: GroupSpec, mode: str = "direct-cyclic") -> list[Matrix]:
 
 
 def matrix_to_binomial(m: Matrix, group: GroupSpec,
-                       built: dict[tuple[int, int], Flow] | None = None
+                       built: dict[tuple[int, int], tuple[Flow, int]] | None = None
                        ) -> Binomial:
     """The tripod binomial of a matrix over ``group``: the entry of elements
     (a, b) with value v contributes |v| copies of the flow with leaf values
@@ -207,31 +208,40 @@ def matrix_to_binomial(m: Matrix, group: GroupSpec,
     An index outside 0..|G|-1 raises :class:`FlowError`, and
     :func:`binomial_from_multisets` raises :class:`BinomialError` unless
     the matrix is admissible, naming edge 0, 1 or 2 for a broken row,
-    column or class.  The flow of (a, b) is taken from ``built`` and added
-    there the first time it is needed, so matrices converted with one dict
-    share flows.
+    column or class.  The flow of (a, b) and its packed vertex point are
+    taken from ``built`` and added there the first time they are needed,
+    so matrices converted with one dict share flows.
     """
     if built is None:
         built = {}
     els, add, neg = group.table.elements, group.table.add, group.table.neg
     n = len(els)
+    width = point_width(group)
     rt = tripod_tree()
     lhs: list = []
     rhs: list = []
+    lp: list = []
+    rp: list = []
     for (a, b), v in m.items():
-        f = built.get((a, b))
-        if f is None:
+        fp = built.get((a, b))
+        if fp is None:
             if not (0 <= a < n and 0 <= b < n):
                 raise FlowError(f"index ({a}, {b}) outside 0..{n - 1} "
                                 f"for group {group}")
-            f = built[a, b] = flow_from_leaves(
-                rt, group, (els[a], els[b], els[neg[add[a][b]]]))
-        (lhs if v > 0 else rhs).extend([f] * abs(v))
-    return binomial_from_multisets(rt, group, lhs, rhs)
+            f = flow_from_leaves(rt, group, (els[a], els[b], els[neg[add[a][b]]]))
+            fp = built[a, b] = (f, packed_point(rt, group, width, f))
+        f, p = fp
+        if v > 0:
+            lhs += [f] * v
+            lp += [p] * v
+        else:
+            rhs += [f] * -v
+            rp += [p] * -v
+    return binomial_from_multisets(rt, group, lhs, rhs, (width, lp, rp))
 
 
 def tripod_invariants(group: GroupSpec, mode: str = "direct-cyclic") -> list[Binomial]:
     """The defining binomials of the tripod variety for ``group``; the
     matrices share one flow per element pair."""
-    built: dict[tuple[int, int], Flow] = {}
+    built: dict[tuple[int, int], tuple[Flow, int]] = {}
     return [matrix_to_binomial(m, group, built) for m in adm_basis(group, mode)]

@@ -478,6 +478,34 @@ def test_closed_stdout_exits_0_or_2(argv, keep, joined, unbuffered):
                        f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
 
 
+@pytest.mark.parametrize("subcommand", ["generate", "verify"])
+@pytest.mark.parametrize("group", ["Z2", "Q2"])
+@pytest.mark.parametrize("fds", [(1,), (1, 2)], ids=["stdout", "stdout-stderr"])
+def test_stream_closed_at_start_exits_2(subcommand, group, fds):
+    # descriptors closed before the interpreter starts (`>&-`, `2>&-`) make
+    # sys.stdout or sys.stderr None: a bad descriptor (exit 2), not a bug
+    # (exit 4) or an escaping exception (exit 1); Q2 is bad input and
+    # exits 2 with the stdout left unwritten
+    def close():
+        for fd in fds:
+            os.close(fd)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "phyloinv", subcommand, "--group", group,
+         "--tree", "(1,2,3);"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC}, preexec_fn=close, timeout=120)
+    assert proc.returncode == EXIT_INPUT_ERROR
+    if 2 in fds:
+        assert proc.stderr == b""
+    elif group == "Z2":
+        assert proc.stderr.decode() == \
+            f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+    else:
+        assert proc.stderr.decode().startswith("error: malformed group spec")
+        assert proc.stderr.count(b"\n") == 1
+
+
 def test_address_space_limit_exits_3_with_one_line():
     # the child caps its own address space; only it is limited
     resource = pytest.importorskip("resource")

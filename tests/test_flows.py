@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from phyloinv.errors import BinomialError, FlowCapExceeded, FlowError
 from dense import add, enumerate_flows, flow_defect, vertex_support
 from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
-                            flow_from_leaves, flow_index)
+                            flow_from_leaves, flow_index, packed_flows,
+                            point_width)
 from phyloinv.groups import GroupSpec
 from phyloinv.oracle import _read_terms
 from phyloinv.pipeline import _halves, generate, join_sets, tripod_set
@@ -120,14 +121,16 @@ def test_enumerate_flows_count_and_order(quartet):
 def test_halves_enumeration(quartet):
     for n, group, total in [(3, Z3, (1,)), (2, Z3, (0,)), (1, Z3, (2,)),
                             (3, Z2Z2, (1, 0))]:
-        halves = list(_halves(n, group, total))
+        # halves are tuples of element indices, the total an index too
+        halves = list(_halves(n, group, group.index(total)))
         assert len(halves) == len(set(halves)) == group.order ** (n - 1)
-        assert all(reduce(partial(add, group), h, group.zero()) == total
-                   for h in halves)
+        assert all(reduce(partial(add, group), map(group.elements.__getitem__, h),
+                          group.zero()) == total for h in halves)
         # lexicographic in the first n - 1 entries, the last one forced
         assert [h[:-1] for h in halves] == sorted(h[:-1] for h in halves)
     # with the negated total at leaf 4, each is the leaf part of a flow
-    fixed = [h + ((2,),) for h in _halves(3, Z3, (1,))]
+    fixed = [tuple(map(Z3.elements.__getitem__, h)) + ((2,),)
+             for h in _halves(3, Z3, Z3.index((1,)))]
     assert len(fixed) == 9
     assert all(flow_from_leaves(quartet, Z3, vals)[:4] == vals for vals in fixed)
 
@@ -331,10 +334,58 @@ FQ = [flow_from_leaves(QUARTET, Z2, v) for v in
 @example((QUARTET, Z2, [FQ[0]], []))
 @example((QUARTET, Z2, [FQ[0], FQ[1]], [FQ[2], FQ[2]]))
 @example((QUARTET, Z2, [FQ[0] + ((1,),)], [FQ[0] + ((0,),)]))
-def test_columnwise_check_matches_sorting_every_edge(case):
+# sides of 2**width - 1 terms (packed sums) and 2**width terms (columns),
+# equal and unequal
+@example((QUARTET, Z2, [FQ[0], FQ[1], FQ[0]], [FQ[2], FQ[3], FQ[0]]))
+@example((QUARTET, Z2, [FQ[0], FQ[1], FQ[1]], [FQ[2], FQ[3], FQ[0]]))
+@example((QUARTET, Z2, [FQ[0], FQ[1]] * 2, [FQ[2], FQ[3]] * 2))
+@example((QUARTET, Z2, [FQ[0]] * 4, [FQ[1]] * 4))
+def test_packed_sum_check_matches_sorting_every_edge(case):
     rt, group, a, b = case
     assert outcome(lambda: binomial_from_multisets(rt, group, a, b)) == \
         outcome(lambda: sort_every_edge(rt, a, b))
+
+
+def test_a_side_of_2_to_the_width_terms_takes_the_columns():
+    # points that sum equal whatever the terms: below 2**width terms a side
+    # cannot carry, so the sums decide; from 2**width on a slot could carry
+    # and the edge columns decide, as the reference does
+    width = point_width(Z2)
+    assert width == 2
+    for n in (2 ** width - 1, 2 ** width):
+        a, b = [FQ[0]] * n, [FQ[1]] * n
+        got = outcome(lambda: binomial_from_multisets(
+            QUARTET, Z2, a, b, (width, [0] * n, [0] * n)))
+        if n < 2 ** width:
+            assert got == Binomial((FQ[0],) * n, (FQ[1],) * n)
+        else:
+            assert got == outcome(lambda: sort_every_edge(QUARTET, a, b))
+            assert got[1] == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(PAIR_TREES + [canonical_rooting(parse_newick(
+           "(((1,2),3),(4,5),6);"))]),
+       st.sampled_from([Z2, Z3, Z2Z2, GroupSpec((5,))]), st.data())
+def test_packed_flows_match_flow_from_leaves_and_the_verifier(rt, group, data):
+    # the join's builder gives the flow flow_from_leaves builds and the
+    # packed point the verifier reads from that flow, independently
+    width = point_width(group)
+    build = packed_flows(rt, group, width)
+    head = data.draw(st.lists(st.integers(0, group.order - 1),
+                              min_size=rt.leaf_count - 1,
+                              max_size=rt.leaf_count - 1))
+    els, table = group.elements, group.table
+    s = reduce(lambda x, y: table.add[x][y], head, 0)
+    leaves = [*head, table.neg[s]]
+    f, point = build(leaves)
+    assert f == flow_from_leaves(rt, group, [els[i] for i in leaves])
+    defects, points, _ = _read_terms(rt, group, [f], width)
+    assert not defects and points[f] == point
+    if group.order > 1:
+        leaves[-1] = table.add[leaves[-1]][1]
+        with pytest.raises(FlowError, match="do not sum to zero"):
+            build(leaves)
 
 
 def test_flow_cap_count_is_exact_up_to_the_cap(quartet):

@@ -843,10 +843,11 @@ class TestMutationBattery:
         return r, len(calls)
 
     @staticmethod
-    def assert_report(r, base, *, count_ok=True, spans_ok=True,
-                      degree_bound_ok=True, actual_count=None, failures=()):
+    def assert_report(r, base, *, count_ok=True, kernel_membership_ok=True,
+                      spans_ok=True, degree_bound_ok=True, actual_count=None,
+                      failures=()):
         assert r.count_ok is count_ok
-        assert r.kernel_membership_ok is True
+        assert r.kernel_membership_ok is kernel_membership_ok
         assert r.spans_ok is spans_ok
         assert r.degree_bound_ok is degree_bound_ok
         assert r.expected_codim == base.expected_codim
@@ -913,3 +914,21 @@ class TestMutationBattery:
                                failures=[f"generators span rank {codim_ - 1}, "
                                          f"kernel has rank {codim_}"])
             assert runs == 1
+
+            # one term of b_i moved off the flow set: a new value on leaf 1's
+            # edge, whose upper end is the root, breaks conservation there
+            # only; membership names the binomial and the term, and the span
+            # check is skipped
+            rt, table = s.rooted, s.group.table
+            assert rt.edges[0] == (rt.root, 1)
+            f = bs[i].lhs[0]
+            moved = (table.elements[table.add[table.index[f[0]]][1]],) + f[1:]
+            b = Binomial((moved,) + bs[i].lhs[1:], bs[i].rhs)
+            r, runs = self.verify(s, [*bs[:i], b, *bs[i + 1:]], monkeypatch)
+            self.assert_report(
+                r, base, kernel_membership_ok=False, spans_ok=False,
+                failures=[f"binomial {i}: term {moved} is not a flow: "
+                          f"values do not conserve at node {rt.root}",
+                          "span check skipped: some exponent vector is "
+                          "outside the kernel"])
+            assert runs == 0

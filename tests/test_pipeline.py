@@ -183,19 +183,25 @@ class TestClawSet:
 
     def test_broken_lifted_flow_is_caught_in_the_t_prime_join(self,
                                                                monkeypatch):
-        # swap the values of leaves 1 and 2 in the first joined flow where
-        # they differ: the T' join check must name a claw (pendant) edge
-        real = pipeline.flow_from_leaves
+        # swap the leaf indices of leaves 1 and 2 in the first joined flow
+        # where they differ (its packed point is built from the swapped
+        # leaves too): the T' join check must name a claw (pendant) edge
+        real = pipeline.packed_flows
         broken = []
 
-        def swapping(rt, group, vals):
-            vals = tuple(vals)
-            if not broken and vals[0] != vals[1]:
-                broken.append(vals)
-                vals = (vals[1], vals[0]) + vals[2:]
-            return real(rt, group, vals)
+        def swapping_builder(rt, group, width):
+            build = real(rt, group, width)
 
-        monkeypatch.setattr(pipeline, "flow_from_leaves", swapping)
+            def swapping(leaves):
+                leaves = tuple(leaves)
+                if not broken and leaves[0] != leaves[1]:
+                    broken.append(leaves)
+                    leaves = (leaves[1], leaves[0]) + leaves[2:]
+                return build(leaves)
+
+            return swapping
+
+        monkeypatch.setattr(pipeline, "packed_flows", swapping_builder)
         with pytest.raises(InternalError,
                            match=r"BinomialError: projections to edge [0-3] "
                                  r"\(\d+, [1-4]\)"):
@@ -292,21 +298,26 @@ class TestGenerate:
 
 def test_join_builds_each_flow_once(monkeypatch):
     # every join of a Z3 caterpillar; within one join_sets call no joined
-    # flow is built from the same leaf values twice
+    # flow is built from the same leaf indices twice
     rt = canonical_rooting(parse_newick("(((((1,2),3),4),5),6);"))
     joins = []
     for edge in rt.interior_edges():
         ctx = decompose_at_edge(rt, edge)
         joins.append((ctx, generate(ctx.t1, Z3), generate(ctx.t2, Z3)))
     builds: Counter = Counter()
-    real = pipeline.flow_from_leaves
+    real = pipeline.packed_flows
 
-    def counted(rt, group, vals):
-        vals = tuple(vals)
-        builds[vals] += 1
-        return real(rt, group, vals)
+    def counted_builder(rt, group, width):
+        build = real(rt, group, width)
 
-    monkeypatch.setattr(pipeline, "flow_from_leaves", counted)
+        def counted(leaves):
+            leaves = tuple(leaves)
+            builds[leaves] += 1
+            return build(leaves)
+
+        return counted
+
+    monkeypatch.setattr(pipeline, "packed_flows", counted_builder)
     for ctx, s1, s2 in joins:
         builds.clear()
         s = join_sets(ctx, Z3, s1, s2)
