@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a value their
+messages name is printed."""
 
 
 class Error(Exception):
@@ -44,3 +45,29 @@ class FlowCapExceeded(Error, RuntimeError):
 
 class InternalError(Error, RuntimeError):
     """An internal invariant of the construction does not hold (a bug)."""
+
+
+def digit_count(n: int) -> int:
+    """Decimal digits of ``n`` >= 1, without converting it to a string."""
+    d = max(1, n.bit_length() * 3 // 10)  # 0.3 < log10(2): a lower bound
+    while 10 ** d <= n:
+        d += 1
+    return d
+
+
+def as_text(value: object) -> str:
+    """``str(value)`` for a message.  Where that fails on an int past
+    Python's int-to-string digit limit, the int, at any depth of tuples and
+    lists, is shown by its digit count; any other value that cannot be
+    printed is shown by its type."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {digit_count(abs(value))} digits>"
+        if not isinstance(value, (tuple, list)):
+            return f"<{type(value).__name__} that does not print>"
+    inner = ", ".join(map(as_text, value))
+    if isinstance(value, list):
+        return f"[{inner}]"
+    return f"({inner},)" if len(value) == 1 else f"({inner})"

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BinomialError, FlowCapExceeded, FlowError
-from .groups import CayleyTable, Element, GroupSpec
+from .errors import (BinomialError, FlowCapExceeded, FlowError, as_text,
+                     digit_count)
+from .groups import Element, GroupSpec
 from .trees import RootedTree, Tree
 
 # A flow is the tuple of per-edge group elements in canonical edge order.
@@ -36,30 +37,34 @@ def flow_from_leaves(rt: RootedTree, group: GroupSpec, leaf_values: Iterable[Ele
     if len(vals) != rt.leaf_count:
         raise FlowError(f"expected {rt.leaf_count} leaf values, got {len(vals)}")
     table = group.table
-    idx, s = [], 0
-    for x in vals:
-        i = table.index.get(x)
+    idx, s = [0] * rt.edge_count, 0
+    for k, x in enumerate(vals):
+        try:
+            i = table.index.get(x)
+        except TypeError:  # unhashable, a list read back from JSON say
+            i = None
         if i is None:
-            raise FlowError(f"leaf value {x} is not in {group}")
-        idx.append(i)
+            raise FlowError(f"leaf value {as_text(x)} is not in {group}")
+        idx[k] = i
         s = table.add[s][i]
     if s:
         raise FlowError(f"leaf values {vals} do not sum to zero")
-    return _complete(rt, table, idx)
+    _complete(rt.bottom_up, table.add, idx)
+    return tuple(map(table.elements.__getitem__, idx))
 
 
-def _complete(rt: RootedTree, table: CayleyTable, idx: list[int]) -> Flow:
-    """The flow whose leaf values have the indices ``idx`` (extended in
-    place): each interior edge, children before parents, gets the sum of
-    the edges below it."""
-    add = table.add
-    idx += [0] * (rt.edge_count - rt.leaf_count)
-    for ei, below in rt.bottom_up:
+def _complete(bottom_up: Sequence[tuple[int, Sequence[int]]],
+              add: Sequence[Sequence[int]], idx: list[int]) -> list[int]:
+    """The one walk that completes a flow, in place: ``idx`` holds the leaf
+    values' element indices and a slot per interior edge, and each interior
+    edge, children before parents (``rt.bottom_up``), gets the sum of the
+    edges below it.  Every flow built in the package is completed here."""
+    for ei, below in bottom_up:
         s = 0
         for c in below:
             s = add[s][idx[c]]
         idx[ei] = s
-    return tuple(map(table.elements.__getitem__, idx))
+    return idx
 
 
 def point_width(group: GroupSpec) -> int:
@@ -72,8 +77,12 @@ def point_width(group: GroupSpec) -> int:
 def packed_point(rt: RootedTree, group: GroupSpec, width: int, f: Flow) -> int:
     """The vertex point of ``f``, read from its first ``edge_count`` values:
     a 1 in the ``width``-bit slot of column ei*g + i for each edge ei and
-    the index i of its value there."""
+    the index i of its value there.  A term with fewer values than edges
+    raises :class:`FlowError`."""
     g, index = group.order, group.table.index
+    if len(f) < rt.edge_count:
+        raise FlowError(f"term {as_text(f)} has {len(f)} values, "
+                        f"expected {rt.edge_count}")
     try:
         return sum(1 << width * (ei * g + index[x])
                    for ei, x in zip(range(rt.edge_count), f))
@@ -85,10 +94,10 @@ def packed_flows(rt: RootedTree, group: GroupSpec, width: int
                  ) -> Callable[[Sequence[int]], tuple[Flow, int]]:
     """A builder of flows from the element indices of all their leaf values.
 
-    One bottom-up walk, the one :func:`_complete` makes, gives both the
-    flow and its :func:`packed_point`; it is repeated here without the
-    per-call set-up.  The root must conserve (its outgoing values sum to
-    zero, i.e. the leaf values do), or :class:`FlowError` is raised.
+    The builder completes each flow with :func:`_complete` and sums its
+    :func:`packed_point` from the same indices.  The root must conserve
+    (its outgoing values sum to zero, i.e. the leaf values do), or
+    :class:`FlowError` is raised.
     """
     table = group.table
     add, elements = table.add, table.elements
@@ -99,12 +108,7 @@ def packed_flows(rt: RootedTree, group: GroupSpec, width: int
     slots = [[1 << width * (ei * g + i) for i in range(g)] for ei in range(e)]
 
     def build(leaves: Sequence[int]) -> tuple[Flow, int]:
-        idx = [*leaves, *pad]
-        for ei, below in bottom_up:
-            s = 0
-            for c in below:
-                s = add[s][idx[c]]
-            idx[ei] = s
+        idx = _complete(bottom_up, add, [*leaves, *pad])
         s = 0
         for c in at_root:
             s = add[s][idx[c]]
@@ -137,29 +141,24 @@ def check_flow_cap(tree: Tree, group: GroupSpec, cap: int) -> int:
             if g < 10 ** 20:
                 shown, order = str(g), str(g)
             else:
-                shown, order = "g", f"g of {_digit_count(g)} digits"
+                shown, order = "g", f"g of {digit_count(g)} digits"
             raise FlowCapExceeded(f"{shown}^{l - 1} flows exceed the cap {cap} "
                                   f"(group order {order}, {l} leaves)")
     return total
 
 
-def _digit_count(n: int) -> int:
-    """Decimal digits of ``n`` >= 1, without converting it to a string."""
-    d = max(1, n.bit_length() * 3 // 10)  # 0.3 < log10(2): a lower bound
-    while 10 ** d <= n:
-        d += 1
-    return d
-
-
 def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
-    """All flows in lexicographic order of the first leaf_count-1 leaf values."""
-    table = group.table
-    add, neg = table.add, table.neg
+    """All flows in lexicographic order of the first leaf_count-1 leaf
+    values, each completed from its leaf values by :func:`_complete`."""
+    table, bottom_up = group.table, rt.bottom_up
+    add, neg, elements = table.add, table.neg, table.elements
+    pad = [0] * (rt.edge_count - rt.leaf_count)
     for head in product(range(group.order), repeat=rt.leaf_count - 1):
         s = 0
         for i in head:
             s = add[s][i]
-        yield _complete(rt, table, [*head, neg[s]])
+        idx = _complete(bottom_up, add, [*head, neg[s], *pad])
+        yield tuple(map(elements.__getitem__, idx))
 
 
 def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:

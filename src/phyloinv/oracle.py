@@ -34,7 +34,7 @@ from itertools import chain
 from math import inf, prod
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import InternalError
+from .errors import InternalError, as_text
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, check_flow_cap,
                     flow_index, flow_total, iter_flows)
 from .groups import GroupSpec
@@ -234,7 +234,7 @@ class VerificationReport:
 
 class _Unhashable:
     """Stands in for an unhashable value inside a term: hashes by identity
-    and prints as the value."""
+    and prints as the value (see :func:`as_text`)."""
 
     __slots__ = ("value",)
 
@@ -242,7 +242,7 @@ class _Unhashable:
         self.value = value
 
     def __repr__(self) -> str:
-        return repr(self.value)
+        return as_text(self.value)
 
 
 def _tuples(x):
@@ -307,7 +307,8 @@ def _read_terms(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow],
         idx = list(map(index.get, f))
         if None in idx:
             ei = idx.index(None)
-            defects[f] = f"value {f[ei]} on edge {ei} {rt.edges[ei]} is not in {group}"
+            defects[f] = (f"value {as_text(f[ei])} on edge {ei} {rt.edges[ei]} "
+                          f"is not in {group}")
             continue
         for u, up, down in nodes:
             s = 0
@@ -360,7 +361,8 @@ def verify_complete_intersection(s: "InvariantSet",
         if defects:
             bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
             for f in bad:
-                failures.append(f"binomial {i}: term {f} is not a flow: {defects[f]}")
+                failures.append(
+                    f"binomial {i}: term {as_text(f)} is not a flow: {defects[f]}")
             if bad:
                 membership_ok = False
                 continue

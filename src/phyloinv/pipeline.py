@@ -36,8 +36,8 @@ from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
                     point_width)
 from .groups import Element, GroupSpec
 from .oracle import codim, degree_bound
-from .trees import (JoinContext, RootedTree, Tree, canonical_rooting,
-                    decompose_at_edge, tree_to_json)
+from .trees import (JoinContext, RootedTree, Tree, canonical_claw,
+                    canonical_rooting, decompose_at_edge, tree_to_json)
 from .tripod import tripod_invariants, tripod_tree
 
 
@@ -91,10 +91,6 @@ def algebra_text(s: InvariantSet) -> str:
     text = {f: _term(f) for f in {f for b in s.binomials for f in b.lhs + b.rhs}}
     return "".join(f"{'*'.join(map(text.get, b.lhs))} - "
                    f"{'*'.join(map(text.get, b.rhs))}\n" for b in s.binomials)
-
-
-def canonical_claw(n: int) -> Tree:
-    return Tree(n, [(n + 1, i) for i in range(1, n + 1)])
 
 
 def _check_codim(n: int, tree: Tree, group: GroupSpec, what: str) -> int:

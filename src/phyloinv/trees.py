@@ -219,6 +219,11 @@ def canonical_rooting(tree: Tree) -> RootedTree:
     return RootedTree(tree, tree.canonical_root())
 
 
+def canonical_claw(n: int) -> Tree:
+    """The claw with leaves 1..n around the one interior node n + 1."""
+    return Tree(n, [(n + 1, i) for i in range(1, n + 1)])
+
+
 # -- Newick parsing ----------------------------------------------------
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")

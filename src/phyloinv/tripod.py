@@ -38,14 +38,14 @@ from .errors import FlowError, InternalError
 from .flows import (Binomial, Flow, binomial_from_multisets, flow_from_leaves,
                     packed_point, point_width)
 from .groups import GroupSpec, prime_power_refinement
-from .trees import RootedTree, canonical_rooting, parse_newick
+from .trees import RootedTree, canonical_claw, canonical_rooting
 
 Matrix = dict[tuple[int, int], int]
 
 
 @lru_cache(maxsize=None)
 def tripod_tree() -> RootedTree:
-    return canonical_rooting(parse_newick("(1,2,3);"))
+    return canonical_rooting(canonical_claw(3))
 
 
 def _add_exchange(acc: dict, g: int, r1: int, r2: int, c1: int, c2: int):

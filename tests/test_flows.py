@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from phyloinv.errors import BinomialError, FlowCapExceeded, FlowError
 from dense import add, enumerate_flows, flow_defect, vertex_support
 from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
-                            flow_from_leaves, flow_index, packed_flows,
-                            point_width)
+                            flow_from_leaves, flow_index, iter_flows,
+                            packed_flows, point_width)
 from phyloinv.groups import GroupSpec
 from phyloinv.oracle import _read_terms
 from phyloinv.pipeline import _halves, generate, join_sets, tripod_set
@@ -56,6 +56,17 @@ def test_flow_wrong_length(quartet):
 def test_flow_value_outside_group(quartet, bad):
     # (4,) and (-2,) are 1 mod 3: a value is refused, never reduced
     with pytest.raises(FlowError, match=re.escape(f"leaf value {bad} is not in Z3")):
+        flow_from_leaves(quartet, Z3, [bad, (2,), (0,), (0,)])
+
+
+@pytest.mark.parametrize("bad, shown", [
+    ((10 ** 5000,), "(<int of 5001 digits>,)"),
+    ([0], "[0]"),
+], ids=["past-the-digit-limit", "unhashable"])
+def test_flow_value_that_does_not_print_or_hash(quartet, bad, shown):
+    # an int too long to print is shown by its digit count; a list, as read
+    # back from JSON, is no element
+    with pytest.raises(FlowError, match=re.escape(f"leaf value {shown} is not in Z3")):
         flow_from_leaves(quartet, Z3, [bad, (2,), (0,), (0,)])
 
 
@@ -229,6 +240,22 @@ def test_binomial_checks_edge_projections(quartet):
         binomial_from_multisets(quartet, Z2, [f0], [f1])
 
 
+def test_binomial_refuses_a_term_shorter_than_the_tree(quartet):
+    tripod = canonical_rooting(parse_newick("(1,2,3);"))
+    f = flow_from_leaves(tripod, Z2, [(0,), (1,), (1,)])
+    with pytest.raises(FlowError, match=re.escape(
+            "term ((0,), (1,)) has 2 values, expected 3")):
+        binomial_from_multisets(tripod, Z2, [f], [f[:2]])
+    # beside full-length terms the short one would hide their last column,
+    # which differs here
+    f = flow_from_leaves(quartet, Z2, [(1,), (1,), (0,), (0,)])
+    other = f[:4] + ((1,),)
+    assert f[4] != other[4]
+    with pytest.raises(FlowError, match=re.escape(
+            f"term {f[:4]} has 4 values, expected 5")):
+        binomial_from_multisets(quartet, Z2, [f, f], [f[:4], other])
+
+
 def test_binomial_cancels_common_flows(quartet):
     flows = enumerate_flows(quartet, Z2)
     b = binomial_from_multisets(quartet, Z2, [flows[0], flows[1]],
@@ -386,6 +413,12 @@ def test_packed_flows_match_flow_from_leaves_and_the_verifier(rt, group, data):
         leaves[-1] = table.add[leaves[-1]][1]
         with pytest.raises(FlowError, match="do not sum to zero"):
             build(leaves)
+    # one walk: the verifier's flows are the builder's over the join's
+    # fixed-sum leaf tuples, in order, and flow_from_leaves' too
+    flows = list(iter_flows(rt, group))
+    assert flows == [build(h)[0] for h in _halves(rt.leaf_count, group, 0)]
+    assert flows == [flow_from_leaves(rt, group, f[:rt.leaf_count]) for f in flows]
+    assert [flow_index(rt, group, f) for f in flows] == list(range(len(flows)))
 
 
 def test_flow_cap_count_is_exact_up_to_the_cap(quartet):

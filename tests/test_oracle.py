@@ -756,6 +756,27 @@ class TestNonFlows:
                    for m in r.failures)
 
 
+    @pytest.mark.parametrize("value, shown", [
+        ((10 ** 5000,), "(<int of 5001 digits>,)"),
+        ({"a": 10 ** 5000}, "<dict that does not print>"),
+    ], ids=["int", "unhashable"])
+    def test_value_that_does_not_print_is_reported(self, value, shown):
+        # past Python's int-to-string digit limit: an int is shown by its
+        # digit count, so the verifier still returns its report
+        s = generate(parse_newick("((1,2),(3,4));"), Z2)
+        b = s.binomials[0]
+        foreign = Binomial(((value,) * 5,) + b.lhs[1:], b.rhs)
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, [foreign] + list(s.binomials[1:]),
+                         list(s.provenance)))
+        assert not r.passed
+        assert not r.kernel_membership_ok
+        msgs = [m for m in r.failures if "is not a flow" in m]
+        assert msgs == [f"binomial 0: term ({', '.join([shown] * 5)}) is not a "
+                        f"flow: value {shown} on edge 0 {s.rooted.edges[0]} "
+                        f"is not in Z2"]
+        json.dumps(r.to_json())
+
 def test_degree_reads_both_sides():
     s = generate(parse_newick("((1,2),(3,4));"), Z3)
     i, b = next((i, b) for i, b in enumerate(s.binomials) if b.degree == 3)
