@@ -77,17 +77,20 @@ def point_width(group: GroupSpec) -> int:
 def packed_point(rt: RootedTree, group: GroupSpec, width: int, f: Flow) -> int:
     """The vertex point of ``f``, read from its first ``edge_count`` values:
     a 1 in the ``width``-bit slot of column ei*g + i for each edge ei and
-    the index i of its value there.  A term with fewer values than edges
-    raises :class:`FlowError`."""
+    the index i of its value there.  A term with fewer values than edges,
+    or a value that is no element, raises :class:`FlowError`."""
     g, index = group.order, group.table.index
     if len(f) < rt.edge_count:
         raise FlowError(f"term {as_text(f)} has {len(f)} values, "
                         f"expected {rt.edge_count}")
-    try:
-        return sum(1 << width * (ei * g + index[x])
-                   for ei, x in zip(range(rt.edge_count), f))
-    except KeyError as exc:
-        raise FlowError(f"value {exc.args[0]} is not in {group}") from None
+    point = 0
+    for ei, x in zip(range(rt.edge_count), f):
+        try:
+            i = index[x]
+        except (KeyError, TypeError):  # TypeError: unhashable, a list say
+            raise FlowError(f"value {as_text(x)} is not in {group}") from None
+        point += 1 << width * (ei * g + i)
+    return point
 
 
 def packed_flows(rt: RootedTree, group: GroupSpec, width: int

@@ -259,18 +259,19 @@ def _eliminate(rows_in: Sequence[dict[int, int]]) -> tuple[int, list[int]]:
             rows[rid] = filtered
             for c in filtered:
                 colmap.setdefault(c, set()).add(rid)
-    version: dict[int, int] = {rid: 0 for rid in rows}
-    heap = [(len(r), rid, 0) for rid, r in rows.items()]
+    # each update pushes (nnz, rid) anew, so an entry with another nnz is
+    # stale; a repeat of the live one pops next and finds it done or parked
+    heap = [(len(r), rid) for rid, r in rows.items()]
     heapq.heapify(heap)
     pivots = 0
     while heap:
-        nnz, rid, ver = heapq.heappop(heap)
-        if rid not in rows or version[rid] != ver:
+        nnz, rid = heapq.heappop(heap)
+        if rid not in rows or len(rows[rid]) != nnz:
             continue
         row = rows[rid]
         unit_cols = [c for c, v in row.items() if v in (1, -1)]
         if not unit_cols:
-            continue  # parked; revisited if a later update re-pushes it
+            continue  # parked: no +-1 until an update changes it and re-pushes it
         c = min(unit_cols, key=lambda cc: (len(colmap[cc]), cc))
         if row[c] == -1:
             row = {k: -v for k, v in row.items()}
@@ -291,8 +292,7 @@ def _eliminate(rows_in: Sequence[dict[int, int]]) -> tuple[int, list[int]]:
                         del orow[k]
                         colmap[k].discard(other)
             if orow:
-                version[other] += 1
-                heapq.heappush(heap, (len(orow), other, version[other]))
+                heapq.heappush(heap, (len(orow), other))
             else:
                 del rows[other]  # linearly dependent row vanished
         for k in row:

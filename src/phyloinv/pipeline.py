@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import (BinomialError, FlowCapExceeded, FlowError, InternalError,
@@ -35,7 +35,7 @@ from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
                     check_flow_cap, flow_from_leaves, packed_flows,
                     point_width)
 from .groups import Element, GroupSpec
-from .oracle import codim, degree_bound
+from .oracle import _tuple_terms, codim, degree_bound
 from .trees import (JoinContext, RootedTree, Tree, canonical_claw,
                     canonical_rooting, decompose_at_edge, tree_to_json)
 from .tripod import tripod_invariants, tripod_tree
@@ -72,7 +72,7 @@ class InvariantSet:
             "invariants": [
                 {"degree": b.degree, "provenance": tag,
                  "lhs": b.lhs, "rhs": b.rhs}
-                for b, tag in zip(self.binomials, self.provenance)
+                for b, tag in zip(self.binomials, self.provenance, strict=True)
             ],
         }
 
@@ -87,10 +87,17 @@ def _term(f) -> str:
 
 def algebra_text(s: InvariantSet) -> str:
     """One line per binomial: product of x[..] terms, '-', product.  Each
-    distinct term is rendered once, however many binomials it recurs in."""
-    text = {f: _term(f) for f in {f for b in s.binomials for f in b.lhs + b.rhs}}
+    distinct term is rendered once, however many binomials it recurs in.
+    Terms read back from JSON, lists of lists, are read as tuples."""
+    binomials = s.binomials
+    try:
+        terms = {f for b in binomials for f in b.lhs + b.rhs}
+    except TypeError:  # unhashable lists, or a list side beside a tuple one
+        binomials = list(map(_tuple_terms, binomials))
+        terms = {f for b in binomials for f in b.lhs + b.rhs}
+    text = {f: _term(f) for f in terms}
     return "".join(f"{'*'.join(map(text.get, b.lhs))} - "
-                   f"{'*'.join(map(text.get, b.rhs))}\n" for b in s.binomials)
+                   f"{'*'.join(map(text.get, b.rhs))}\n" for b in binomials)
 
 
 def _check_codim(n: int, tree: Tree, group: GroupSpec, what: str) -> int:
@@ -145,33 +152,28 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     _check_codim(len(s2.binomials), t2, group, "part set T2")
     k1, k2 = t1.leaf_count, t2.leaf_count
     rt = ctx.rooted
-    g, l = group.order, rt.leaf_count
+    g = group.order
     index, neg = group.table.index, group.table.neg
     zeros1, zeros2 = (0,) * (k1 - 2), (0,) * (k2 - 2)
-    # joined leaf lab takes entry order[lab - 1] of h1 + h2, whose weight
-    # in the joined flow's flow_index is g^(l-1-lab) (0 for the last leaf)
-    order = [0] * l
+    # joined leaf lab takes entry order[lab - 1] of h1 + h2
+    order = [0] * rt.leaf_count
     for w, lab in ctx.leaf_map1.items():
         order[lab - 1] = w - 1
     for w, lab in ctx.leaf_map2.items():
         order[lab - 1] = k1 - 2 + w
     leaves = itemgetter(*order)
-    weight = [0] * l
-    for lab, at in enumerate(order[:-1], 1):
-        weight[at] = g ** (l - 1 - lab)
     width = point_width(group)
     build = packed_flows(rt, group, width)
 
     # every joined flow but the edge quadrics' first term recurs (a lifted
     # part flow is also a mixed quadric term), so each is built once and
-    # kept under its flow_index
-    built: dict[int, tuple[Flow, int]] = {}
+    # kept under h1 + h2, which holds all its leaf values
+    built: dict[tuple[int, ...], tuple[Flow, int]] = {}
 
     def joined(h: tuple[int, ...]) -> tuple[Flow, int]:
-        key = sum(map(mul, h, weight))
-        fp = built.get(key)
+        fp = built.get(h)
         if fp is None:
-            fp = built[key] = build(leaves(h))
+            fp = built[h] = build(leaves(h))
         return fp
 
     def lift1(f: Flow) -> tuple[Flow, int]:
@@ -192,7 +194,6 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
                 rt, group, lhs, rhs, (width, lp, rp)))
             provenance.append(tag)
 
-    n_quadrics = 0
     for g0 in range(g):
         p1, p2 = (neg[g0],) + zeros1, (g0,) + zeros2  # the path flow's halves
         fg0, pg0 = joined(p1 + p2)
@@ -209,8 +210,8 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
                     rt, group, [f, fg0], [mix1, mix2],
                     (width, [pf, pg0], [pm1, pm2])))
                 provenance.append("join-edge-quadric")
-                n_quadrics += 1
 
+    n_quadrics = len(binomials) - len(s1.binomials) - len(s2.binomials)
     expected_quadrics = g * (g ** (k1 - 2) - 1) * (g ** (k2 - 2) - 1)
     if n_quadrics != expected_quadrics:
         raise InternalError(

@@ -10,8 +10,8 @@ membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, the admissibility check with ``Counter``
 sums, dense views and degrees of the sparse matrices (dicts of nonzero
 entries keyed by element-index pairs), group addition and the product and
-factored tripod bases on element tuples, and the join on full part leaf
-tuples.  Small instances only.
+factored tripod bases on element tuples, the join on full part leaf
+tuples, and the span elimination's pivot rule.  Small instances only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from phyloinv.errors import InvalidTreeError, LatticeError
 from phyloinv.flows import (DEFAULT_FLOW_CAP, binomial_from_multisets,
                             check_flow_cap, flow_from_leaves, iter_flows)
 from phyloinv.groups import GroupSpec, prime_power_refinement
-from phyloinv.lattice import Echelon
+from phyloinv.lattice import Echelon, invariant_factors
 from phyloinv.pipeline import InvariantSet, _check_codim
 from phyloinv.tripod import cyclic_basis
 
@@ -530,3 +530,40 @@ def join_sets_reference(ctx, group, s1, s2):
         "codim": _check_codim(len(binomials), rt.tree, group, "joined set"),
     }]
     return InvariantSet(rt, group, binomials, provenance, log)
+
+
+# -- the unit-pivot elimination, pivot by pivot ----------------------------
+
+
+def eliminate_reference(rows_in):
+    """The rank and leftover factors of ``lattice._eliminate``, by its pivot
+    rule stated plainly.  While a live row has a +-1 entry, pivot on the one
+    with the fewest nonzeros (lowest id on ties), in its +-1 column touched
+    by the fewest live rows (lowest column on ties): clear that column from
+    every other row and drop the pivot row and any row that becomes zero.
+    The leftover is the invariant factors of the rows left."""
+    rows = {rid: {c: v for c, v in r.items() if v}
+            for rid, r in enumerate(rows_in)}
+    rows = {rid: r for rid, r in rows.items() if r}
+    pivots = 0
+    while True:
+        units = [(len(r), rid) for rid, r in rows.items()
+                 if any(v in (1, -1) for v in r.values())]
+        if not units:
+            break
+        rid = min(units)[1]
+        row = rows.pop(rid)
+        c = min((sum(c in r for r in rows.values()), c)
+                for c, v in row.items() if v in (1, -1))[1]
+        for other in [o for o, r in rows.items() if c in r]:
+            q = rows[other][c] * row[c]  # row[c] is its own inverse
+            new = {k: rows[other].get(k, 0) - q * row.get(k, 0)
+                   for k in set(rows[other]) | set(row)}
+            rows[other] = {k: v for k, v in new.items() if v}
+            if not rows[other]:
+                del rows[other]
+        pivots += 1
+    cols = sorted({c for r in rows.values() for c in r})
+    leftover = invariant_factors([[r.get(c, 0) for c in cols]
+                                  for r in rows.values()]) if rows else []
+    return pivots + len(leftover), leftover

@@ -256,6 +256,19 @@ def test_binomial_refuses_a_term_shorter_than_the_tree(quartet):
         binomial_from_multisets(quartet, Z2, [f, f], [f[:4], other])
 
 
+@pytest.mark.parametrize("bad, shown", [
+    ([0], "[0]"),
+    ((10 ** 5000,), "(<int of 5001 digits>,)"),
+], ids=["unhashable", "past-the-digit-limit"])
+def test_binomial_refuses_a_value_that_is_no_element(bad, shown):
+    # the packed point reads the value; a list, as read back from JSON, and
+    # an int too long to print are named as flow_from_leaves names them
+    tripod = canonical_rooting(parse_newick("(1,2,3);"))
+    f = flow_from_leaves(tripod, Z2, [(0,), (1,), (1,)])
+    with pytest.raises(FlowError, match=re.escape(f"value {shown} is not in Z2")):
+        binomial_from_multisets(tripod, Z2, [f], [(bad,) + f[1:]])
+
+
 def test_binomial_cancels_common_flows(quartet):
     flows = enumerate_flows(quartet, Z2)
     b = binomial_from_multisets(quartet, Z2, [flows[0], flows[1]],

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import (LatticeBasis, OutsideSpanError, hnf, kernel_lattice,
-                   lattice_equal, matmul, spans)
+from dense import (LatticeBasis, OutsideSpanError, eliminate_reference, hnf,
+                   kernel_lattice, lattice_equal, matmul, spans)
 from phyloinv.errors import LatticeError
 from phyloinv.lattice import (Echelon, _eliminate, det, invariant_factors,
                               sparse_span_certificate)
@@ -322,3 +322,11 @@ class TestPeel:
             # a span that is not saturated reports the whole elimination's
             # leftover, 1s included
             assert (rank, leftover) == _eliminate(rows)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sparse_row_sets())
+    def test_elimination_follows_its_pivot_rule(self, case):
+        # the leftover's 1s depend on the pivot order, so the leftovers of
+        # unsaturated rows, 1s included, check the order as well
+        _, rows = case
+        assert _eliminate(rows) == eliminate_reference(rows)

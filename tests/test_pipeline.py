@@ -1,5 +1,6 @@
 """End-to-end construction pipeline: joins, claw quadrics, provenance."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from dense import join_sets_reference
 from phyloinv import pipeline
 from phyloinv.errors import FlowCapExceeded, InternalError
-from phyloinv.flows import binomial_from_multisets
+from phyloinv.flows import Binomial, binomial_from_multisets
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.oracle import codim
 from phyloinv.pipeline import (GenerateOptions, InvariantSet, algebra_text,
@@ -288,6 +289,23 @@ class TestGenerate:
         text = algebra_text(s)
         assert text.count("\n") == len(s)
         assert len(s) or text == ""
+
+    def test_algebra_text_of_a_set_rebuilt_from_json(self):
+        # JSON gives the terms back as lists; the text is the same
+        s = gen("((1,2),(3,4));", "Z3")
+        doc = json.loads(json.dumps(s.to_json()))
+        rebuilt = InvariantSet(
+            s.rooted, s.group,
+            [Binomial(inv["lhs"], inv["rhs"]) for inv in doc["invariants"]],
+            [inv["provenance"] for inv in doc["invariants"]])
+        assert isinstance(rebuilt.binomials[0].lhs[0], list)
+        assert algebra_text(rebuilt) == algebra_text(s)
+
+    def test_json_refuses_provenance_shorter_than_the_binomials(self):
+        s = gen("((1,2),(3,4));", "Z3")
+        short = InvariantSet(s.rooted, s.group, s.binomials, s.provenance[:-1])
+        with pytest.raises(ValueError, match="shorter"):
+            short.to_json()
 
     def test_factored_mode_on_composite_factor(self):
         t = parse_newick("((1,2),(3,4));")
