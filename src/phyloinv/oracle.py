@@ -11,11 +11,15 @@ factors; see ``lattice.sparse_span_certificate``), which for sparse
 generator sets is exact and cheap even when a dense Hermite form would be
 far out of reach.
 
-A flow is read one way only, as its element indices.  Each distinct term
-is read once (``_read_terms``) into its defect or, for a flow, its column
-in the exponent vectors and its vertex point packed into one integer, wide
-enough per column that a side's sum never carries, so a binomial is in the
-kernel exactly when its two sides' packed sums are equal.
+A flow is read one way only, as its element indices.  One pass over the
+set (``_term_ids``) gives each distinct term an id at its first
+occurrence, hashing each occurrence once, and keeps every side as a run of
+ids in one flat list, with the length of each side.  Each distinct term is
+then read once, in id order (``_read_terms``), into its defect or, for a
+flow, its column in the exponent vectors and its vertex point packed into
+one integer, wide enough per column that a side's sum never carries, so a
+binomial is in the kernel exactly when its two sides' packed sums are
+equal.  Membership and the exponent vectors read those per-id lists.
 
 The rank of the monomial matrix and the index of the vertex-difference
 lattice come from a small witness: the flows with at most three nonzero
@@ -32,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import inf, prod
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalError, as_text
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, check_flow_cap,
-                    flow_index, flow_total, iter_flows)
+                    flow_total, iter_flows)
 from .groups import GroupSpec
 from .lattice import Echelon, det, sparse_span_certificate
 from .trees import RootedTree, Tree
@@ -136,10 +140,13 @@ def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
     return _fold_witness(rt, group).rank + 1
 
 
-def exponent_vector(column: Mapping[Flow, int], b: Binomial) -> dict[int, int]:
+def exponent_vector(column: Mapping[Flow, int] | Sequence[int],
+                    b: Binomial) -> dict[int, int]:
     """Sparse exponent vector of a binomial over flow enumeration indices:
     +multiplicity for the positive side, -multiplicity for the negative.
-    ``column`` maps each term of ``b`` to its index (``flow_index``)."""
+    ``column[t]`` is the index (``flow_index``) of each term t of ``b``:
+    ``column`` maps flows to indices, or, when the sides of ``b`` hold
+    term ids, it is the list of indices by id."""
     out: dict[int, int] = {}
     for sign, side in ((1, b.lhs), (-1, b.rhs)):
         for c in map(column.__getitem__, side):
@@ -277,16 +284,67 @@ def _tuple_terms(b: Binomial) -> Binomial:
     return Binomial(side(b.lhs), side(b.rhs))
 
 
+def _term_ids(binomials: Iterable[Binomial]
+              ) -> tuple[list[Flow], list[int], list[int]]:
+    """The distinct terms of ``binomials`` in order of first occurrence, a
+    term's id being its position there; every side as a run of term ids in
+    one flat list, in order; and the length of every side, lhs then rhs of
+    each binomial.
+
+    Each term occurrence is hashed once.  A binomial whose sides are not
+    tuples, or one of whose terms does not hash, gives back the ids it
+    took and is read through ``_tuple_terms``, so the result is the one
+    for the set with every binomial in that form."""
+    ids: dict = {}
+    setid = ids.setdefault
+    flat: list[int] = []
+    put = flat.append
+    sizes: list[int] = []
+
+    def take(b: Binomial) -> None:
+        for side in (b.lhs, b.rhs):
+            for f in side:
+                put(setid(f, len(ids)))
+            sizes.append(len(side))
+
+    for i, b in enumerate(binomials):
+        as_is = isinstance(b.lhs, tuple) and isinstance(b.rhs, tuple)
+        if as_is:
+            start, before = len(flat), len(ids)
+            try:
+                take(b)
+            except TypeError:  # a term that does not hash
+                as_is = False
+                del flat[start:], sizes[2 * i:]
+                while len(ids) > before:
+                    ids.popitem()
+        if not as_is:
+            take(_tuple_terms(b))
+    return list(ids), flat, sizes
+
+
+def _runs(sizes: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Where each binomial's lhs starts, where its rhs starts and where the
+    rhs ends in the flat list of term ids whose side lengths are ``sizes``."""
+    z = 0
+    for nl, nr in zip(sizes[::2], sizes[1::2]):
+        a, m, z = z, z + nl, z + nl + nr
+        yield a, m, z
+
+
 def _read_terms(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow],
-                width: int
-                ) -> tuple[dict[Flow, str], dict[Flow, int], dict[Flow, int]]:
+                width: int) -> tuple[list[str | None], list[int | None],
+                                     list[int | None]]:
     """The defects, packed vertex points and columns of ``terms``, each
-    term read once as its element indices.  A term that is not a flow on
-    ``rt`` gets a defect: not a tuple, a wrong length, a value outside
-    ``group``, or the first interior node in id order whose incoming value
-    (zero at the root) is not the sum of its outgoing values.  A flow gets
-    its vertex point, a 1 in the ``width``-bit slot of column ei*g + i for
-    each edge ei and its value index i, and its ``flow_index``."""
+    term read once as its element indices; the three lists are indexed by
+    a term's position in ``terms``, its id.  A term that is not a flow on
+    ``rt`` gets a defect, and None as its point and column: not a tuple, a
+    wrong length, a value outside ``group``, or the first interior node in
+    id order whose incoming value (zero at the root) is not the sum of its
+    outgoing values.  A flow gets None as its defect, its vertex point, a 1
+    in the ``width``-bit slot of column ei*g + i for each edge ei and its
+    value index i, and its column, the mixed radix of its first
+    ``leaf_count - 1`` value indices (its ``flow_index``)."""
     e, g = rt.edge_count, group.order
     table = group.table
     add, index = table.add, table.index
@@ -294,32 +352,39 @@ def _read_terms(rt: RootedTree, group: GroupSpec, terms: Iterable[Flow],
     nodes = [(u, None if rt.parent[u] is None else rt.edge_index[(rt.parent[u], u)],
               [rt.edge_index[(u, c)] for c in rt.children[u]])
              for u in rt.tree.interior_nodes]
-    defects: dict[Flow, str] = {}
-    point: dict[Flow, int] = {}
-    column: dict[Flow, int] = {}
+    slots = [[1 << width * (ei * g + i) for i in range(g)] for ei in range(e)]
+    radix = rt.leaf_count - 1
+    defects: list[str | None] = []
+    point: list[int | None] = []
+    column: list[int | None] = []
     for f in terms:
+        defect = p = c = None
         if not isinstance(f, tuple):
-            defects[f] = f"is not a tuple of {e} edge values"
-            continue
-        if len(f) != e:
-            defects[f] = f"has {len(f)} edge values, expected {e}"
-            continue
-        idx = list(map(index.get, f))
-        if None in idx:
-            ei = idx.index(None)
-            defects[f] = (f"value {as_text(f[ei])} on edge {ei} {rt.edges[ei]} "
-                          f"is not in {group}")
-            continue
-        for u, up, down in nodes:
-            s = 0
-            for ei in down:
-                s = add[s][idx[ei]]
-            if s != (0 if up is None else idx[up]):
-                defects[f] = f"values do not conserve at node {u}"
-                break
+            defect = f"is not a tuple of {e} edge values"
+        elif len(f) != e:
+            defect = f"has {len(f)} edge values, expected {e}"
         else:
-            point[f] = sum(1 << width * (ei * g + i) for ei, i in enumerate(idx))
-            column[f] = flow_index(rt, group, f)
+            idx = list(map(index.get, f))
+            if None in idx:
+                ei = idx.index(None)
+                defect = (f"value {as_text(f[ei])} on edge {ei} {rt.edges[ei]} "
+                          f"is not in {group}")
+            else:
+                for u, up, down in nodes:
+                    s = 0
+                    for ei in down:
+                        s = add[s][idx[ei]]
+                    if s != (0 if up is None else idx[up]):
+                        defect = f"values do not conserve at node {u}"
+                        break
+                else:
+                    p = sum(map(list.__getitem__, slots, idx))
+                    c = 0
+                    for i in idx[:radix]:
+                        c = c * g + i
+        defects.append(defect)
+        point.append(p)
+        column.append(c)
     return defects, point, column
 
 
@@ -339,43 +404,48 @@ def verify_complete_intersection(s: "InvariantSet",
     tree = rt.tree
     n_flows = check_flow_cap(tree, group, flow_cap)
     failures: list[str] = []
-    binomials = [_tuple_terms(b) for b in s.binomials]
 
     expected = codim(tree, group)
-    actual = len(binomials)
+    actual = len(s.binomials)
     count_ok = actual == expected
     if not count_ok:
         failures.append(f"count: expected {expected} generators, found {actual}")
+
+    terms, flat, sizes = _term_ids(s.binomials)
 
     # A binomial is in the kernel iff both sides have the same sum of vertex
     # points.  Each point is packed into one integer, a slot of ``width``
     # bits per column: a slot of one side's sum counts at most len(side) <
     # 2**width terms, so no slot carries into the next, and the two packed
     # sums are equal exactly when the two sums of points are.
-    width = max((len(side) for b in binomials for side in (b.lhs, b.rhs)),
-                default=0).bit_length()
-    defects, point, column = _read_terms(
-        rt, group, {f for b in binomials for f in b.lhs + b.rhs}, width)
+    width = max(sizes, default=0).bit_length()
+    defects, point, column = _read_terms(rt, group, terms, width)
+    bad = {t for t, d in enumerate(defects) if d is not None}
     membership_ok = True
-    for i, b in enumerate(binomials):
-        if defects:
-            bad = [f for f in dict.fromkeys(b.lhs + b.rhs) if f in defects]
-            for f in bad:
-                failures.append(
-                    f"binomial {i}: term {as_text(f)} is not a flow: {defects[f]}")
-            if bad:
-                membership_ok = False
-                continue
-        if sum(map(point.__getitem__, b.lhs)) != sum(map(point.__getitem__, b.rhs)):
+    for i, (a, m, z) in enumerate(_runs(sizes)):
+        if bad and not bad.isdisjoint(flat[a:z]):
+            # each distinct bad term of the binomial, as the binomial has it
+            b = _tuple_terms(s.binomials[i])
+            first: dict[int, Flow] = {}
+            for t, f in zip(flat[a:z], b.lhs + b.rhs):
+                first.setdefault(t, f)
+            for t, f in first.items():
+                if t in bad:
+                    failures.append(f"binomial {i}: term {as_text(f)} is not a "
+                                    f"flow: {defects[t]}")
+            membership_ok = False
+            continue
+        if sum(map(point.__getitem__, flat[a:m])) \
+                != sum(map(point.__getitem__, flat[m:z])):
             membership_ok = False
             failures.append(f"binomial {i}: exponent vector outside the kernel")
 
     bound = degree_bound(group)
     degree_ok = True
-    for i, b in enumerate(binomials):
-        if b.degree > bound:
+    for i, degree in enumerate(map(max, sizes[::2], sizes[1::2])):
+        if degree > bound:
             degree_ok = False
-            failures.append(f"binomial {i}: degree {b.degree} exceeds bound {bound}")
+            failures.append(f"binomial {i}: degree {degree} exceeds bound {bound}")
 
     rank_a = monomial_matrix_rank(rt, group)
     kernel_rank = n_flows - rank_a
@@ -384,7 +454,11 @@ def verify_complete_intersection(s: "InvariantSet",
             f"kernel rank {kernel_rank} differs from codimension formula {expected}")
 
     if membership_ok:
-        rows = [exponent_vector(column, b) for b in binomials]
+        rows = [exponent_vector(column, Binomial(flat[a:m], flat[m:z]))
+                for a, m, z in _runs(sizes)]
+        # the certificate's working set is the peak of verify: the per-term
+        # lists and the ids, read for the last time above, go first
+        del terms, flat, defects, point, column
         span_rank, leftover = sparse_span_certificate(rows)
         spans_ok = span_rank == kernel_rank and all(d == 1 for d in leftover)
         if span_rank != kernel_rank:

@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .errors import (BinomialError, FlowCapExceeded, FlowError, InternalError,
-                     InvalidTreeError)
+                     InvalidTreeError, as_text)
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
                     check_flow_cap, flow_from_leaves, packed_flows,
                     point_width)
@@ -78,17 +78,22 @@ class InvariantSet:
 
 
 def _term(f) -> str:
-    if len(f[0]) == 1:
-        inner = ",".join(str(e[0]) for e in f)
-    else:
-        inner = ",".join("(" + ",".join(str(r) for r in e) + ")" for e in f)
+    try:
+        if len(f[0]) == 1:
+            inner = ",".join(str(e[0]) for e in f)
+        else:
+            inner = ",".join("(" + ",".join(str(r) for r in e) + ")" for e in f)
+    except (TypeError, IndexError):
+        raise FlowError(f"term {as_text(f)} is not a sequence of element "
+                        f"tuples") from None
     return f"x[{inner}]"
 
 
 def algebra_text(s: InvariantSet) -> str:
     """One line per binomial: product of x[..] terms, '-', product.  Each
     distinct term is rendered once, however many binomials it recurs in.
-    Terms read back from JSON, lists of lists, are read as tuples."""
+    Terms read back from JSON, lists of lists, are read as tuples.  A term
+    that is no sequence of element tuples raises :class:`FlowError`."""
     binomials = s.binomials
     try:
         terms = {f for b in binomials for f in b.lhs + b.rhs}

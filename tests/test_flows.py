@@ -25,8 +25,11 @@ Z2Z2 = GroupSpec((2, 2))
 
 
 def flow_defects(rt, group, terms):
-    """The defects the verifier's per-term read finds in ``terms``."""
-    return _read_terms(rt, group, terms, 1)[0]
+    """The defects the verifier's per-term read finds in ``terms``, by term."""
+    terms = list(dict.fromkeys(terms))
+    defects = _read_terms(rt, group, terms, 1)[0]
+    assert len(defects) == len(terms)
+    return {t: d for t, d in zip(terms, defects) if d is not None}
 
 
 @pytest.fixture
@@ -204,17 +207,18 @@ def perturbed_terms(draw):
 def test_flow_defects_match_rebuild_and_residues(case, width):
     # the verifier's one read of each term against the dense references
     rt, group, terms = case
+    terms = list(dict.fromkeys(terms))  # the ids: positions of distinct terms
     defects, point, column = _read_terms(rt, group, terms, width)
+    assert len(defects) == len(point) == len(column) == len(terms)
     n = rt.leaf_count
-    for t in terms:
+    for t, defect, p, col in zip(terms, defects, point, column):
         want = flow_defect(rt, group, t)
-        assert defects.get(t) == want
+        assert defect == want
         if want is None:
-            assert point[t] == sum(1 << width * c
-                                   for c in vertex_support(rt, group, t))
-            assert column[t] == flow_index(rt, group, t)
+            assert p == sum(1 << width * c for c in vertex_support(rt, group, t))
+            assert col == flow_index(rt, group, t)
         else:
-            assert t not in point and t not in column
+            assert p is None and col is None
         if isinstance(t, tuple) and len(t) == rt.edge_count \
                 and all(x in group.elements for x in t):
             # reference verdict: the leaf values sum to zero and rebuild ``t``
@@ -420,8 +424,9 @@ def test_packed_flows_match_flow_from_leaves_and_the_verifier(rt, group, data):
     leaves = [*head, table.neg[s]]
     f, point = build(leaves)
     assert f == flow_from_leaves(rt, group, [els[i] for i in leaves])
-    defects, points, _ = _read_terms(rt, group, [f], width)
-    assert not defects and points[f] == point
+    defects, points, columns = _read_terms(rt, group, [f], width)
+    assert defects == [None] and points == [point]
+    assert columns == [flow_index(rt, group, f)]
     if group.order > 1:
         leaves[-1] = table.add[leaves[-1]][1]
         with pytest.raises(FlowError, match="do not sum to zero"):

@@ -2,7 +2,7 @@
 
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from functools import cache, partial, reduce
 from math import inf, prod
@@ -178,20 +178,14 @@ class TestVerify:
 
     def test_each_term_is_encoded_once(self, monkeypatch):
         read = []
-        indexed = []
         adds = []
         real_read = oracle._read_terms
-        real_index = oracle.flow_index
         real_add = Echelon.add
 
         def reading(rt, group, terms, width):
             terms = list(terms)
             read.extend(terms)
             return real_read(rt, group, terms, width)
-
-        def indexing(rt, group, f):
-            indexed.append(f)
-            return real_index(rt, group, f)
 
         def adding(ech, vec):
             adds.append(vec)
@@ -209,25 +203,42 @@ class TestVerify:
                 CountingIndex.lookups += 1
                 return super().__getitem__(key)
 
-        monkeypatch.setattr(oracle, "_read_terms", reading)
-        monkeypatch.setattr(oracle, "flow_index", indexing)
-        monkeypatch.setattr("phyloinv.lattice.Echelon.add", adding)
+        class CountingTerm(tuple):
+            """A term that counts how often it is hashed."""
+            hashes = 0
+
+            def __hash__(self):
+                CountingTerm.hashes += 1
+                return tuple.__hash__(self)
+
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        # one object per distinct term, shared by its occurrences, as in a
+        # generated set
+        terms = list(dict.fromkeys(f for b in s.binomials for f in b.lhs + b.rhs))
+        counting = {f: CountingTerm(f) for f in terms}
+        s.binomials = [Binomial(tuple(map(counting.get, b.lhs)),
+                                tuple(map(counting.get, b.rhs)))
+                       for b in s.binomials]
+        occurrences = sum(len(b.lhs) + len(b.rhs) for b in s.binomials)
+        assert occurrences > len(terms)
+        monkeypatch.setattr(oracle, "_read_terms", reading)
+        monkeypatch.setattr("phyloinv.lattice.Echelon.add", adding)
         table = s.group.table
         monkeypatch.setitem(vars(s.group), "table",
                             table._replace(index=CountingIndex(table.index)))
+        CountingTerm.hashes = 0
         assert verify_complete_intersection(s).passed
-        terms = {f for b in s.binomials for f in b.lhs + b.rhs}
-        assert sum(len(b.lhs) + len(b.rhs) for b in s.binomials) > len(terms)
-        # each distinct term is read once, not once per occurrence, and
-        # given one enumeration index
-        assert sorted(read) == sorted(indexed) == sorted(terms)
+        # each term occurrence is hashed once, by the id pass
+        assert CountingTerm.hashes == occurrences
+        # each distinct term is read once, in order of first occurrence
+        assert read == terms
         assert len(adds) <= 2 * 27
-        # element indices: e per read term and per folded witness flow,
-        # l - 1 per flow_index; nothing else looks a value up
-        e, l = s.rooted.edge_count, s.rooted.leaf_count
-        assert CountingIndex.lookups == e * (len(terms) + len(adds)) \
-            + (l - 1) * len(terms)
+        # element indices: e per read term and per folded witness flow; the
+        # columns come from the read, with no flow_index call (each would
+        # look up l - 1 more)
+        e = s.rooted.edge_count
+        assert CountingIndex.lookups == e * (len(terms) + len(adds))
+        assert not hasattr(oracle, "flow_index")
 
     def test_tripod_witness_meets_its_bounds_early(self, monkeypatch):
         # every flow of a tripod is a witness; folded sparsest first, the
@@ -309,6 +320,45 @@ class TestVerify:
         want = verify_complete_intersection(s).to_json()
         assert want["pass"]
         assert verify_complete_intersection(rebuilt).to_json() == want
+
+    @pytest.mark.parametrize("unhashable", [False, True])
+    def test_mixed_set_reads_as_its_tuple_form(self, unhashable):
+        # tuple-sided binomials, list-sided ones read back from JSON, and one
+        # tuple-sided binomial with a list term; with ``unhashable``, also a
+        # binomial whose new hashable term comes before a dict term, so the
+        # id pass gives back the id the new term took before it reads the
+        # binomial through _tuple_terms.  That term holds a value of a tuple
+        # subclass, which _tuple_terms makes a plain tuple, so its defect
+        # prints the value as the tuple form has it only if the id is given
+        # back.
+        Value = namedtuple("Value", "x")
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        bs = list(s.binomials)
+        half = len(bs) // 2
+        doc = json.loads(json.dumps([[b.lhs, b.rhs] for b in bs[half:]]))
+        mixed = bs[:half] + [Binomial(*sides) for sides in doc]
+        b = mixed[0]
+        mixed[0] = Binomial((list(b.lhs[0]),) + b.lhs[1:], b.rhs)
+        if unhashable:
+            b = mixed[1]
+            fresh = (Value(9),) + b.lhs[0][1:]
+            mixed[1] = Binomial(b.lhs, b.rhs + (fresh, {"a": 1}))
+        assert isinstance(mixed[-1].lhs, list)
+        report = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, mixed, list(s.provenance)))
+        tupled = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, list(map(oracle._tuple_terms, mixed)),
+                         list(s.provenance)))
+        text = json.dumps(report.to_json(), indent=2)
+        assert text == json.dumps(tupled.to_json(), indent=2)
+        assert report.passed is not unhashable
+        if unhashable:
+            plain = ((9,),) + fresh[1:]
+            assert [m for m in report.failures if "is not a flow" in m] == [
+                f"binomial 1: term {plain} is not a flow: value (9,) on edge "
+                f"0 {s.rooted.edges[0]} is not in Z3",
+                "binomial 1: term {'a': 1} is not a flow: is not a tuple of "
+                "5 edge values"]
 
 
 def full_rank(rt, group):
@@ -849,7 +899,8 @@ class TestMutationBattery:
     @staticmethod
     def verify(s, binomials, monkeypatch):
         """The report on ``binomials`` and the number of ``_eliminate`` runs
-        the span certificate made."""
+        the span certificate made.  The set rebuilt from JSON, with list
+        sides of list terms, gets the same report."""
         calls = []
         real = lattice._eliminate
 
@@ -857,11 +908,19 @@ class TestMutationBattery:
             calls.append(len(rows))
             return real(rows)
 
+        def report(binomials):
+            return verify_complete_intersection(
+                InvariantSet(s.rooted, s.group, binomials,
+                             ["mutated"] * len(binomials)), flow_cap=FLOW_CAP)
+
         monkeypatch.setattr(lattice, "_eliminate", counted)
-        r = verify_complete_intersection(
-            InvariantSet(s.rooted, s.group, binomials,
-                         ["mutated"] * len(binomials)), flow_cap=FLOW_CAP)
-        return r, len(calls)
+        r = report(binomials)
+        runs = len(calls)
+        doc = json.loads(json.dumps([[b.lhs, b.rhs] for b in binomials]))
+        rebuilt = report([Binomial(*sides) for sides in doc])
+        assert (json.dumps(rebuilt.to_json(), indent=2)
+                == json.dumps(r.to_json(), indent=2))
+        return r, runs
 
     @staticmethod
     def assert_report(r, base, *, count_ok=True, kernel_membership_ok=True,

@@ -11,7 +11,7 @@ import phyloinv
 ORACLE = Path(phyloinv.__file__).parent / "oracle.py"
 FORBIDDEN = {"pipeline", "tripod"}
 FLOWS_ALLOWED = {"DEFAULT_FLOW_CAP", "Binomial", "Flow", "check_flow_cap",
-                 "flow_index", "flow_total", "iter_flows"}
+                 "flow_total", "iter_flows"}
 
 
 def _names(node):

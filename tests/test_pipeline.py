@@ -1,6 +1,7 @@
 """End-to-end construction pipeline: joins, claw quadrics, provenance."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from dense import join_sets_reference
 from phyloinv import pipeline
-from phyloinv.errors import FlowCapExceeded, InternalError
+from phyloinv.errors import FlowCapExceeded, FlowError, InternalError
 from phyloinv.flows import Binomial, binomial_from_multisets
 from phyloinv.groups import GroupSpec, parse_group_spec
-from phyloinv.oracle import codim
+from phyloinv.oracle import codim, verify_complete_intersection
 from phyloinv.pipeline import (GenerateOptions, InvariantSet, algebra_text,
                                canonical_claw, claw_set, generate, join_sets,
                                nonspecial_quadric, special_quadric,
@@ -300,6 +301,22 @@ class TestGenerate:
             [inv["provenance"] for inv in doc["invariants"]])
         assert isinstance(rebuilt.binomials[0].lhs[0], list)
         assert algebra_text(rebuilt) == algebra_text(s)
+
+    @pytest.mark.parametrize("bad, shown", [
+        (lambda b: Binomial(5, b.rhs), "5"),
+        (lambda b: Binomial(({"a": 1},) + b.lhs[1:], b.rhs), "{'a': 1}"),
+        (lambda b: Binomial(b.lhs, b.rhs + ([],)), "()"),
+    ], ids=["int", "dict", "empty-list"])
+    def test_algebra_text_names_a_term_that_is_no_sequence(self, bad, shown):
+        # the verifier names the same term in the same words
+        s = gen("((1,2),(3,4));", "Z3")
+        sab = InvariantSet(s.rooted, s.group, [bad(s.binomials[0])]
+                           + s.binomials[1:], list(s.provenance))
+        with pytest.raises(FlowError, match=re.escape(
+                f"term {shown} is not a sequence of element tuples")):
+            algebra_text(sab)
+        assert any(m.startswith(f"binomial 0: term {shown} is not a flow: ")
+                   for m in verify_complete_intersection(sab).failures)
 
     def test_json_refuses_provenance_shorter_than_the_binomials(self):
         s = gen("((1,2),(3,4));", "Z3")
