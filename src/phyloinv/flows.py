@@ -150,17 +150,28 @@ def check_flow_cap(tree: Tree, group: GroupSpec, cap: int) -> int:
     return total
 
 
+def halves(n: int, group: GroupSpec, total: int) -> Iterator[tuple[int, ...]]:
+    """The n-tuples of element indices that sum to index ``total``, in
+    lexicographic order of the first n - 1 (the last is forced).  The one
+    fixed-sum enumerator: a join's part halves and the verifier's flows."""
+    add, neg = group.table.add, group.table.neg
+    start = neg[total]
+    for combo in product(range(group.order), repeat=n - 1):
+        s = start
+        for i in combo:
+            s = add[s][i]
+        yield combo + (neg[s],)
+
+
 def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
     """All flows in lexicographic order of the first leaf_count-1 leaf
-    values, each completed from its leaf values by :func:`_complete`."""
+    values: the leaf tuples of :func:`halves` summing to zero, each
+    completed by :func:`_complete`."""
     table, bottom_up = group.table, rt.bottom_up
-    add, neg, elements = table.add, table.neg, table.elements
+    add, elements = table.add, table.elements
     pad = [0] * (rt.edge_count - rt.leaf_count)
-    for head in product(range(group.order), repeat=rt.leaf_count - 1):
-        s = 0
-        for i in head:
-            s = add[s][i]
-        idx = _complete(bottom_up, add, [*head, neg[s], *pad])
+    for leaves in halves(rt.leaf_count, group, 0):
+        idx = _complete(bottom_up, add, [*leaves, *pad])
         yield tuple(map(elements.__getitem__, idx))
 
 

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
 from operator import itemgetter
-from typing import Iterator
 
 from .errors import (BinomialError, FlowCapExceeded, FlowError, InternalError,
                      InvalidTreeError, as_text)
 from .flows import (DEFAULT_FLOW_CAP, Binomial, Flow, binomial_from_multisets,
-                    check_flow_cap, flow_from_leaves, packed_flows,
+                    check_flow_cap, flow_from_leaves, halves, packed_flows,
                     point_width)
 from .groups import Element, GroupSpec
 from .oracle import _tuple_terms, codim, degree_bound
@@ -83,7 +81,7 @@ def _term(f) -> str:
             inner = ",".join(str(e[0]) for e in f)
         else:
             inner = ",".join("(" + ",".join(str(r) for r in e) + ")" for e in f)
-    except (TypeError, IndexError):
+    except (TypeError, IndexError, ValueError):  # ValueError: an int too long to print
         raise FlowError(f"term {as_text(f)} is not a sequence of element "
                         f"tuples") from None
     return f"x[{inner}]"
@@ -93,7 +91,8 @@ def algebra_text(s: InvariantSet) -> str:
     """One line per binomial: product of x[..] terms, '-', product.  Each
     distinct term is rendered once, however many binomials it recurs in.
     Terms read back from JSON, lists of lists, are read as tuples.  A term
-    that is no sequence of element tuples raises :class:`FlowError`."""
+    that is no sequence of printable element tuples raises
+    :class:`FlowError`."""
     binomials = s.binomials
     try:
         terms = {f for b in binomials for f in b.lhs + b.rhs}
@@ -117,18 +116,6 @@ def tripod_set(group: GroupSpec, mode: str = "direct-cyclic") -> InvariantSet:
     rt = tripod_tree()
     _check_codim(len(binomials), rt.tree, group, "tripod set")
     return InvariantSet(rt, group, binomials, ["tripod"] * len(binomials))
-
-
-def _halves(n: int, group: GroupSpec, total: int) -> Iterator[tuple[int, ...]]:
-    """The n-tuples of element indices that sum to index ``total``, in
-    lexicographic order of the first n - 1 (the last is forced)."""
-    add, neg = group.table.add, group.table.neg
-    start = neg[total]
-    for combo in product(range(group.order), repeat=n - 1):
-        s = start
-        for i in combo:
-            s = add[s][i]
-        yield combo + (neg[s],)
 
 
 def join_sets(ctx: JoinContext, group: GroupSpec,
@@ -203,8 +190,8 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
         p1, p2 = (neg[g0],) + zeros1, (g0,) + zeros2  # the path flow's halves
         fg0, pg0 = joined(p1 + p2)
         pairs2 = [(h2, *joined(p1 + h2))
-                  for h2 in _halves(k2 - 1, group, g0) if h2 != p2]
-        for h1 in _halves(k1 - 1, group, neg[g0]):
+                  for h2 in halves(k2 - 1, group, g0) if h2 != p2]
+        for h1 in halves(k1 - 1, group, neg[g0]):
             if h1 == p1:
                 continue
             mix1, pm1 = joined(h1 + p2)
@@ -236,7 +223,7 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
 
 def special_quadric(rt: RootedTree, group: GroupSpec, j: int) -> Binomial:
     """Claw quadric attached to the embedded unit generator of factor j."""
-    _check_claw(rt, 4)
+    _check_claw(rt)
     u = group.unit(j)
     nu = group.neg(u)
     z = group.zero()
@@ -248,7 +235,7 @@ def special_quadric(rt: RootedTree, group: GroupSpec, j: int) -> Binomial:
 def nonspecial_quadric(rt: RootedTree, group: GroupSpec, b: Element) -> Binomial:
     """Claw quadric attached to a nonzero element that is no embedded unit
     generator; j is the last factor with a nonzero residue in b."""
-    _check_claw(rt, 4)
+    _check_claw(rt)
     if b == group.zero() or b in group.units():
         raise ValueError(f"{b} must be nonzero and not an embedded unit generator")
     j = max(k + 1 for k, r in enumerate(b) if r)
@@ -262,10 +249,9 @@ def nonspecial_quadric(rt: RootedTree, group: GroupSpec, b: Element) -> Binomial
                          (z, z, bm, nbm), (u, bm, z, nb))
 
 
-def _check_claw(rt: RootedTree, min_leaves: int):
-    if not rt.tree.is_claw or rt.leaf_count < min_leaves:
-        raise InvalidTreeError(
-            f"quadrics need a claw with at least {min_leaves} leaves")
+def _check_claw(rt: RootedTree):
+    if not rt.tree.is_claw or rt.leaf_count < 4:
+        raise InvalidTreeError("quadrics need a claw with at least 4 leaves")
 
 
 def _claw_quadric(rt, group, lq1, lq2, rq1, rq2) -> Binomial:

@@ -9,9 +9,10 @@ where it does not conserve, residue by residue), the verifier's
 membership check with a ``Counter`` of vertex supports per binomial, the
 admissibility condition matrix, the admissibility check with ``Counter``
 sums, dense views and degrees of the sparse matrices (dicts of nonzero
-entries keyed by element-index pairs), group addition and the product and
-factored tripod bases on element tuples, the join on full part leaf
-tuples, and the span elimination's pivot rule.  Small instances only.
+entries keyed by element-index pairs), group addition, the fixed-sum
+tuples of element indices and the product and factored tripod bases on
+element tuples, the join on full part leaf tuples, and the span
+elimination's pivot rule.  Small instances only.
 """
 
 from __future__ import annotations
@@ -270,6 +271,19 @@ def is_trivalent(tree) -> bool:
 def add(spec, a, b):
     """``a + b`` in ``spec``, residue by residue on the element tuples."""
     return tuple((x + y) % m for x, y, m in zip(a, b, spec.factors))
+
+
+def fixed_sum_tuples(n, spec, total):
+    """Every n-tuple of element indices whose elements sum to the element of
+    index ``total``, in lexicographic order: all g^n tuples, kept by their
+    sum on element tuples rather than by the Cayley table."""
+    els = spec.elements
+    for t in product(range(spec.order), repeat=n):
+        s = spec.zero()
+        for i in t:
+            s = add(spec, s, els[i])
+        if s == els[total]:
+            yield t
 
 
 # -- admissible matrices -----------------------------------------------

@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phyloinv.errors import BinomialError, FlowCapExceeded, FlowError
-from dense import add, enumerate_flows, flow_defect, vertex_support
+from dense import (add, enumerate_flows, fixed_sum_tuples, flow_defect,
+                   vertex_support)
 from phyloinv.flows import (Binomial, binomial_from_multisets, check_flow_cap,
-                            flow_from_leaves, flow_index, iter_flows,
+                            flow_from_leaves, flow_index, halves, iter_flows,
                             packed_flows, point_width)
 from phyloinv.groups import GroupSpec
 from phyloinv.oracle import _read_terms
-from phyloinv.pipeline import _halves, generate, join_sets, tripod_set
+from phyloinv.pipeline import generate, join_sets, tripod_set
 from phyloinv.trees import (RootedTree, canonical_rooting, decompose_at_edge,
                             parse_newick)
 
@@ -136,17 +137,34 @@ def test_halves_enumeration(quartet):
     for n, group, total in [(3, Z3, (1,)), (2, Z3, (0,)), (1, Z3, (2,)),
                             (3, Z2Z2, (1, 0))]:
         # halves are tuples of element indices, the total an index too
-        halves = list(_halves(n, group, group.index(total)))
-        assert len(halves) == len(set(halves)) == group.order ** (n - 1)
+        tuples = list(halves(n, group, group.index(total)))
+        assert len(tuples) == len(set(tuples)) == group.order ** (n - 1)
         assert all(reduce(partial(add, group), map(group.elements.__getitem__, h),
-                          group.zero()) == total for h in halves)
+                          group.zero()) == total for h in tuples)
         # lexicographic in the first n - 1 entries, the last one forced
-        assert [h[:-1] for h in halves] == sorted(h[:-1] for h in halves)
+        assert [h[:-1] for h in tuples] == sorted(h[:-1] for h in tuples)
     # with the negated total at leaf 4, each is the leaf part of a flow
     fixed = [tuple(map(Z3.elements.__getitem__, h)) + ((2,),)
-             for h in _halves(3, Z3, Z3.index((1,)))]
+             for h in halves(3, Z3, Z3.index((1,)))]
     assert len(fixed) == 9
     assert all(flow_from_leaves(quartet, Z3, vals)[:4] == vals for vals in fixed)
+
+
+@pytest.mark.parametrize("group", [Z2, Z3, GroupSpec((4,)), Z2Z2], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_halves_match_the_brute_force_tuples(n, group):
+    for total in range(group.order):
+        assert (list(halves(n, group, total))
+                == list(fixed_sum_tuples(n, group, total)))
+
+
+@pytest.mark.parametrize("newick, group", [("((1,2),(3,4));", Z3),
+                                           ("((1,2,3),(4,5));", Z2Z2)])
+def test_iter_flows_leaf_parts_match_the_brute_force_tuples(newick, group):
+    rt = canonical_rooting(parse_newick(newick))
+    leaves = [tuple(map(group.index, f[:rt.leaf_count]))
+              for f in iter_flows(rt, group)]
+    assert leaves == list(fixed_sum_tuples(rt.leaf_count, group, 0))
 
 
 def test_flow_defects_name_the_fault(quartet):
@@ -434,7 +452,7 @@ def test_packed_flows_match_flow_from_leaves_and_the_verifier(rt, group, data):
     # one walk: the verifier's flows are the builder's over the join's
     # fixed-sum leaf tuples, in order, and flow_from_leaves' too
     flows = list(iter_flows(rt, group))
-    assert flows == [build(h)[0] for h in _halves(rt.leaf_count, group, 0)]
+    assert flows == [build(h)[0] for h in halves(rt.leaf_count, group, 0)]
     assert flows == [flow_from_leaves(rt, group, f[:rt.leaf_count]) for f in flows]
     assert [flow_index(rt, group, f) for f in flows] == list(range(len(flows)))
 

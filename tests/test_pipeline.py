@@ -306,7 +306,9 @@ class TestGenerate:
         (lambda b: Binomial(5, b.rhs), "5"),
         (lambda b: Binomial(({"a": 1},) + b.lhs[1:], b.rhs), "{'a': 1}"),
         (lambda b: Binomial(b.lhs, b.rhs + ([],)), "()"),
-    ], ids=["int", "dict", "empty-list"])
+        (lambda b: Binomial((((10**5000,),) + b.lhs[0][1:],) + b.lhs[1:], b.rhs),
+         "((<int of 5001 digits>,), (1,), (2,), (0,), (2,))"),
+    ], ids=["int", "dict", "empty-list", "int-too-long-to-print"])
     def test_algebra_text_names_a_term_that_is_no_sequence(self, bad, shown):
         # the verifier names the same term in the same words
         s = gen("((1,2),(3,4));", "Z3")
