@@ -25,7 +25,8 @@ from .errors import GroupParseError
 
 Element = tuple[int, ...]
 
-_FACTOR_RE = re.compile(r"Z(\d+)")
+# ASCII digits only: ``\d`` would take any script's digits, which int() reads
+_FACTOR_RE = re.compile(r"Z([0-9]+)")
 
 
 def parse_group_spec(text: str) -> "GroupSpec":

@@ -19,7 +19,9 @@ then read once, in id order (``_read_terms``), into its defect or, for a
 flow, its column in the exponent vectors and its vertex point packed into
 one integer, wide enough per column that a side's sum never carries, so a
 binomial is in the kernel exactly when its two sides' packed sums are
-equal.  Membership and the exponent vectors read those per-id lists.
+equal.  One pass then reads each binomial's ids once, its two sides
+sliced from the flat list: the packed sums decide its membership, and the
+columns give its exponent vector, with no ``Binomial`` built per row.
 
 The rank of the monomial matrix and the index of the vertex-difference
 lattice come from a small witness: the flows with at most three nonzero
@@ -141,17 +143,25 @@ def monomial_matrix_rank(rt: RootedTree, group: GroupSpec) -> int:
 
 
 def exponent_vector(column: Mapping[Flow, int] | Sequence[int],
-                    b: Binomial) -> dict[int, int]:
-    """Sparse exponent vector of a binomial over flow enumeration indices:
-    +multiplicity for the positive side, -multiplicity for the negative.
-    ``column[t]`` is the index (``flow_index``) of each term t of ``b``:
-    ``column`` maps flows to indices, or, when the sides of ``b`` hold
-    term ids, it is the list of indices by id."""
+                    lhs: Iterable, rhs: Iterable) -> dict[int, int]:
+    """Sparse exponent vector of the binomial with sides ``lhs`` and
+    ``rhs`` over flow enumeration indices: +multiplicity for the positive
+    side, -multiplicity for the negative.  ``column[t]`` is the index
+    (``flow_index``) of each term t: ``column`` maps flows to indices, or,
+    when the sides hold term ids, it is the list of indices by id.
+
+    Both sides count into one dict, its columns in order of first
+    occurrence, lhs then rhs.  Only a binomial with a term on both sides
+    can leave a zero entry, and only its vector is copied without them."""
     out: dict[int, int] = {}
-    for sign, side in ((1, b.lhs), (-1, b.rhs)):
-        for c in map(column.__getitem__, side):
-            out[c] = out.get(c, 0) + sign
-    return {k: v for k, v in out.items() if v}
+    for c in map(column.__getitem__, lhs):
+        out[c] = out.get(c, 0) + 1
+    cancels = False
+    for c in map(column.__getitem__, rhs):
+        v = out[c] = out.get(c, 0) - 1
+        if not v:
+            cancels = True
+    return {c: v for c, v in out.items() if v} if cancels else out
 
 
 @dataclass
@@ -411,34 +421,44 @@ def verify_complete_intersection(s: "InvariantSet",
     if not count_ok:
         failures.append(f"count: expected {expected} generators, found {actual}")
 
+    # the rank fold first, while no per-term list or row is alive
+    kernel_rank = n_flows - monomial_matrix_rank(rt, group)
+
     terms, flat, sizes = _term_ids(s.binomials)
 
     # A binomial is in the kernel iff both sides have the same sum of vertex
     # points.  Each point is packed into one integer, a slot of ``width``
     # bits per column: a slot of one side's sum counts at most len(side) <
     # 2**width terms, so no slot carries into the next, and the two packed
-    # sums are equal exactly when the two sums of points are.
+    # sums are equal exactly when the two sums of points are.  One pass
+    # reads each binomial's ids once: its membership and, while every
+    # binomial so far is in the kernel, its exponent vector.
     width = max(sizes, default=0).bit_length()
     defects, point, column = _read_terms(rt, group, terms, width)
+    pt = point.__getitem__
     bad = {t for t, d in enumerate(defects) if d is not None}
     membership_ok = True
+    rows: list[dict[int, int]] = []
     for i, (a, m, z) in enumerate(_runs(sizes)):
-        if bad and not bad.isdisjoint(flat[a:z]):
+        lhs, rhs = flat[a:m], flat[m:z]
+        if bad and not (bad.isdisjoint(lhs) and bad.isdisjoint(rhs)):
             # each distinct bad term of the binomial, as the binomial has it
             b = _tuple_terms(s.binomials[i])
             first: dict[int, Flow] = {}
-            for t, f in zip(flat[a:z], b.lhs + b.rhs):
+            for t, f in zip(lhs + rhs, b.lhs + b.rhs):
                 first.setdefault(t, f)
             for t, f in first.items():
                 if t in bad:
                     failures.append(f"binomial {i}: term {as_text(f)} is not a "
                                     f"flow: {defects[t]}")
             membership_ok = False
-            continue
-        if sum(map(point.__getitem__, flat[a:m])) \
-                != sum(map(point.__getitem__, flat[m:z])):
+        elif sum(map(pt, lhs)) != sum(map(pt, rhs)):
             membership_ok = False
             failures.append(f"binomial {i}: exponent vector outside the kernel")
+        elif membership_ok:
+            rows.append(exponent_vector(column, lhs, rhs))
+    if not membership_ok:
+        rows.clear()  # the span check is skipped
 
     bound = degree_bound(group)
     degree_ok = True
@@ -447,18 +467,14 @@ def verify_complete_intersection(s: "InvariantSet",
             degree_ok = False
             failures.append(f"binomial {i}: degree {degree} exceeds bound {bound}")
 
-    rank_a = monomial_matrix_rank(rt, group)
-    kernel_rank = n_flows - rank_a
     if kernel_rank != expected:
         failures.append(
             f"kernel rank {kernel_rank} differs from codimension formula {expected}")
 
     if membership_ok:
-        rows = [exponent_vector(column, Binomial(flat[a:m], flat[m:z]))
-                for a, m, z in _runs(sizes)]
         # the certificate's working set is the peak of verify: the per-term
         # lists and the ids, read for the last time above, go first
-        del terms, flat, defects, point, column
+        del terms, flat, defects, point, pt, column
         span_rank, leftover = sparse_span_certificate(rows)
         spans_ok = span_rank == kernel_rank and all(d == 1 for d in leftover)
         if span_rank != kernel_rank:

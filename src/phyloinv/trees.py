@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidTreeError, NewickParseError
+from .errors import InvalidTreeError, NewickParseError, digit_count
 
 Edge = tuple[int, int]
 
@@ -226,8 +226,9 @@ def canonical_claw(n: int) -> Tree:
 
 # -- Newick parsing ----------------------------------------------------
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_LABEL_RE = re.compile(r"\d+")
+# ASCII digits only: ``\d`` would take any script's digits, which int() reads
+_NUMBER_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_LABEL_RE = re.compile(r"[0-9]+")
 
 
 class _Parser:
@@ -334,10 +335,14 @@ def parse_newick(text: str) -> Tree:
     if max(labels) != ell:
         # distinct positive labels miss 1..ell exactly when one lies above it
         missing = next(x for x in range(1, ell + 1) if x not in labels)
-        outside = sum(x > ell for x in labels)
+        above = [x for x in labels if x > ell]
+        low = min(above)
+        # a long label by its digit count, so the line stays short
+        shown = str(low) if low < 10 ** 20 else f"has {digit_count(low)} digits"
         raise InvalidTreeError(
             f"leaf labels must be exactly 1..{ell}; smallest missing label "
-            f"{missing}, labels outside the range: {outside}")
+            f"{missing}; {len(above)} label{'s' * (len(above) > 1)} above "
+            f"the range, the smallest {shown}")
 
     del labels
     shift = ell

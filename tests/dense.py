@@ -6,7 +6,8 @@ normal form with its transform, saturated kernels and lattice equality,
 the 0/1 monomial matrix and its kernel, every flow as a list, a flow's
 0/1 vertex point as its support, why a term is not a flow (the first node
 where it does not conserve, residue by residue), the verifier's
-membership check with a ``Counter`` of vertex supports per binomial, the
+membership check with a ``Counter`` of vertex supports per binomial, an
+exponent vector by ``Counter`` arithmetic, the
 admissibility condition matrix, the admissibility check with ``Counter``
 sums, dense views and degrees of the sparse matrices (dicts of nonzero
 entries keyed by element-index pairs), group addition, the fixed-sum
@@ -259,6 +260,16 @@ def membership(rt, group, binomials) -> tuple[bool, list[str]]:
             ok = False
             failures.append(f"binomial {i}: exponent vector outside the kernel")
     return ok, failures
+
+
+def exponent_vector_reference(column, lhs, rhs) -> dict[int, int]:
+    """The exponent vector of the binomial with sides ``lhs`` and ``rhs``:
+    the columns of the lhs terms counted up and those of the rhs terms
+    counted down in one ``Counter``, zero entries dropped.  A ``Counter``
+    keeps its keys in order of first occurrence, lhs then rhs."""
+    count = Counter(column[t] for t in lhs)
+    count.subtract(column[t] for t in rhs)
+    return {c: v for c, v in count.items() if v}
 
 
 def is_trivalent(tree) -> bool:

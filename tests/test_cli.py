@@ -106,6 +106,8 @@ def test_missing_tree_file(capsys):
     ("Z2", "(1,2);"),
     ("Z2", "(1,2,,3);"),
     ("Z2", "(1,2,5);"),
+    ("Z\u0663", "(1,2,3);"),  # Arabic-Indic digits, which int() reads
+    ("Z3", "(\u0661,2,3);"),
 ])
 def test_input_errors(capsys, group, tree):
     code, _, err = run(capsys, "generate", "--group", group, "--tree", tree)
@@ -152,7 +154,8 @@ def test_label_range_error_is_one_short_line(capsys):
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err == ("error: leaf labels must be exactly 1..3000; smallest "
-                   "missing label 1, labels outside the range: 1\n")
+                   "missing label 1; 1 label above the range, the smallest "
+                   "3001\n")
 
 
 @pytest.mark.parametrize("group,message", [

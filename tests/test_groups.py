@@ -40,7 +40,12 @@ def test_parse_rejects(bad):
     ("Z2xZ" + "9" * 5000, "group spec factor 2 has 5000 digits: too large"),
     ("Z2xZ3x" + "Q" * 20000, "malformed group spec: factor 3 is not Z<n> "
                              "(expected Z<n> factors joined by 'x')"),
-], ids=["too-many-digits", "malformed"])
+    # int() reads other scripts' digits, so \d took Z٣ for Z3
+    ("Z\u0663", "malformed group spec: factor 1 is not Z<n> "
+                "(expected Z<n> factors joined by 'x')"),
+    ("Z2xZ\uff13", "malformed group spec: factor 2 is not Z<n> "
+                   "(expected Z<n> factors joined by 'x')"),
+], ids=["too-many-digits", "malformed", "arabic-indic-digit", "fullwidth-digit"])
 def test_parse_error_names_the_factor_not_the_text(spec, message):
     with pytest.raises(GroupParseError) as exc:
         parse_group_spec(spec)

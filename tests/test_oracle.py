@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense import (LatticeBasis, add, enumerate_flows, membership,
+from dense import (LatticeBasis, add, enumerate_flows,
+                   exponent_vector_reference, membership,
                    monomial_matrix, oracle_kernel, vertex_support)
 from test_acceptance import BATTERY_GROUPS, BATTERY_TREES, FLOW_CAP
 from test_flows import FLOW_GROUPS, random_trees
@@ -82,12 +83,28 @@ def columns(rt, group, b):
     return {f: flow_index(rt, group, f) for f in b.lhs + b.rhs}
 
 
+@st.composite
+def id_sides(draw):
+    """``column`` and two sides of terms: term ids into a list of columns
+    or, as often, keys of a mapping.  There are few distinct terms, so the
+    sides repeat terms and share them."""
+    n = draw(st.integers(1, 5))
+    column = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    side = st.lists(st.integers(0, n - 1), max_size=10)
+    lhs, rhs = draw(side), draw(side)
+    if draw(st.booleans()):
+        column = {("flow", t): c for t, c in enumerate(column)}
+        lhs = [("flow", t) for t in lhs]
+        rhs = [("flow", t) for t in rhs]
+    return column, lhs, rhs
+
+
 class TestExponentVector:
     def test_simple(self):
         rt = rooted("((1,2),(3,4));")
         s = generate(rt.tree, Z2)
         for b in s.binomials:
-            v = exponent_vector(columns(rt, Z2, b), b)
+            v = exponent_vector(columns(rt, Z2, b), b.lhs, b.rhs)
             assert sum(x for x in v.values() if x > 0) == b.degree
             assert sum(v.values()) == 0
 
@@ -95,8 +112,19 @@ class TestExponentVector:
         rt = rooted("(1,2,3);")
         flows = enumerate_flows(rt, Z3)
         b = Binomial((flows[0], flows[0]), (flows[1], flows[2]))
-        v = exponent_vector(columns(rt, Z3, b), b)
+        v = exponent_vector(columns(rt, Z3, b), b.lhs, b.rhs)
         assert v == {0: 2, 1: -1, 2: -1}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(id_sides())
+    # term 0 cancels on its second rhs occurrence and comes back negative:
+    # it keeps its lhs place, before column 20
+    @example(([10, 20], [0, 1, 0], [0, 0, 0]))
+    @example(({"f": 7, "h": 3}, ["h", "f"], ["f", "f"]))
+    def test_matches_counter_reference(self, case):
+        column, lhs, rhs = case
+        want = exponent_vector_reference(column, lhs, rhs)
+        assert list(exponent_vector(column, lhs, rhs).items()) == list(want.items())
 
 
 class TestLatticeReport:
@@ -856,6 +884,52 @@ def test_passed_iff_no_failures(monkeypatch):
     assert r.failures == ["kernel rank 15 differs from codimension formula 16"]
     assert not r.passed
     assert r.to_json()["pass"] is False
+
+
+def test_failures_keep_their_order(monkeypatch):
+    # a degree failure at binomial 2 before membership failures at 5 and 9,
+    # with the count short by one and a kernel rank off by one: the report
+    # lists count, membership, degree, kernel rank, span, in that order
+    s = generate(parse_newick("((1,2),(3,4));"), Z3)
+    bs = list(s.binomials)
+    bs[2] = Binomial(bs[2].lhs * 4, bs[2].rhs * 4)  # in the kernel, degree 12
+    bs[5] = Binomial(bs[5].lhs, bs[6].rhs)
+    f = bs[9].lhs[0]
+    bs[9] = Binomial((f[:4] + (add(Z3, f[4], (1,)),),) + bs[9].lhs[1:], bs[9].rhs)
+    real = oracle.monomial_matrix_rank
+    monkeypatch.setattr(oracle, "monomial_matrix_rank",
+                        lambda *a, **kw: real(*a, **kw) + 1)
+    r = verify_complete_intersection(
+        InvariantSet(s.rooted, s.group, bs[:-1], list(s.provenance[:-1])))
+    assert r.failures == [
+        "count: expected 16 generators, found 15",
+        "binomial 5: exponent vector outside the kernel",
+        "binomial 9: term ((0,), (2,), (2,), (2,), (2,)) is not a flow: "
+        "values do not conserve at node 5",
+        "binomial 2: degree 12 exceeds bound 3",
+        "kernel rank 15 differs from codimension formula 16",
+        "span check skipped: some exponent vector is outside the kernel",
+    ]
+
+
+@pytest.mark.parametrize("text,gtext", [
+    ("((1,2),(3,4));", "Z3"),
+    ("((1,2,3),(4,5,6));", "Z2xZ2"),
+])
+def test_verify_builds_no_binomial(monkeypatch, text, gtext):
+    # the rows come from the sides' term ids: no Binomial is built per row
+    s = generate(parse_newick(text), parse_group_spec(gtext))
+    built = []
+    init = Binomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Binomial, "__init__", counting)
+    r = verify_complete_intersection(s)
+    assert r.passed
+    assert built == []
 
 
 # -- a mutation battery whose verdicts lattice theory predicts ---------------

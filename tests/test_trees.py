@@ -64,6 +64,10 @@ class TestParsing:
         ("(1,2,3;);", "expected"),
         ("(1,x,3);", "expected"),
         ("(1,2,3);junk", "trailing"),
+        # int() reads other scripts' digits, so \d took (١,2,3); for (1,2,3);
+        ("(\u0661,2,3);", "expected a leaf label or '(' at position 1"),
+        ("(1,2,3\u0663);", "expected ')' at position 6"),
+        ("(1,2:\u0665,3);", "expected a branch length after ':' at position 5"),
     ])
     def test_syntax_errors(self, bad, frag):
         with pytest.raises(NewickParseError) as exc:
@@ -87,7 +91,20 @@ class TestParsing:
         with pytest.raises(InvalidTreeError) as exc:
             parse_newick("(7,2,(9,1),3);")
         assert str(exc.value) == ("leaf labels must be exactly 1..5; smallest "
-                                  "missing label 4, labels outside the range: 2")
+                                  "missing label 4; 2 labels above the range, "
+                                  "the smallest 7")
+
+    @pytest.mark.parametrize("label,shown", [
+        ("9" * 20, "the smallest " + "9" * 20),
+        ("9" * 21, "the smallest has 21 digits"),
+    ], ids=["20-digits", "21-digits"])
+    def test_range_error_shows_a_long_label_by_its_digit_count(self, label,
+                                                                shown):
+        with pytest.raises(InvalidTreeError) as exc:
+            parse_newick(f"(1,2,{label});")
+        assert str(exc.value) == ("leaf labels must be exactly 1..3; smallest "
+                                  f"missing label 3; 1 label above the range, "
+                                  f"{shown}")
 
     def test_overlong_label_is_a_parse_error(self):
         # more digits than int() converts by default
