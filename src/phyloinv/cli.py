@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 from itertools import islice
 from json import JSONEncoder
@@ -24,6 +25,10 @@ EXIT_INTERNAL_ERROR = 4
 
 _WRITE_BATCH = 8192  # encoder chunks joined into one write
 
+# ASCII digits only: int() would also take any script's digits, "_" and
+# surrounding blanks
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -38,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tree", required=True, metavar="NEWICK",
                         help="leaf-labelled tree in Newick (labels 1..n), "
                              "or @FILE to read it from a file")
-    common.add_argument("--flow-cap", type=int, default=DEFAULT_FLOW_CAP,
+    common.add_argument("--flow-cap", default=str(DEFAULT_FLOW_CAP),
                         metavar="N", help="refuse instances with more than N "
                         "flows (default %(default)s)")
     common.add_argument("--output", choices=("json", "algebra-text"),
@@ -47,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--mode", choices=("direct-cyclic", "factored"),
                            default="direct-cyclic",
                            help="tripod basis recipe (default %(default)s)")
-    construct.add_argument("--seed", type=int, default=None,
+    construct.add_argument("--seed", default=None, metavar="N",
                            help="randomize the decomposition edge choices")
 
     sub.add_parser("generate", parents=[common, construct],
@@ -59,6 +64,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rank and index diagnostics for the vertex-point "
                         "lattice of (tree, group)")
     return p
+
+
+def _integer(option: str, text: str) -> int:
+    """The value of an integer option: an optional minus sign and ASCII
+    digits, nothing else.  A value too long to convert is named by its
+    digit count, leading zeros not counted."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ValueError(f"{option} is not an integer (expected ASCII digits "
+                         f"after an optional '-')")
+    digits = text.lstrip("-").lstrip("0")
+    try:
+        value = int(digits or "0")
+    except ValueError:  # past Python's int-to-string digit limit
+        raise ValueError(f"{option} has {len(digits)} digits: too large") from None
+    return -value if text.startswith("-") else value
 
 
 def _read_tree_arg(text: str) -> str:
@@ -136,26 +156,29 @@ def _lattice_text(info) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.flow_cap < 1:
-            raise ValueError(f"--flow-cap must be at least 1, got {args.flow_cap}")
+        flow_cap = _integer("--flow-cap", args.flow_cap)
+        if flow_cap < 1:
+            raise ValueError(f"--flow-cap must be at least 1, got {flow_cap}")
+        seed = getattr(args, "seed", None)
+        if seed is not None:
+            seed = _integer("--seed", seed)
         group = parse_group_spec(args.group)
         tree = parse_newick(_read_tree_arg(args.tree))
 
         if args.subcommand == "lattice-info":
             info = lattice_report(canonical_rooting(tree), group,
-                                  flow_cap=args.flow_cap)
+                                  flow_cap=flow_cap)
             _write(info, _lattice_text, args.output)
             return EXIT_OK
 
-        options = GenerateOptions(mode=args.mode, flow_cap=args.flow_cap,
-                                  seed=args.seed)
+        options = GenerateOptions(mode=args.mode, flow_cap=flow_cap, seed=seed)
         invset = generate(tree, group, options)
 
         if args.subcommand == "generate":
             _write(invset, algebra_text, args.output)
             return EXIT_OK
 
-        report = verify_complete_intersection(invset, flow_cap=args.flow_cap)
+        report = verify_complete_intersection(invset, flow_cap=flow_cap)
         _write(report, _verify_text, args.output)
         return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 

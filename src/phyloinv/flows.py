@@ -58,7 +58,9 @@ def _complete(bottom_up: Sequence[tuple[int, Sequence[int]]],
     """The one walk that completes a flow, in place: ``idx`` holds the leaf
     values' element indices and a slot per interior edge, and each interior
     edge, children before parents (``rt.bottom_up``), gets the sum of the
-    edges below it.  Every flow built in the package is completed here."""
+    edges below it.  ``flow_from_leaves`` and the join's builder complete
+    each flow here; :func:`iter_flows` completes one flow per head and
+    steps the rest along the path between the last two leaves."""
     for ei, below in bottom_up:
         s = 0
         for c in below:
@@ -164,15 +166,48 @@ def halves(n: int, group: GroupSpec, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_flows(rt: RootedTree, group: GroupSpec) -> Iterator[Flow]:
-    """All flows in lexicographic order of the first leaf_count-1 leaf
-    values: the leaf tuples of :func:`halves` summing to zero, each
-    completed by :func:`_complete`."""
-    table, bottom_up = group.table, rt.bottom_up
-    add, elements = table.add, table.elements
-    pad = [0] * (rt.edge_count - rt.leaf_count)
-    for leaves in halves(rt.leaf_count, group, 0):
-        idx = _complete(bottom_up, add, [*leaves, *pad])
-        yield tuple(map(elements.__getitem__, idx))
+    """All flows, in lexicographic order of the first l-1 leaf values
+    (l = leaf_count), streamed in O(edge_count + g) memory.
+
+    A head is a tuple of :func:`halves` ``(l - 1, group, 0)``: the first
+    l-2 leaf values, summing to s, then -s at leaf l-1.  With 0 at leaf l
+    it is a flow, completed once by :func:`_complete`.  Its g flows put x
+    at leaf l-1, in index order, and -(s+x) at leaf l; only the path
+    between the two leaves moves: by d = s+x on leaf l-1's side of it and
+    by -d on leaf l's.  When the two leaves are siblings the path has no
+    interior edge, and every flow of a head shares one interior part.
+    """
+    table, l = group.table, rt.leaf_count
+    add, neg, elements = table.add, table.neg, table.elements
+    negated = [elements[i] for i in neg]
+    pad = [0] * (rt.edge_count - l + 1)
+    # the interior edges above leaf l-1 or leaf l but not both, by their
+    # slot in the interior part
+    above = []
+    for v in (rt.parent[l - 1], rt.parent[l]):
+        slots = set()
+        while (u := rt.parent[v]) is not None:
+            slots.add(rt.edge_index[u, v] - l)
+            v = u
+        above.append(slots)
+    plus, minus = above[0] - above[1], above[1] - above[0]
+    moving = bool(plus or minus)
+    for head in halves(l - 1, group, 0):
+        idx = _complete(rt.bottom_up, add, [*head, *pad])
+        values = list(map(elements.__getitem__, idx))
+        prefix, interior = tuple(values[:l - 2]), tuple(values[l:])
+        if moving:
+            cells = values[l:]
+            ups = [(k, add[idx[l + k]]) for k in plus]
+            downs = [(k, add[idx[l + k]]) for k in minus]
+        for x, d in enumerate(add[neg[head[-1]]]):  # d = s + x
+            if moving:
+                for k, row in ups:
+                    cells[k] = elements[row[d]]
+                for k, row in downs:
+                    cells[k] = elements[row[neg[d]]]
+                interior = tuple(cells)
+            yield prefix + (elements[x], negated[d]) + interior
 
 
 def flow_index(rt: RootedTree, group: GroupSpec, f: Flow) -> int:

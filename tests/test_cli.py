@@ -133,6 +133,41 @@ def test_flow_cap_below_one_is_bad_input(capsys, sub, cap):
     assert err == f"error: --flow-cap must be at least 1, got {cap}\n"
 
 
+NOT_AN_INTEGER = "is not an integer (expected ASCII digits after an optional '-')"
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--flow-cap", "١٠", NOT_AN_INTEGER),  # Arabic-Indic 10
+    ("--flow-cap", " 1_0 ", NOT_AN_INTEGER),  # int() reads 10
+    ("--flow-cap", "1_0", NOT_AN_INTEGER),
+    ("--flow-cap", "+10", NOT_AN_INTEGER),
+    ("--flow-cap", "", NOT_AN_INTEGER),
+    ("--flow-cap", "9" * 5000, "has 5000 digits: too large"),
+    ("--seed", "٣", NOT_AN_INTEGER),
+    ("--seed", " 3", NOT_AN_INTEGER),
+    ("--seed", "-" + "9" * 5000, "has 5000 digits: too large"),
+], ids=["arabic-indic", "padded-underscore", "underscore", "plus", "empty",
+        "cap-5000-digits", "seed-arabic-indic", "seed-padded",
+        "seed-5000-digits"])
+def test_integer_options_read_ascii_digits_only(capsys, option, value, message):
+    code, out, err = run(capsys, "generate", "--group", "Z3", "--tree",
+                         "(1,2,3);", f"{option}={value}")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == f"error: {option} {message}\n"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--flow-cap", "0010"), ("--flow-cap", "0" * 5000 + "8"),
+    ("--seed", "-3"), ("--seed", "0")],
+    ids=["cap-zero-padded", "cap-5000-zeros", "seed-negative", "seed-zero"])
+def test_integer_options_take_ascii_integers(capsys, option, value):
+    code, out, _ = run(capsys, "verify", "--group", "Z2", "--tree",
+                       "((1,2),(3,4));", option, value)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
 def test_deep_tree_hits_cap(capsys):
     # a 1200-leaf caterpillar nests 1199 levels deep
     text = "(1,2)"

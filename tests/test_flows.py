@@ -1,6 +1,7 @@
 """Flows on rooted trees: conservation, enumeration, vertex supports, binomials."""
 
 import re
+import tracemalloc
 from collections import Counter
 from functools import partial, reduce
 
@@ -165,6 +166,59 @@ def test_iter_flows_leaf_parts_match_the_brute_force_tuples(newick, group):
     leaves = [tuple(map(group.index, f[:rt.leaf_count]))
               for f in iter_flows(rt, group)]
     assert leaves == list(fixed_sum_tuples(rt.leaf_count, group, 0))
+
+
+ENUMERATED_GROUPS = [GroupSpec((g,)) for g in range(2, 7)] + [
+    Z2Z2, GroupSpec((2, 3))]
+
+
+@st.composite
+def rooted_instances(draw, most_flows=4096):
+    """A group and a random tree of 3-7 leaves, rooted at a random interior
+    node, with at most ``most_flows`` flows."""
+    group = draw(st.sampled_from(ENUMERATED_GROUPS))
+    most = max(n for n in range(3, 8) if group.order ** (n - 1) <= most_flows)
+    tree = draw(random_trees(max_leaves=most))
+    return RootedTree(tree, draw(st.sampled_from(tree.interior_nodes))), group
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rooted_instances())
+# leaves 5 and 6 are not siblings: the path between them has an interior
+# edge on each side of the root
+@example((canonical_rooting(parse_newick("((1,2),(3,5),(4,6));")), Z2Z2))
+@example((canonical_rooting(parse_newick("((1,7),(2,3),(4,(5,6)));")),
+          GroupSpec((3,))))
+@example((canonical_rooting(parse_newick("(1,(2,(3,(4,5))));")),
+          GroupSpec((2, 3))))
+def test_iter_flows_match_the_independent_references(case):
+    # each flow, in order, has the brute-force leaf part, conserves by
+    # residue sums and is the flow its leaf values complete to
+    rt, group = case
+    n = rt.leaf_count
+    flows = list(iter_flows(rt, group))
+    assert len(flows) == group.order ** (n - 1)
+    assert ([tuple(map(group.index, f[:n])) for f in flows]
+            == list(fixed_sum_tuples(n, group, 0)))
+    for f in flows:
+        assert flow_defect(rt, group, f) is None
+        assert f == flow_from_leaves(rt, group, f[:n])
+
+
+def test_iter_flows_streams_without_a_square_table():
+    # Z300's Cayley table is built before the trace; a g x g table of the
+    # tripod's flows or leaf pairs would take megabytes
+    rt = canonical_rooting(parse_newick("(1,2,3);"))
+    group = GroupSpec((300,))
+    group.table
+    tracemalloc.start()
+    try:
+        first = next(iter_flows(rt, group))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((0,),) * 3
+    assert peak < 256 * 1024
 
 
 def test_flow_defects_name_the_fault(quartet):
