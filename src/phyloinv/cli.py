@@ -24,6 +24,7 @@ EXIT_CAP_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
 
 _WRITE_BATCH = 8192  # encoder chunks joined into one write
+_TREE_FILE_LIMIT = 1 << 20  # characters a --tree @FILE may hold
 
 # ASCII digits only: int() would also take any script's digits, "_" and
 # surrounding blanks
@@ -82,9 +83,16 @@ def _integer(option: str, text: str) -> int:
 
 
 def _read_tree_arg(text: str) -> str:
+    """The Newick text of ``--tree``: the value itself, or, after an "@",
+    the file it names, read up to one character past the limit, so that
+    an endless file (``@/dev/zero``) is refused like a long one."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+            newick = fh.read(_TREE_FILE_LIMIT + 1)
+        if len(newick) > _TREE_FILE_LIMIT:
+            raise ValueError(f"--tree file holds more than {_TREE_FILE_LIMIT} "
+                             f"characters")
+        return newick
     return text
 
 

@@ -58,9 +58,11 @@ def _complete(bottom_up: Sequence[tuple[int, Sequence[int]]],
     """The one walk that completes a flow, in place: ``idx`` holds the leaf
     values' element indices and a slot per interior edge, and each interior
     edge, children before parents (``rt.bottom_up``), gets the sum of the
-    edges below it.  ``flow_from_leaves`` and the join's builder complete
-    each flow here; :func:`iter_flows` completes one flow per head and
-    steps the rest along the path between the last two leaves."""
+    edges below it.  ``flow_from_leaves`` completes each flow here and the
+    join's builder each flow the join walks, those with a part-sized half
+    (an edge quadric's new term is cut from two of them); :func:`iter_flows`
+    completes one flow per head and steps the rest along the path between
+    the last two leaves."""
     for ei, below in bottom_up:
         s = 0
         for c in below:
@@ -99,7 +101,8 @@ def packed_flows(rt: RootedTree, group: GroupSpec, width: int
                  ) -> Callable[[Sequence[int]], tuple[Flow, int]]:
     """A builder of flows from the element indices of all their leaf values.
 
-    The builder completes each flow with :func:`_complete` and sums its
+    The builder completes each flow it is given with :func:`_complete` (in
+    a join, those with a part-sized half) and sums its
     :func:`packed_point` from the same indices.  The root must conserve
     (its outgoing values sum to zero, i.e. the leaf values do), or
     :class:`FlowError` is raised.

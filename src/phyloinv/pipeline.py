@@ -17,8 +17,11 @@ The complete intersection on the dense torus orbit is assembled bottom-up:
 Every binomial a join or a claw quadric builds goes once through the
 per-edge multiset check (a contracted binomial keeps its T' join's), and
 every assembled set is counted against the codimension formula.  A join
-works on element indices and builds each joined flow once, with the packed
-vertex point the check compares.
+works on element indices and walks only the joined flows with a
+part-sized half: the lifted part flows, the mixed quadric terms and the
+path flows, each once, with the packed vertex point the check compares.
+An edge quadric's new term is cut from its two mixed terms, values and
+point slots, because each edge's value depends on one half alone.
 """
 
 from __future__ import annotations
@@ -127,8 +130,17 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     h2, those at T2's (1..k2-1); ``leaf_map1``/``leaf_map2`` send them to
     their joined labels.  A part flow is lifted by rerouting its fresh-leaf
     value to leaf 1 of the other part, and the path flow of g0 carries g0
-    from T1's leaf 1 to T2's.  Each joined flow is built once, with its
-    packed vertex point, and every binomial is checked on those points.
+    from T1's leaf 1 to T2's, with halves p1 and p2.  Only the joined
+    flows with h2 = p2 or h1 = p1 are walked, each once, with its packed
+    vertex point: every lifted part flow, mixed quadric term and path
+    flow, g^(k1-1) + g^(k2-1) - g in all.  Each distinct part flow is
+    lifted once.  An edge quadric's new term (h1, h2) is cut from its
+    mixed terms (h1, p2) and (p1, h2): an edge under the split edge
+    carries a sum of T2 leaves, every other edge one of T1 leaves plus g0
+    above the split, so each edge's value, and its point slots, come from
+    the one mix that shares the half it depends on.  Every binomial is
+    checked on those points; for a quadric the check proves that each mix
+    agrees with the path flow on the edges it does not give the new term.
 
     Sign convention: an edge carries its value in the away-from-root
     orientation, so reading it against that orientation negates.  The
@@ -156,10 +168,20 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     leaves = itemgetter(*order)
     width = point_width(group)
     build = packed_flows(rt, group, width)
+    # a quadric's new term takes a lower edge's (one under the split edge)
+    # value and point slots from the mix (p1, h2), every other edge's from
+    # (h1, p2)
+    e = rt.edge_count
+    side1 = set(ctx.leaf_map1.values())
+    lower = [rt.nodes_below(a).isdisjoint(side1) for a, _ in rt.edges]
+    cut = itemgetter(*(ei + e * low for ei, low in enumerate(lower)))
+    slots = (1 << width * g) - 1  # the g slots of edge 0
+    mask2 = sum(slots << width * g * ei for ei, low in enumerate(lower) if low)
+    mask1 = ((1 << width * g * e) - 1) ^ mask2
 
-    # every joined flow but the edge quadrics' first term recurs (a lifted
-    # part flow is also a mixed quadric term), so each is built once and
-    # kept under h1 + h2, which holds all its leaf values
+    # every joined flow that is built recurs (a lifted part flow is also a
+    # mixed quadric term), so each is built once and kept under h1 + h2,
+    # which holds all its leaf values
     built: dict[tuple[int, ...], tuple[Flow, int]] = {}
 
     def joined(h: tuple[int, ...]) -> tuple[Flow, int]:
@@ -179,28 +201,36 @@ def join_sets(ctx: JoinContext, group: GroupSpec,
     binomials: list[Binomial] = []
     provenance: list[str] = []
     for s, lift, tag in ((s1, lift1, "join-E1"), (s2, lift2, "join-E2")):
+        # each distinct part flow is lifted once, and its occurrences read
+        # the table
+        lifted = dict.fromkeys(f for b in s.binomials for f in b.lhs + b.rhs)
+        for f in lifted:
+            lifted[f] = lift(f)
+        get = lifted.__getitem__
         for b in s.binomials:
-            lhs, lp = zip(*map(lift, b.lhs))
-            rhs, rp = zip(*map(lift, b.rhs))
+            lhs, lp = zip(*map(get, b.lhs))
+            rhs, rp = zip(*map(get, b.rhs))
             binomials.append(binomial_from_multisets(
                 rt, group, lhs, rhs, (width, lp, rp)))
             provenance.append(tag)
+    del lifted, get
 
     for g0 in range(g):
         p1, p2 = (neg[g0],) + zeros1, (g0,) + zeros2  # the path flow's halves
         fg0, pg0 = joined(p1 + p2)
-        pairs2 = [(h2, *joined(p1 + h2))
+        pairs2 = [joined(p1 + h2)
                   for h2 in halves(k2 - 1, group, g0) if h2 != p2]
         for h1 in halves(k1 - 1, group, neg[g0]):
             if h1 == p1:
                 continue
             mix1, pm1 = joined(h1 + p2)
-            for h2, mix2, pm2 in pairs2:
-                # h1 and h2 both differ from the path flow's: f is new
-                f, pf = build(leaves(h1 + h2))
+            cut1 = pm1 & mask1
+            for mix2, pm2 in pairs2:
+                # h1 and h2 both differ from the path flow's: the cut term
+                # is new
                 binomials.append(binomial_from_multisets(
-                    rt, group, [f, fg0], [mix1, mix2],
-                    (width, [pf, pg0], [pm1, pm2])))
+                    rt, group, [cut(mix1 + mix2), fg0], [mix1, mix2],
+                    (width, [cut1 | (pm2 & mask2), pg0], [pm1, pm2])))
                 provenance.append("join-edge-quadric")
 
     n_quadrics = len(binomials) - len(s1.binomials) - len(s2.binomials)

@@ -100,6 +100,30 @@ def test_missing_tree_file(capsys):
     assert "error" in err
 
 
+TREE_FILE_REFUSED = f"error: --tree file holds more than {1 << 20} characters\n"
+
+
+def test_endless_tree_file_is_refused_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "lattice-info", "--group", "Z2",
+                         "--tree", "@/dev/zero")
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", TREE_FILE_REFUSED)
+
+
+def test_tree_file_one_character_over_the_limit_is_refused(tmp_path, capsys):
+    # a valid tree padded to the limit still runs; one more blank is refused
+    tree = "((1,2),(3,4));"
+    p = tmp_path / "tree.nwk"
+    p.write_text(tree + " " * ((1 << 20) - len(tree)), encoding="utf-8")
+    code, out, _ = run(capsys, "generate", "--group", "Z2", "--tree", f"@{p}")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["invariants"]) == 2
+    p.write_text(tree + " " * ((1 << 20) + 1 - len(tree)), encoding="utf-8")
+    code, out, err = run(capsys, "generate", "--group", "Z2", "--tree", f"@{p}")
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", TREE_FILE_REFUSED)
+
+
 @pytest.mark.parametrize("group,tree", [
     ("Z1", "(1,2,3);"),
     ("bogus", "(1,2,3);"),

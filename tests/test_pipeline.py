@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dense import join_sets_reference
 from phyloinv import pipeline
 from phyloinv.errors import FlowCapExceeded, FlowError, InternalError
-from phyloinv.flows import Binomial, binomial_from_multisets
+from phyloinv.flows import Binomial, binomial_from_multisets, packed_point
 from phyloinv.groups import GroupSpec, parse_group_spec
 from phyloinv.oracle import codim, verify_complete_intersection
 from phyloinv.pipeline import (GenerateOptions, InvariantSet, algebra_text,
@@ -335,7 +335,9 @@ class TestGenerate:
 
 def test_join_builds_each_flow_once(monkeypatch):
     # every join of a Z3 caterpillar; within one join_sets call no joined
-    # flow is built from the same leaf indices twice
+    # flow is built from the same leaf indices twice, and only the flows
+    # with a part-sized half are built: the g^(k1-1) with h2 = p2, the
+    # g^(k2-1) with h1 = p1, the g path flows in both (87, 51 and 87)
     rt = canonical_rooting(parse_newick("(((((1,2),3),4),5),6);"))
     joins = []
     for edge in rt.interior_edges():
@@ -360,6 +362,8 @@ def test_join_builds_each_flow_once(monkeypatch):
         s = join_sets(ctx, Z3, s1, s2)
         assert len(s) == codim(ctx.rooted.tree, Z3)
         assert builds and max(builds.values()) == 1
+        k1, k2 = ctx.t1.leaf_count, ctx.t2.leaf_count
+        assert builds.total() == 3 ** (k1 - 1) + 3 ** (k2 - 1) - 3
 
 
 @st.composite
@@ -390,3 +394,31 @@ def test_join_matches_the_full_tuple_reference(case):
         assert got.binomials == want.binomials
         assert got.provenance == want.provenance
         assert got.join_log == want.join_log
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(join_cases())
+def test_join_hands_the_check_exact_points(case):
+    # a wrong point can pass: the sums differ, the columns agree and the
+    # same binomial comes back, so every point handed in is compared with
+    # the term's own packing
+    tree, group = case
+    rt = canonical_rooting(tree)
+    contexts = [decompose_at_edge(rt, edge) for edge in rt.interior_edges()]
+    parts = [(ctx, generate(ctx.t1, group), generate(ctx.t2, group))
+             for ctx in contexts]
+    calls = []
+
+    def checked(rt, group, m1, m2, points):
+        width, p1, p2 = points
+        for terms, got in ((m1, p1), (m2, p2)):
+            assert [packed_point(rt, group, width, f) for f in terms] == list(got)
+        calls.append(None)
+        return binomial_from_multisets(rt, group, m1, m2, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "binomial_from_multisets", checked)
+        for ctx, s1, s2 in parts:
+            calls.clear()
+            s = join_sets(ctx, group, s1, s2)
+            assert len(calls) == len(s)
