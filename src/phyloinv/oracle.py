@@ -294,43 +294,37 @@ def _tuple_terms(b: Binomial) -> Binomial:
     return Binomial(side(b.lhs), side(b.rhs))
 
 
-def _term_ids(binomials: Iterable[Binomial]
+def _term_ids(binomials: Sequence[Binomial]
               ) -> tuple[list[Flow], list[int], list[int]]:
     """The distinct terms of ``binomials`` in order of first occurrence, a
     term's id being its position there; every side as a run of term ids in
     one flat list, in order; and the length of every side, lhs then rhs of
     each binomial.
 
-    Each term occurrence is hashed once.  A binomial whose sides are not
-    tuples, or one of whose terms does not hash, gives back the ids it
-    took and is read through ``_tuple_terms``, so the result is the one
-    for the set with every binomial in that form."""
-    ids: dict = {}
-    setid = ids.setdefault
-    flat: list[int] = []
-    put = flat.append
-    sizes: list[int] = []
+    One pass reads the set as it is, hashing each term occurrence once;
+    it requires tuple sides.  At the first side that is not a tuple, or the
+    first term that does not hash, it starts over with every binomial
+    through ``_tuple_terms``, which returns a tuple-sided binomial that
+    hashes as it is, so the result is the one for the set in that form."""
+    def read(binomials):
+        ids: dict = {}
+        setid = ids.setdefault
+        flat: list[int] = []
+        put = flat.append
+        sizes: list[int] = []
+        for b in binomials:
+            for side in (b.lhs, b.rhs):
+                if not isinstance(side, tuple):
+                    raise TypeError("a side is not a tuple")
+                for f in side:
+                    put(setid(f, len(ids)))
+                sizes.append(len(side))
+        return list(ids), flat, sizes
 
-    def take(b: Binomial) -> None:
-        for side in (b.lhs, b.rhs):
-            for f in side:
-                put(setid(f, len(ids)))
-            sizes.append(len(side))
-
-    for i, b in enumerate(binomials):
-        as_is = isinstance(b.lhs, tuple) and isinstance(b.rhs, tuple)
-        if as_is:
-            start, before = len(flat), len(ids)
-            try:
-                take(b)
-            except TypeError:  # a term that does not hash
-                as_is = False
-                del flat[start:], sizes[2 * i:]
-                while len(ids) > before:
-                    ids.popitem()
-        if not as_is:
-            take(_tuple_terms(b))
-    return list(ids), flat, sizes
+    try:
+        return read(binomials)
+    except TypeError:
+        return read(map(_tuple_terms, binomials))
 
 
 def _runs(sizes: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -442,15 +436,11 @@ def verify_complete_intersection(s: "InvariantSet",
     for i, (a, m, z) in enumerate(_runs(sizes)):
         lhs, rhs = flat[a:m], flat[m:z]
         if bad and not (bad.isdisjoint(lhs) and bad.isdisjoint(rhs)):
-            # each distinct bad term of the binomial, as the binomial has it
-            b = _tuple_terms(s.binomials[i])
-            first: dict[int, Flow] = {}
-            for t, f in zip(lhs + rhs, b.lhs + b.rhs):
-                first.setdefault(t, f)
-            for t, f in first.items():
+            # each distinct bad term of the binomial, as the id pass read it
+            for t in dict.fromkeys(lhs + rhs):
                 if t in bad:
-                    failures.append(f"binomial {i}: term {as_text(f)} is not a "
-                                    f"flow: {defects[t]}")
+                    failures.append(f"binomial {i}: term {as_text(terms[t])} "
+                                    f"is not a flow: {defects[t]}")
             membership_ok = False
         elif sum(map(pt, lhs)) != sum(map(pt, rhs)):
             membership_ok = False

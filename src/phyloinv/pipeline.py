@@ -308,11 +308,15 @@ def claw_set(n_leaves: int, tripod: InvariantSet) -> InvariantSet:
     claw_rt = canonical_rooting(canonical_claw(n_leaves))
     binomials: list[Binomial] = []
     provenance: list[str] = []
+    # a T' flow is fixed by its leaf values, the claw flow, so the slice
+    # keeps each side sorted and reduced; the T' join checked its columns.
+    # Each distinct T' flow is sliced once, and its occurrences share it
+    sliced = dict.fromkeys(f for b in aux.binomials for f in b.lhs + b.rhs)
+    for f in sliced:
+        sliced[f] = f[:n_leaves]
+    cut = sliced.__getitem__
     for b in aux.binomials:
-        # a T' flow is fixed by its leaf values, the claw flow, so the slice
-        # keeps each side sorted and reduced; the T' join checked its columns
-        restricted = Binomial(tuple(f[:n_leaves] for f in b.lhs),
-                              tuple(f[:n_leaves] for f in b.rhs))
+        restricted = Binomial(tuple(map(cut, b.lhs)), tuple(map(cut, b.rhs)))
         if restricted.is_trivial:
             raise InternalError("a T' binomial restricts to a trivial claw binomial")
         binomials.append(restricted)

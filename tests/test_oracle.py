@@ -349,29 +349,30 @@ class TestVerify:
         assert want["pass"]
         assert verify_complete_intersection(rebuilt).to_json() == want
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
     @pytest.mark.parametrize("unhashable", [False, True])
-    def test_mixed_set_reads_as_its_tuple_form(self, unhashable):
-        # tuple-sided binomials, list-sided ones read back from JSON, and one
-        # tuple-sided binomial with a list term; with ``unhashable``, also a
-        # binomial whose new hashable term comes before a dict term, so the
-        # id pass gives back the id the new term took before it reads the
-        # binomial through _tuple_terms.  That term holds a value of a tuple
-        # subclass, which _tuple_terms makes a plain tuple, so its defect
-        # prints the value as the tuple form has it only if the id is given
-        # back.
+    def test_mixed_set_reads_as_its_tuple_form(self, unhashable, where):
+        # tuple-sided binomials, then the first binomial that needs the tuple
+        # form at ``where``, then list-sided ones read back from JSON.  That
+        # binomial is tuple-sided with a list term or, with ``unhashable``,
+        # with a hashable new term before a dict term: the id pass has given
+        # the new term an id when the dict stops it.  The new term holds a
+        # value of a tuple subclass, which _tuple_terms makes a plain tuple;
+        # the pass starts over with the whole set in its tuple form, so the
+        # defect prints the value as that form has it.
         Value = namedtuple("Value", "x")
         s = generate(parse_newick("((1,2),(3,4));"), Z3)
         bs = list(s.binomials)
-        half = len(bs) // 2
-        doc = json.loads(json.dumps([[b.lhs, b.rhs] for b in bs[half:]]))
-        mixed = bs[:half] + [Binomial(*sides) for sides in doc]
-        b = mixed[0]
-        mixed[0] = Binomial((list(b.lhs[0]),) + b.lhs[1:], b.rhs)
+        i = {"first": 0, "middle": len(bs) // 2, "last": len(bs) - 1}[where]
+        doc = json.loads(json.dumps([[b.lhs, b.rhs] for b in bs[i + 1:]]))
+        mixed = bs[:i + 1] + [Binomial(*sides) for sides in doc]
+        b = mixed[i]
         if unhashable:
-            b = mixed[1]
             fresh = (Value(9),) + b.lhs[0][1:]
-            mixed[1] = Binomial(b.lhs, b.rhs + (fresh, {"a": 1}))
-        assert isinstance(mixed[-1].lhs, list)
+            mixed[i] = Binomial(b.lhs, b.rhs + (fresh, {"a": 1}))
+        else:
+            mixed[i] = Binomial((list(b.lhs[0]),) + b.lhs[1:], b.rhs)
+        assert all(isinstance(b.lhs, list) for b in mixed[i + 1:])
         report = verify_complete_intersection(
             InvariantSet(s.rooted, s.group, mixed, list(s.provenance)))
         tupled = verify_complete_intersection(
@@ -383,10 +384,10 @@ class TestVerify:
         if unhashable:
             plain = ((9,),) + fresh[1:]
             assert [m for m in report.failures if "is not a flow" in m] == [
-                f"binomial 1: term {plain} is not a flow: value (9,) on edge "
-                f"0 {s.rooted.edges[0]} is not in Z3",
-                "binomial 1: term {'a': 1} is not a flow: is not a tuple of "
-                "5 edge values"]
+                f"binomial {i}: term {plain} is not a flow: value (9,) on "
+                f"edge 0 {s.rooted.edges[0]} is not in Z3",
+                f"binomial {i}: term {{'a': 1}} is not a flow: is not a tuple "
+                "of 5 edge values"]
 
 
 def full_rank(rt, group):
@@ -803,6 +804,21 @@ class TestNonFlows:
         assert not r.kernel_membership_ok
         assert any(m.startswith("binomial 0: term ") and "not in Z3" in m
                    for m in r.failures)
+
+    def test_recurring_term_is_named_once_per_binomial(self):
+        # one non-flow on both sides of binomial 0 and in binomial 2: each
+        # binomial names it once, binomial 0 only at its first occurrence
+        s = generate(parse_newick("((1,2),(3,4));"), Z3)
+        bs = list(s.binomials)
+        bad = ((3,),) + bs[0].lhs[0][1:]
+        bs[0] = Binomial((bad,) + bs[0].lhs[1:], bs[0].rhs + (bad,))
+        bs[2] = Binomial(bs[2].lhs, bs[2].rhs + (bad,))
+        r = verify_complete_intersection(
+            InvariantSet(s.rooted, s.group, bs, list(s.provenance)))
+        assert not r.kernel_membership_ok
+        assert membership_failures(r.failures) == [
+            f"binomial {i}: term {bad} is not a flow: value (3,) on edge 0 "
+            f"{s.rooted.edges[0]} is not in Z3" for i in (0, 2)]
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_non_sequence_term_is_rejected(self, as_json):

@@ -154,7 +154,8 @@ class TestClawSet:
     ])
     def test_contracted_binomials_are_valid_claw_binomials(self, group, mode):
         # the T' binomials are sliced to the claw without a second check:
-        # checking the slice again must give back the same binomial
+        # checking the slice again must give back the same binomial; each
+        # distinct flow is sliced once, so the set holds one object per flow
         g = parse_group_spec(group)
         tripod = tripod_set(g, mode)
         for n in range(4, 7):
@@ -165,6 +166,8 @@ class TestClawSet:
             assert len(contracted) == len(s) - (g.order - 1)
             for b in contracted:
                 assert binomial_from_multisets(claw_rt, g, b.lhs, b.rhs) == b
+            terms = [f for b in contracted for f in b.lhs + b.rhs]
+            assert len(set(map(id, terms))) == len(set(terms))
 
     def test_each_constructed_binomial_is_checked_once(self, monkeypatch):
         # one check per binomial a join or a claw quadric builds: the join
